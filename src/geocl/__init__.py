@@ -2,13 +2,11 @@
 
 from .errors import (ConfigurationError, ContractViolation, DegenerateAngleError,
                      GeoclError, NumericalDomainError)
-from .geometry import CcsPoint, TangentVec
-from .product import FactorSpec, MixedSpace, ProductPoint, ProductTangent
+from .product import FactorSpec, MixedSpace
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CcsPoint", "TangentVec", "FactorSpec", "MixedSpace", "ProductPoint",
-    "ProductTangent", "GeoclError", "ConfigurationError", "NumericalDomainError",
-    "DegenerateAngleError", "ContractViolation", "__version__",
+    "FactorSpec", "MixedSpace", "GeoclError", "ConfigurationError",
+    "NumericalDomainError", "DegenerateAngleError", "ContractViolation", "__version__",
 ]

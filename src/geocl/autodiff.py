@@ -3,8 +3,10 @@
 A ``Tensor`` wraps an ndarray and remembers how it was produced; calling
 ``backward`` on a scalar loss fills ``grad`` on every reachable tensor
 that requires gradients. The op set is deliberately closed: affine maps,
-elementwise tanh/tan/arctan/artanh, slicing, concatenation, norms, inner
-products, Mobius addition (via the primitives), log-sum-exp and Huber.
+elementwise tanh/tan/arctan/artanh, slicing, concatenation, norms,
+log-sum-exp and Huber. A fused op with a hand-written backward (the
+product-distance kernel in ``geocl.diffgeo``) builds its node with
+``_make`` and hands its gradients to ``_accum``.
 
 Graphs are per-step and single-threaded; accumulation order is fixed, so
 identical inputs give bit-identical gradients.
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractViolation, NumericalDomainError
+from .errors import ContractViolation
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -30,24 +32,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward", "tag")
+    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, value, requires_grad=False, parents=(), backward=None, tag=""):
+    def __init__(self, value, requires_grad=False, parents=(), backward=None):
         self.value = np.asarray(value, dtype=float)
         self.grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = parents
         self._backward = backward
-        self.tag = tag
 
     @property
     def shape(self):
         return self.value.shape
-
-    def check_finite(self):
-        if not np.all(np.isfinite(self.value)):
-            raise NumericalDomainError(f"non-finite value at op '{self.tag}'")
-        return self
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
@@ -106,11 +102,11 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(value, parents, backward, tag=""):
+def _make(value, parents, backward):
     reqs = [p for p in parents if p.requires_grad]
     if not reqs:
-        return Tensor(value, tag=tag)
-    return Tensor(value, parents=tuple(reqs), backward=backward, tag=tag)
+        return Tensor(value)
+    return Tensor(value, parents=tuple(reqs), backward=backward)
 
 
 def _accum(t: Tensor, g: np.ndarray):
@@ -129,7 +125,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, g)
         _accum(b, g)
 
-    return _make(out, (a, b), bwd, "add")
+    return _make(out, (a, b), bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -139,7 +135,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, g)
         _accum(b, -g)
 
-    return _make(out, (a, b), bwd, "sub")
+    return _make(out, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -149,7 +145,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, g * b.value)
         _accum(b, g * a.value)
 
-    return _make(out, (a, b), bwd, "mul")
+    return _make(out, (a, b), bwd)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -159,15 +155,15 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, g / b.value)
         _accum(b, -g * a.value / (b.value * b.value))
 
-    return _make(out, (a, b), bwd, "div")
+    return _make(out, (a, b), bwd)
 
 
 def neg(a: Tensor) -> Tensor:
-    return _make(-a.value, (a,), lambda g: _accum(a, -g), "neg")
+    return _make(-a.value, (a,), lambda g: _accum(a, -g))
 
 
 def square(a: Tensor) -> Tensor:
-    return _make(a.value * a.value, (a,), lambda g: _accum(a, 2.0 * g * a.value), "square")
+    return _make(a.value * a.value, (a,), lambda g: _accum(a, 2.0 * g * a.value))
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -176,7 +172,7 @@ def sqrt(a: Tensor) -> Tensor:
     def bwd(g):
         _accum(a, g / (2.0 * out))
 
-    return _make(out, (a,), bwd, "sqrt")
+    return _make(out, (a,), bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -186,7 +182,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, g @ b.value.T)
         _accum(b, a.value.T @ g)
 
-    return _make(out, (a, b), bwd, "matmul")
+    return _make(out, (a, b), bwd)
 
 
 # -- elementwise transcendentals ---------------------------------------
@@ -197,7 +193,7 @@ def tanh(a: Tensor) -> Tensor:
     def bwd(g):
         _accum(a, g * (1.0 - out * out))
 
-    return _make(out, (a,), bwd, "tanh")
+    return _make(out, (a,), bwd)
 
 
 def tan(a: Tensor) -> Tensor:
@@ -206,7 +202,7 @@ def tan(a: Tensor) -> Tensor:
     def bwd(g):
         _accum(a, g * (1.0 + out * out))
 
-    return _make(out, (a,), bwd, "tan")
+    return _make(out, (a,), bwd)
 
 
 def arctan(a: Tensor) -> Tensor:
@@ -215,7 +211,7 @@ def arctan(a: Tensor) -> Tensor:
     def bwd(g):
         _accum(a, g / (1.0 + a.value * a.value))
 
-    return _make(out, (a,), bwd, "arctan")
+    return _make(out, (a,), bwd)
 
 
 def arctanh(a: Tensor) -> Tensor:
@@ -225,7 +221,7 @@ def arctanh(a: Tensor) -> Tensor:
     def bwd(g):
         _accum(a, g / (1.0 - z * z))
 
-    return _make(out, (a,), bwd, "arctanh")
+    return _make(out, (a,), bwd)
 
 
 def clip_max(a: Tensor, cap: float) -> Tensor:
@@ -236,7 +232,7 @@ def clip_max(a: Tensor, cap: float) -> Tensor:
     def bwd(g):
         _accum(a, g * inside)
 
-    return _make(out, (a,), bwd, "clip_max")
+    return _make(out, (a,), bwd)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -245,7 +241,7 @@ def exp(a: Tensor) -> Tensor:
     def bwd(g):
         _accum(a, g * out)
 
-    return _make(out, (a,), bwd, "exp")
+    return _make(out, (a,), bwd)
 
 
 def log(a: Tensor) -> Tensor:
@@ -254,18 +250,18 @@ def log(a: Tensor) -> Tensor:
     def bwd(g):
         _accum(a, g / a.value)
 
-    return _make(out, (a,), bwd, "log")
+    return _make(out, (a,), bwd)
 
 
 # -- shape ops ----------------------------------------------------------
 
 def reshape(a: Tensor, shape) -> Tensor:
     old = a.value.shape
-    return _make(a.value.reshape(shape), (a,), lambda g: _accum(a, g.reshape(old)), "reshape")
+    return _make(a.value.reshape(shape), (a,), lambda g: _accum(a, g.reshape(old)))
 
 
 def transpose2d(a: Tensor) -> Tensor:
-    return _make(a.value.T, (a,), lambda g: _accum(a, g.T), "transpose")
+    return _make(a.value.T, (a,), lambda g: _accum(a, g.T))
 
 
 def cols(a: Tensor, start: int, stop: int) -> Tensor:
@@ -277,19 +273,7 @@ def cols(a: Tensor, start: int, stop: int) -> Tensor:
         full[..., start:stop] = g
         _accum(a, full)
 
-    return _make(out, (a,), bwd, "cols")
-
-
-def item(a: Tensor, index: int) -> Tensor:
-    """Pick one scalar entry of a 1-D tensor."""
-    out = a.value[index]
-
-    def bwd(g):
-        full = np.zeros_like(a.value)
-        full[index] = g
-        _accum(a, full)
-
-    return _make(out, (a,), bwd, "item")
+    return _make(out, (a,), bwd)
 
 
 def concat(parts: list[Tensor]) -> Tensor:
@@ -300,7 +284,7 @@ def concat(parts: list[Tensor]) -> Tensor:
         for p, s, e in zip(parts, offsets[:-1], offsets[1:]):
             _accum(p, g[..., s:e])
 
-    return _make(out, tuple(parts), bwd, "concat")
+    return _make(out, tuple(parts), bwd)
 
 
 def sum_(a: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -312,17 +296,12 @@ def sum_(a: Tensor, axis=None, keepdims=False) -> Tensor:
             g = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(g, a.value.shape).copy())
 
-    return _make(out, (a,), bwd, "sum")
+    return _make(out, (a,), bwd)
 
 
 def mean(a: Tensor, axis=None) -> Tensor:
     n = a.value.size if axis is None else a.value.shape[axis]
     return sum_(a, axis=axis) * (1.0 / n)
-
-
-def inner(a: Tensor, b: Tensor, keepdims=True) -> Tensor:
-    """Inner product along the last axis."""
-    return sum_(mul(a, b), axis=-1, keepdims=keepdims)
 
 
 def sqnorm(a: Tensor, keepdims=True) -> Tensor:
@@ -344,7 +323,7 @@ def logsumexp(a: Tensor, axis=-1) -> Tensor:
     def bwd(g):
         _accum(a, np.expand_dims(np.asarray(g, dtype=float), axis) * soft)
 
-    return _make(out, (a,), bwd, "logsumexp")
+    return _make(out, (a,), bwd)
 
 
 def take_rows(a: Tensor, indices) -> Tensor:
@@ -358,7 +337,7 @@ def take_rows(a: Tensor, indices) -> Tensor:
         full[rows, idx] = g
         _accum(a, full)
 
-    return _make(out, (a,), bwd, "take_rows")
+    return _make(out, (a,), bwd)
 
 
 def huber(a: Tensor, b: Tensor) -> Tensor:
@@ -373,7 +352,7 @@ def huber(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, g * d)
         _accum(b, -g * d)
 
-    return _make(out, (a, b), bwd, "huber")
+    return _make(out, (a, b), bwd)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -12,11 +12,9 @@ lives in the autodiff layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateAngleError, NumericalDomainError
+from .errors import DegenerateAngleError, NumericalDomainError
 
 # Ball boundary margin: hyperbolic points are kept at radius <= (1-BALL_EPS)/sqrt(|K|).
 BALL_EPS = 1e-5
@@ -140,44 +138,3 @@ def cosine_at_origin(q, s):
     if np.any(nq < ZERO_TOL) or np.any(ns < ZERO_TOL):
         raise DegenerateAngleError("zero-norm tangent vector")
     return np.sum(q * s, axis=-1) / (nq * ns)
-
-
-@dataclass(frozen=True)
-class CcsPoint:
-    """A point of one constant-curvature space."""
-
-    coords: np.ndarray
-    curvature: float
-
-    @classmethod
-    def create(cls, coords, curvature):
-        return cls(project_to_domain(np.asarray(coords, dtype=float), curvature), float(curvature))
-
-    def __add__(self, other: "CcsPoint") -> "CcsPoint":
-        if other.curvature != self.curvature:
-            raise ConfigurationError("curvature mismatch in Mobius addition")
-        return CcsPoint(mobius_add(self.coords, other.coords, self.curvature), self.curvature)
-
-
-@dataclass(frozen=True)
-class TangentVec:
-    """A tangent vector attached to a base point."""
-
-    coords: np.ndarray
-    base: CcsPoint
-
-
-def point_exp(u: CcsPoint, q: TangentVec) -> CcsPoint:
-    return CcsPoint(exp_map(u.coords, q.coords, u.curvature), u.curvature)
-
-
-def point_log(u: CcsPoint, x: CcsPoint) -> TangentVec:
-    if x.curvature != u.curvature:
-        raise ConfigurationError("curvature mismatch in log map")
-    return TangentVec(log_map(u.coords, x.coords, u.curvature), u)
-
-
-def point_distance(x: CcsPoint, y: CcsPoint) -> float:
-    if x.curvature != y.curvature:
-        raise ConfigurationError("curvature mismatch in distance")
-    return float(distance(x.coords, y.coords, x.curvature))

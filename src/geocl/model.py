@@ -4,9 +4,10 @@ The backbone is a two-layer perceptron (affine, tanh, affine) whose output
 is sliced into the factors of the current mixed space. Classification is a
 softmax over negated squared product distances to per-class prototype rows.
 
-Two evaluation paths exist: a differentiable one (autodiff tensors, used
-for training) and a plain-numpy one (used for evaluation and for frozen
-previous-step snapshots).
+Training, evaluation and the frozen previous-step snapshots all measure
+with the one product-distance op in :mod:`geocl.diffgeo`:
+``sq_dist_matrix_t`` records it for autodiff, ``sq_dist_matrix_np`` takes
+its forward value only.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import geometry
+from . import diffgeo, geometry
 from .autodiff import Tensor
 from .errors import ContractViolation
 from .product import MixedSpace
@@ -62,20 +63,8 @@ def features_t(params: dict[str, Tensor], x: np.ndarray) -> Tensor:
 def sq_dist_matrix_np(feats: np.ndarray, protos: np.ndarray, space: MixedSpace,
                       weights: np.ndarray | None = None) -> np.ndarray:
     """(batch, n_proto) matrix of (optionally weighted) squared product distances."""
-    feats = np.atleast_2d(feats)
-    protos = np.atleast_2d(protos)
-    total = np.zeros((feats.shape[0], protos.shape[0]))
-    for j, f in enumerate(space.factors):
-        u = f.take(feats)[:, None, :]
-        v = f.take(protos)[None, :, :]
-        x = geometry.exp_map(np.zeros_like(u), u, f.curvature)
-        w = geometry.exp_map(np.zeros_like(v), v, f.curvature)
-        d = geometry.distance(x, w, f.curvature)
-        d2 = d * d
-        if weights is not None:
-            d2 = weights[j] * d2
-        total += d2
-    return total
+    return diffgeo.sq_dist_matrix(np.atleast_2d(feats), np.atleast_2d(protos), space,
+                                  weights=weights).value
 
 
 def class_probs_np(feats: np.ndarray, protos: np.ndarray, space: MixedSpace) -> np.ndarray:
@@ -88,39 +77,16 @@ def class_probs_np(feats: np.ndarray, protos: np.ndarray, space: MixedSpace) -> 
     return p / p.sum(axis=1, keepdims=True)
 
 
-def _factor_params(space: MixedSpace, kmag: Tensor | None):
-    """Yield (factor, magnitude tensor, sign) triples for a space."""
-    for j, f in enumerate(space.factors):
-        sign = float(np.sign(f.curvature))
-        if kmag is None:
-            mag = Tensor(abs(f.curvature)) if sign != 0 else Tensor(0.0)
-        else:
-            mag = ad.item(kmag, f.pool_index)
-        yield j, f, mag, sign
-
-
 def sq_dist_matrix_t(feats: Tensor, protos: Tensor, space: MixedSpace,
                      kmag: Tensor | None = None,
                      weights: Tensor | None = None) -> Tensor:
-    """Differentiable counterpart of :func:`sq_dist_matrix_np`.
+    """Differentiable :func:`sq_dist_matrix_np`; see :func:`diffgeo.sq_dist_matrix`.
 
     ``kmag`` optionally supplies trainable curvature magnitudes indexed by
     pool index; ``weights`` optionally supplies per-factor selection
     weights (same indexing) for the weight-sum loss.
     """
-    from . import diffgeo
-
-    b = feats.shape[0]
-    n = protos.shape[0]
-    total = None
-    for j, f, mag, sign in _factor_params(space, kmag):
-        u = ad.reshape(ad.cols(feats, f.slice_start - 1, f.slice_end), (b, 1, f.dim))
-        v = ad.reshape(ad.cols(protos, f.slice_start - 1, f.slice_end), (1, n, f.dim))
-        d2 = diffgeo.lifted_sq_distance(u, v, mag, sign)
-        if weights is not None:
-            d2 = ad.item(weights, f.pool_index) * d2
-        total = d2 if total is None else total + d2
-    return total
+    return diffgeo.sq_dist_matrix(feats, protos, space, kmag=kmag, weights=weights)
 
 
 def ce_loss_t(feats: Tensor, protos: Tensor, labels: np.ndarray, space: MixedSpace,
@@ -164,8 +130,6 @@ def angular_reg_loss_t(cur_feats: Tensor, cur_space: MixedSpace,
     ``prev_cos``/``valid`` come from the frozen previous-step model; pairs
     with a degenerate tangent on either side are skipped via the mask.
     """
-    from . import diffgeo
-
     q = tangent_concat_t(cur_feats, cur_space)
     cur_ok = np.linalg.norm(q.value, axis=1) > geometry.ZERO_TOL
     b = q.shape[0]

@@ -2,19 +2,18 @@
 
 A factor owns a contiguous (possibly overlapping with other factors) slice
 of the backbone feature vector plus a curvature and a selection weight.
-Product operations are component-wise; the squared product distance is the
-sum of per-factor squared distances and the product angle is the plain
-Euclidean cosine of the concatenated tangents.
+The squared product distance, the sum of per-factor squared distances, is
+computed by :func:`geocl.diffgeo.sq_dist_matrix`; the product angle is the
+plain Euclidean cosine of the concatenated tangents (``geocl.model``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
-from .errors import ConfigurationError, DegenerateAngleError
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -64,82 +63,3 @@ class MixedSpace:
 
     def __len__(self):
         return len(self.factors)
-
-
-@dataclass(frozen=True)
-class ProductPoint:
-    parts: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
-class ProductTangent:
-    parts: tuple[np.ndarray, ...]
-
-    def concat(self) -> np.ndarray:
-        return np.concatenate(self.parts, axis=-1)
-
-
-def lift(feature: np.ndarray, space: MixedSpace) -> ProductPoint:
-    """Embed a feature vector: per factor, exp at the origin of its slice."""
-    parts = []
-    for f in space.factors:
-        v = f.take(feature)
-        parts.append(geometry.exp_map(np.zeros_like(v), v, f.curvature))
-    return ProductPoint(tuple(parts))
-
-
-def product_log0(x: ProductPoint, space: MixedSpace) -> ProductTangent:
-    _check_arity(x, space)
-    parts = []
-    for f, p in zip(space.factors, x.parts):
-        parts.append(geometry.log_map(np.zeros_like(p), p, f.curvature))
-    return ProductTangent(tuple(parts))
-
-
-def product_exp0(q: ProductTangent, space: MixedSpace) -> ProductPoint:
-    _check_arity(q, space)
-    parts = []
-    for f, p in zip(space.factors, q.parts):
-        parts.append(geometry.exp_map(np.zeros_like(p), p, f.curvature))
-    return ProductPoint(tuple(parts))
-
-
-def product_sq_distance(x: ProductPoint, y: ProductPoint, space: MixedSpace):
-    """Sum over factors of the squared per-factor geodesic distance."""
-    _check_arity(x, space)
-    _check_arity(y, space)
-    total = 0.0
-    for f, xp, yp in zip(space.factors, x.parts, y.parts):
-        d = geometry.distance(xp, yp, f.curvature)
-        total = total + d * d
-    return total
-
-
-def product_angle(q: ProductTangent, s: ProductTangent):
-    """Cosine between concatenated tangents; never reads curvature."""
-    qc = q.concat()
-    sc = s.concat()
-    nq = np.linalg.norm(qc, axis=-1)
-    ns = np.linalg.norm(sc, axis=-1)
-    if np.any(nq < geometry.ZERO_TOL) or np.any(ns < geometry.ZERO_TOL):
-        raise DegenerateAngleError("zero-norm product tangent")
-    return np.sum(qc * sc, axis=-1) / (nq * ns)
-
-
-def _check_arity(obj, space: MixedSpace):
-    if len(obj.parts) != len(space.factors):
-        raise ConfigurationError(
-            f"expected {len(space.factors)} parts, got {len(obj.parts)}"
-        )
-    for f, p in zip(space.factors, obj.parts):
-        if np.asarray(p).shape[-1] != f.dim:
-            raise ConfigurationError(f"part dim mismatch for factor {f.pool_index}")
-
-
-def with_curvatures(space: MixedSpace, magnitudes, signs) -> MixedSpace:
-    """Rebuild a space reading current curvature magnitudes from a pool."""
-    factors = tuple(
-        replace(f, curvature=float(signs[f.pool_index] * magnitudes[f.pool_index]))
-        for f in space.factors
-    )
-    return MixedSpace(factors)

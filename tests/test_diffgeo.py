@@ -1,0 +1,176 @@
+"""The fused product-distance kernel against the closed-form geometry oracle,
+finite differences, and its own margins."""
+
+import numpy as np
+import pytest
+
+from geocl import autodiff as ad
+from geocl import diffgeo, geometry
+from geocl.autodiff import Tensor
+from geocl.errors import ConfigurationError
+from geocl.product import FactorSpec, MixedSpace
+
+# Both signs, two magnitudes each, a Euclidean factor; slice widths 2-4,
+# overlapping, and listed out of group order.
+MIXED = MixedSpace((
+    FactorSpec(0, 1, 2, -1.7),
+    FactorSpec(1, 3, 5, 0.4),
+    FactorSpec(2, 2, 4, 0.0),
+    FactorSpec(3, 4, 6, -0.3),
+    FactorSpec(4, 5, 6, 2.0),
+    FactorSpec(5, 1, 3, 1.0),
+))
+
+
+def oracle(feats, protos, space, weights=None):
+    """Sum over factors of squared `geometry.distance` between exp0 lifts."""
+    total = np.zeros((len(feats), len(protos)))
+    for j, f in enumerate(space.factors):
+        u = f.take(feats)[:, None, :]
+        v = f.take(protos)[None, :, :]
+        x = geometry.exp_map(np.zeros_like(u), u, f.curvature)
+        y = geometry.exp_map(np.zeros_like(v), v, f.curvature)
+        d = geometry.distance(x, y, f.curvature)
+        total += (1.0 if weights is None else weights[j]) * d * d
+    return total
+
+
+def with_curvatures(space, curvatures):
+    return MixedSpace(tuple(FactorSpec(f.pool_index, f.slice_start, f.slice_end, k)
+                            for f, k in zip(space.factors, curvatures)))
+
+
+class TestForward:
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_geometry_oracle(self, weighted):
+        rng = np.random.default_rng(0)
+        feats = rng.normal(0.0, 0.4, (7, 6))
+        protos = rng.normal(0.0, 0.4, (5, 6))
+        weights = rng.uniform(0.2, 1.5, len(MIXED)) if weighted else None
+        got = diffgeo.sq_dist_matrix(feats, protos, MIXED, weights=weights).value
+        np.testing.assert_allclose(got, oracle(feats, protos, MIXED, weights),
+                                   rtol=0, atol=1e-10)
+
+    def test_trainable_magnitudes_replace_factor_curvatures(self):
+        # kmag is indexed by pool index; the factor curvatures give only signs.
+        rng = np.random.default_rng(1)
+        feats = rng.normal(0.0, 0.4, (4, 6))
+        protos = rng.normal(0.0, 0.4, (3, 6))
+        kmag = rng.uniform(0.3, 2.0, len(MIXED))
+        got = diffgeo.sq_dist_matrix(feats, protos, MIXED, kmag=kmag).value
+        live = with_curvatures(MIXED, [np.sign(f.curvature) * kmag[f.pool_index]
+                                       for f in MIXED.factors])
+        np.testing.assert_allclose(got, oracle(feats, protos, live), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("curvature", [-1.7, -0.3, 0.0, 0.4, 2.0])
+    def test_lifted_sq_distance_is_one_factor_case(self, curvature):
+        rng = np.random.default_rng(2)
+        u = rng.normal(0.0, 0.4, (3, 4))
+        v = rng.normal(0.0, 0.4, (2, 4))
+        got = diffgeo.lifted_sq_distance(Tensor(u), Tensor(v), Tensor(abs(curvature)),
+                                         np.sign(curvature)).value
+        space = MixedSpace((FactorSpec(0, 1, 4, curvature),))
+        np.testing.assert_allclose(got, oracle(u, v, space), rtol=0, atol=1e-10)
+
+    def test_self_distance_is_zero_and_symmetric(self):
+        feats = np.random.default_rng(3).normal(0.0, 0.4, (6, 6))
+        d = diffgeo.sq_dist_matrix(feats, feats, MIXED).value
+        assert np.abs(np.diag(d)).max() <= 1e-12
+        assert (d >= 0.0).all()
+        np.testing.assert_allclose(d, d.T, rtol=0, atol=1e-12)
+
+    def test_row_blocks_match_one_pass(self):
+        # Large forward-only calls run in blocks of rows; recording does not.
+        rng = np.random.default_rng(13)
+        feats = rng.normal(0.0, 0.4, (500, 6))
+        kmag, weights = rng.uniform(0.3, 2.0, (2, len(MIXED)))
+        blocked = diffgeo.sq_dist_matrix(feats, feats, MIXED, kmag, weights).value
+        whole = diffgeo.sq_dist_matrix(Tensor(feats, requires_grad=True), feats, MIXED,
+                                       kmag, weights).value
+        np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=1e-12)
+
+    def test_feature_width_checked(self):
+        with pytest.raises(ConfigurationError):
+            diffgeo.sq_dist_matrix(np.zeros((2, 5)), np.zeros((2, 5)), MIXED)
+
+    def test_no_graph_without_gradients(self):
+        rng = np.random.default_rng(4)
+        feats = Tensor(rng.normal(size=(3, 6)))
+        protos = Tensor(rng.normal(size=(2, 6)))
+        out = diffgeo.sq_dist_matrix(feats, protos, MIXED, kmag=Tensor(np.ones(6)),
+                                     weights=Tensor(np.ones(6)))
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+
+
+def _loss(space, g, same=False):
+    """Scalar probe of the kernel: a fixed random linear functional."""
+    def build(t):
+        protos = t["feats"] if same else t["protos"]
+        d = diffgeo.sq_dist_matrix(t["feats"], protos, space, kmag=t.get("kmag"),
+                                   weights=t.get("weights"))
+        return ad.sum_(d * Tensor(g))
+    return build
+
+
+class TestBackward:
+    @pytest.mark.parametrize("scale", [0.3, 1.0])
+    def test_gradcheck_all_inputs(self, scale):
+        g = np.random.default_rng(5).normal(size=(4, 3))
+
+        def sampler(rng):
+            return {"feats": rng.normal(0.0, scale, (4, 6)),
+                    "protos": rng.normal(0.0, scale, (3, 6)),
+                    "kmag": rng.uniform(0.3, 2.0, len(MIXED)),
+                    "weights": rng.uniform(0.2, 1.0, len(MIXED))}
+
+        assert ad.gradcheck(_loss(MIXED, g), sampler, trials=5, rng=6) <= 1e-4
+
+    def test_gradcheck_one_tensor_both_operands(self):
+        # The neighbor loss measures a batch against itself.
+        g = np.triu(np.random.default_rng(7).normal(size=(5, 5)), k=1)
+
+        def sampler(rng):
+            return {"feats": rng.normal(0.0, 0.5, (5, 6)),
+                    "kmag": rng.uniform(0.3, 2.0, len(MIXED))}
+
+        assert ad.gradcheck(_loss(MIXED, g, same=True), sampler, trials=5, rng=8) <= 1e-4
+
+    @pytest.mark.parametrize("curvature", [-1.0, 1.0])
+    def test_gradcheck_past_the_lift_cap(self, curvature):
+        # Row 0 lifts past TAN_CAP (sphere) or onto the ball margin. A distance
+        # to a point on the margin amplifies rounding by 1/(1 - |K||x|^2) ~ 5e4,
+        # so the central differences take a step of 1e-4 instead of 1e-5.
+        space = MixedSpace((FactorSpec(0, 1, 3, curvature), FactorSpec(1, 2, 4, -curvature)))
+        g = np.random.default_rng(9).normal(size=(3, 2))
+
+        def sampler(rng):
+            feats = rng.normal(0.0, 0.3, (3, 4))
+            feats[0] *= 12.0 / np.linalg.norm(feats[0])
+            return {"feats": feats, "protos": rng.normal(0.0, 0.3, (2, 4)),
+                    "kmag": rng.uniform(0.5, 2.0, 2), "weights": rng.uniform(0.2, 1.0, 2)}
+
+        assert ad.gradcheck(_loss(space, g), sampler, trials=3, h=1e-4, rng=10) <= 1e-4
+
+    @pytest.mark.parametrize("curvature", [-1.0, 1.0])
+    def test_capped_lift_ignores_radial_change(self, curvature):
+        # Past the cap the lift keeps only the direction of a row, so scaling
+        # that row changes no distance and its gradient is orthogonal to it.
+        space = MixedSpace((FactorSpec(0, 1, 3, curvature),))
+        u = Tensor(np.array([[8.0, -3.0, 1.0]]), requires_grad=True)
+        v = np.random.default_rng(11).normal(0.0, 0.3, (4, 3))
+        ad.sum_(diffgeo.sq_dist_matrix(u, v, space)).backward()
+        grad = u.grad[0]
+        assert abs(grad @ u.value[0]) <= 1e-9 * np.linalg.norm(grad) * np.linalg.norm(u.value)
+        assert np.linalg.norm(grad) > 1e-6
+
+    def test_same_tensor_gradient_is_sum_of_both_sides(self):
+        rng = np.random.default_rng(12)
+        f = rng.normal(0.0, 0.5, (4, 6))
+        g = rng.normal(size=(4, 4))
+        both = Tensor(f, requires_grad=True)
+        ad.sum_(diffgeo.sq_dist_matrix(both, both, MIXED) * Tensor(g)).backward()
+        left = Tensor(f, requires_grad=True)
+        right = Tensor(f, requires_grad=True)
+        ad.sum_(diffgeo.sq_dist_matrix(left, right, MIXED) * Tensor(g)).backward()
+        np.testing.assert_allclose(both.grad, left.grad + right.grad, rtol=1e-12, atol=1e-12)

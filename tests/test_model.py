@@ -60,6 +60,18 @@ class TestDistanceLogits:
         want = model.sq_dist_matrix_np(f, w, space)
         np.testing.assert_allclose(got, want, atol=1e-8)
 
+    def test_saturated_hyperbolic_eval_matches_training(self):
+        # Features far past the ball margin: evaluation and snapshots must use
+        # the metric training optimises, not one capped at the ball margin.
+        space = MixedSpace((FactorSpec(0, 1, 2, -1.0),))
+        f = np.array([[8.0, 0.0], [-8.0, 0.0], [0.0, 8.0]])
+        evaluated = model.sq_dist_matrix_np(f, f, space)
+        trained = model.sq_dist_matrix_t(Tensor(f, requires_grad=True),
+                                         Tensor(f, requires_grad=True), space).value
+        np.testing.assert_array_equal(evaluated, trained)
+        ball_margin_cap = (2.0 * np.arctanh(1.0 - 1e-5)) ** 2
+        assert evaluated[0, 1] > 2.0 * ball_margin_cap
+
     def test_softmax_oracle(self):
         # distances^2 (1, 4) -> logits (-1, -4) -> p = (0.95257, 0.04743)
         space = euclidean_space(dim=2)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from geocl import diffgeo, model
 from geocl import geometry as geo
 from geocl import product as prod
 from geocl.errors import ConfigurationError
@@ -47,51 +48,45 @@ class TestMixedSpace:
 
 class TestLift:
     def test_component_wise_oracle(self):
-        # hyperbolic slice of norm 0.5 lands at tanh(0.5) = 0.46212 of the way
+        # Each factor measures the exp0 lift of its own slice: a hyperbolic
+        # slice of norm 0.5 lands at tanh(0.5) and a spherical one of norm r
+        # at tan(r), both at distance 2 * norm from the origin.
         space = two_factor_space()
-        feat = np.array([0.5, 0.0, 0.2, 0.1])
-        x = prod.lift(feat, space)
-        assert x.parts[0][0] == pytest.approx(np.tanh(0.5), abs=1e-10)
-        assert x.parts[0][1] == pytest.approx(0.0, abs=1e-12)
-        ref = geo.exp_map(np.zeros(2), np.array([0.2, 0.1]), 1.0)
-        np.testing.assert_allclose(x.parts[1], ref, atol=1e-12)
+        feat = np.array([[0.5, 0.0, 0.2, 0.1]])
+        per_factor = [diffgeo.sq_dist_matrix(np.zeros((1, 4)), feat, prod.MixedSpace((f,)))
+                      .value[0, 0] for f in space.factors]
+        assert per_factor[0] == pytest.approx((2 * np.arctanh(np.tanh(0.5))) ** 2, abs=1e-10)
+        assert per_factor[1] == pytest.approx(4 * 0.05, abs=1e-10)
 
     def test_log0_inverts_lift(self):
+        # The tangent the angular loss reads is log0 of the lift, per factor.
         space = two_factor_space()
-        rng = np.random.default_rng(7)
-        feat = rng.normal(0.0, 0.3, 4)
-        q = prod.product_log0(prod.lift(feat, space), space)
-        np.testing.assert_allclose(q.concat(), feat, atol=1e-9)
-
-    def test_exp0_matches_lift(self):
-        space = two_factor_space()
-        feat = np.array([0.1, -0.2, 0.3, 0.05])
-        q = prod.ProductTangent((feat[:2], feat[2:]))
-        a = prod.product_exp0(q, space)
-        b = prod.lift(feat, space)
-        for pa, pb in zip(a.parts, b.parts):
-            np.testing.assert_allclose(pa, pb, atol=1e-12)
+        feat = np.random.default_rng(7).normal(0.0, 0.3, (1, 4))
+        parts = [geo.log_map(np.zeros(f.dim), geo.exp_map(np.zeros(f.dim), f.take(feat[0]),
+                                                          f.curvature), f.curvature)
+                 for f in space.factors]
+        np.testing.assert_allclose(model.tangent_concat_np(feat, space)[0],
+                                   np.concatenate(parts), atol=1e-9)
 
 
 class TestSqDistance:
     def test_sum_of_squares_oracle(self):
-        # factor 1: hyperbolic 1-D pair (0, 0.625) -> d = 2*artanh(0.625)
-        # factor 2: same pair under K=0 -> d = 2*0.625
+        # factor 1: hyperbolic pair lifting to (0, 0.625) -> d = 2*artanh(0.625)
+        # factor 2: the pair (0, 0.625) under K=0 -> d = 2*0.625
         space = prod.MixedSpace((
             prod.FactorSpec(0, 1, 2, -1.0),
-            prod.FactorSpec(1, 1, 2, 0.0),
+            prod.FactorSpec(1, 3, 4, 0.0),
         ))
-        x = prod.ProductPoint((np.array([0.0, 0.0]), np.array([0.0, 0.0])))
-        y = prod.ProductPoint((np.array([0.625, 0.0]), np.array([0.625, 0.0])))
-        got = prod.product_sq_distance(x, y, space)
+        x = np.zeros((1, 4))
+        y = np.array([[np.arctanh(0.625), 0.0, 0.625, 0.0]])
+        got = diffgeo.sq_dist_matrix(x, y, space).value[0, 0]
         want = (2 * np.arctanh(0.625)) ** 2 + (2 * 0.625) ** 2
         assert got == pytest.approx(want, abs=1e-9)
 
-    def test_arity_checked(self):
+    def test_feature_width_checked(self):
         space = two_factor_space()
-        x = prod.ProductPoint((np.zeros(2),))
         with pytest.raises(ConfigurationError):
-            prod.product_sq_distance(x, x, space)
+            diffgeo.sq_dist_matrix(np.zeros((1, 3)), np.zeros((1, 3)), space)
 
 
 class TestProductAngle:
@@ -99,36 +94,25 @@ class TestProductAngle:
         rng = np.random.default_rng(11)
         a = rng.normal(size=6)
         b = rng.normal(size=6)
-        q = prod.ProductTangent((a[:2], a[2:]))
-        s = prod.ProductTangent((b[:2], b[2:]))
+        space = prod.MixedSpace((prod.FactorSpec(0, 1, 2, -1.0), prod.FactorSpec(1, 3, 6, 1.0)))
+        cos, valid = model.cosine_matrix_np(model.tangent_concat_np(np.stack([a, b]), space))
         ref = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
-        assert prod.product_angle(q, s) == pytest.approx(ref, abs=1e-12)
+        assert valid[0, 1]
+        assert cos[0, 1] == pytest.approx(ref, abs=1e-12)
 
     def test_curvature_invariance(self):
-        # same tangents, wildly different curvatures: identical cosine
+        # log0 of the lifts under wildly different curvatures: identical cosine
         rng = np.random.default_rng(13)
-        feat_a = rng.normal(0.0, 0.3, 4)
-        feat_b = rng.normal(0.0, 0.3, 4)
+        feats = rng.normal(0.0, 0.3, (2, 4))
         cosines = []
         for ka, kb in [(-2.0, 0.5), (0.0, 0.0), (1.5, -0.25)]:
             space = prod.MixedSpace((
                 prod.FactorSpec(0, 1, 2, ka),
                 prod.FactorSpec(1, 3, 4, kb),
             ))
-            q = prod.product_log0(prod.lift(feat_a, space), space)
-            s = prod.product_log0(prod.lift(feat_b, space), space)
-            cosines.append(prod.product_angle(q, s))
+            tangents = np.stack([np.concatenate([
+                geo.log_map(np.zeros(f.dim), geo.exp_map(np.zeros(f.dim), f.take(row),
+                                                         f.curvature), f.curvature)
+                for f in space.factors]) for row in feats])
+            cosines.append(model.cosine_matrix_np(tangents)[0][0, 1])
         assert max(cosines) - min(cosines) <= 1e-9
-
-
-class TestWithCurvatures:
-    def test_rebinds_curvature_from_pool(self):
-        space = two_factor_space()
-        mags = np.array([2.0, 0.5])
-        signs = np.array([-1.0, 1.0])
-        out = prod.with_curvatures(space, mags, signs)
-        assert out.factors[0].curvature == -2.0
-        assert out.factors[1].curvature == 0.5
-        # slices untouched
-        assert out.factors[0].slice_start == 1
-        assert out.factors[1].slice_end == 4
