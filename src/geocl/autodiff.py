@@ -2,9 +2,10 @@
 
 A ``Tensor`` wraps an ndarray and remembers how it was produced; calling
 ``backward`` on a scalar loss fills ``grad`` on every reachable tensor
-that requires gradients. The op set is deliberately closed: affine maps,
-elementwise tanh/tan/arctan/artanh, slicing, concatenation, norms,
-log-sum-exp and Huber. A fused op with a hand-written backward (the
+that requires gradients. The op set is deliberately closed to what the
+engine calls: arithmetic, matmul, square, sqrt, elementwise tanh, reshape,
+transpose, column slicing, concatenation, sums, norms, log-sum-exp
+cross-entropy and Huber. A fused op with a hand-written backward (the
 product-distance kernel in ``geocl.diffgeo``) builds its node with
 ``_make`` and hands its gradients to ``_accum``.
 
@@ -185,70 +186,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), bwd)
 
 
-# -- elementwise transcendentals ---------------------------------------
+# -- elementwise tanh --------------------------------------------------
 
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.value)
 
     def bwd(g):
         _accum(a, g * (1.0 - out * out))
-
-    return _make(out, (a,), bwd)
-
-
-def tan(a: Tensor) -> Tensor:
-    out = np.tan(a.value)
-
-    def bwd(g):
-        _accum(a, g * (1.0 + out * out))
-
-    return _make(out, (a,), bwd)
-
-
-def arctan(a: Tensor) -> Tensor:
-    out = np.arctan(a.value)
-
-    def bwd(g):
-        _accum(a, g / (1.0 + a.value * a.value))
-
-    return _make(out, (a,), bwd)
-
-
-def arctanh(a: Tensor) -> Tensor:
-    z = np.clip(a.value, -1.0 + 1e-15, 1.0 - 1e-15)
-    out = np.arctanh(z)
-
-    def bwd(g):
-        _accum(a, g / (1.0 - z * z))
-
-    return _make(out, (a,), bwd)
-
-
-def clip_max(a: Tensor, cap: float) -> Tensor:
-    """min(a, cap); zero gradient in the clamped region."""
-    inside = a.value < cap
-    out = np.where(inside, a.value, cap)
-
-    def bwd(g):
-        _accum(a, g * inside)
-
-    return _make(out, (a,), bwd)
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.value)
-
-    def bwd(g):
-        _accum(a, g * out)
-
-    return _make(out, (a,), bwd)
-
-
-def log(a: Tensor) -> Tensor:
-    out = np.log(a.value)
-
-    def bwd(g):
-        _accum(a, g / a.value)
 
     return _make(out, (a,), bwd)
 
@@ -299,18 +243,13 @@ def sum_(a: Tensor, axis=None, keepdims=False) -> Tensor:
     return _make(out, (a,), bwd)
 
 
-def mean(a: Tensor, axis=None) -> Tensor:
-    n = a.value.size if axis is None else a.value.shape[axis]
-    return sum_(a, axis=axis) * (1.0 / n)
+def mean(a: Tensor) -> Tensor:
+    return sum_(a) * (1.0 / a.value.size)
 
 
-def sqnorm(a: Tensor, keepdims=True) -> Tensor:
-    return sum_(square(a), axis=-1, keepdims=keepdims)
-
-
-def norm(a: Tensor, keepdims=True, eps=1e-30) -> Tensor:
-    """Zero-safe Euclidean norm along the last axis."""
-    return sqrt(sqnorm(a, keepdims=keepdims) + Tensor(eps))
+def norm(a: Tensor) -> Tensor:
+    """Zero-safe Euclidean norm along the last axis, which is kept."""
+    return sqrt(sum_(square(a), axis=-1, keepdims=True) + Tensor(1e-30))
 
 
 def logsumexp(a: Tensor, axis=-1) -> Tensor:

@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from . import experiment
+from . import experiment, harness
 from .config import load_config
 from .errors import ConfigurationError, ContractViolation, GeoclError
 
@@ -58,8 +58,7 @@ def cmd_run(args) -> int:
     report = experiment.run_experiment(cfg, out_dir=cfg["out_dir"])
     m = report["metrics"]
     print(f"{'metric':<32}value")
-    for name in ("final_accuracy", "average_accuracy",
-                 "average_incremental_accuracy", "average_forgetting"):
+    for name in harness.SUMMARY_METRICS:
         value = m[name]
         print(f"{name:<32}{'null' if value is None else f'{value:.4f}'}")
     print(f"report written to {cfg['out_dir']}/report.json")

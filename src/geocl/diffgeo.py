@@ -207,9 +207,3 @@ def lifted_sq_distance(u: Tensor, v: Tensor, kmag: Tensor, sign: float) -> Tenso
     return sq_dist_matrix(ad.reshape(u, (-1, d)), ad.reshape(v, (-1, d)), space,
                           kmag=ad.reshape(kmag, (1,)))
 
-
-def pairwise_cosines(q: Tensor) -> Tensor:
-    """All-pairs cosine matrix of the rows of a 2-D tangent batch."""
-    n = ad.norm(q)
-    unit = q / n
-    return ad.matmul(unit, ad.transpose2d(unit))

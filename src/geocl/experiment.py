@@ -95,14 +95,25 @@ def write_dataset_csv(cfg: dict, out_dir: str | Path) -> dict:
 
 
 def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Features and labels of a CSV whose header is ``label,f1,...,fD``;
+    malformed or non-finite input raises ConfigurationError."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[0] != "label":
-            raise ConfigurationError("dataset CSV must start with a 'label' column")
-        rows = list(reader)
-    y = np.array([int(r[0]) for r in rows])
-    x = np.array([[float(v) for v in r[1:]] for r in rows])
+        rows = list(csv.reader(fh))
+    if not rows or rows[0][:1] != ["label"]:
+        raise ConfigurationError(f"dataset CSV {path} must start with a 'label' column")
+    if len(rows) == 1:
+        raise ConfigurationError(f"dataset CSV {path} has no data rows")
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != len(rows[0]):
+            raise ConfigurationError(f"dataset CSV {path} line {line} has {len(row)} "
+                                     f"fields where the header has {len(rows[0])}")
+    try:
+        y = np.array([int(r[0]) for r in rows[1:]])
+        x = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
+    except ValueError as exc:
+        raise ConfigurationError(f"dataset CSV {path}: {exc}") from None
+    if not np.isfinite(x).all():
+        raise ConfigurationError(f"dataset CSV {path} has a non-finite feature")
     return x, y
 
 
@@ -134,10 +145,8 @@ def aggregate_reports(run_dirs: list[str | Path]) -> dict:
         groups.setdefault(config_key(rep), []).append(rep)
     rows = []
     for key, members in sorted(groups.items()):
-        metric_names = ["final_accuracy", "average_accuracy",
-                        "average_incremental_accuracy", "average_forgetting"]
         row = {"runs": len(members), "label": _group_label(members[0]["config"])}
-        for name in metric_names:
+        for name in harness.SUMMARY_METRICS:
             vals = [m["metrics"][name] for m in members if m["metrics"][name] is not None]
             row[name] = {"mean": float(np.mean(vals)), "std": float(np.std(vals))} if vals else None
         rows.append(row)
@@ -163,8 +172,7 @@ def write_aggregate(report: dict, out_dir: str | Path):
         writer = csv.writer(fh)
         writer.writerow(["label", "runs", "metric", "mean", "std"])
         for group in report["groups"]:
-            for name in ("final_accuracy", "average_accuracy",
-                         "average_incremental_accuracy", "average_forgetting"):
+            for name in harness.SUMMARY_METRICS:
                 cell = group[name]
                 if cell is None:
                     writer.writerow([group["label"], group["runs"], name, "", ""])
@@ -174,7 +182,7 @@ def write_aggregate(report: dict, out_dir: str | Path):
     lines = []
     for group in report["groups"]:
         cells = []
-        for name in ("final_accuracy", "average_forgetting"):
+        for name in (harness.SUMMARY_METRICS[0], harness.SUMMARY_METRICS[-1]):
             cell = group[name]
             cells.append("n/a" if cell is None else f"{cell['mean']:.4f}+/-{cell['std']:.4f}")
         lines.append(f"{group['label']:>22}  runs={group['runs']}  "

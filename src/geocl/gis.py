@@ -124,12 +124,10 @@ def gis_optimize(pool: SubmanifoldPool, feats: np.ndarray, labels: np.ndarray,
     weights = np.full(pool.size, 1.0 / n_classes)
     mags = pool.magnitudes.copy()
     trainable_k = pool.signs != 0
+    # The kernel reads magnitudes from ``kt``; the space gives slices and signs.
+    space = pool.full_space()
     for _ in range(epochs):
         for batch in _batches(len(labels), batch_size, rng):
-            space = MixedSpace(tuple(
-                replace(pool.factors[i], curvature=float(pool.signs[i] * mags[i]))
-                for i in range(pool.size)
-            ))
             wt = Tensor(weights, requires_grad=True)
             kt = Tensor(mags, requires_grad=True)
             loss = mdl.ce_loss_t(Tensor(feats[batch]), Tensor(classifier),

@@ -199,10 +199,9 @@ class MemoryBuffer:
 
 @dataclass
 class Snapshot:
-    """Frozen end-of-step model and space (never mutated afterwards)."""
+    """Frozen end-of-step backbone and space (never mutated afterwards)."""
 
     params: dict[str, np.ndarray]
-    classifier: np.ndarray
     space: MixedSpace
 
 
@@ -273,7 +272,6 @@ def run_step(state: EngineState, task: StreamTask, cfg: dict, seed: int) -> Engi
 
     state.snapshot = Snapshot(
         params={k: v.copy() for k, v in state.params.items()},
-        classifier=state.classifier.copy(),
         space=state.space,
     )
     buf_cfg = cfg["buffer"]
@@ -367,6 +365,11 @@ class MetricsRecord:
         self.test_sizes = list(sizes)
 
 
+# The summary metrics, in the order metrics.json and the reports list them.
+SUMMARY_METRICS = ("final_accuracy", "average_accuracy",
+                   "average_incremental_accuracy", "average_forgetting")
+
+
 def summary_metrics(record: MetricsRecord) -> dict:
     """Final accuracy, average accuracy, average incremental accuracy, and
     average forgetting from a complete accuracy matrix."""
@@ -391,12 +394,7 @@ def summary_metrics(record: MetricsRecord) -> dict:
             peak = max(acc[t][j] for t in range(j, steps - 1))
             drops.append(peak - acc[-1][j])
         forgetting = float(np.mean(drops))
-    return {
-        "final_accuracy": final_acc,
-        "average_accuracy": avg_acc,
-        "average_incremental_accuracy": aia,
-        "average_forgetting": forgetting,
-    }
+    return dict(zip(SUMMARY_METRICS, (final_acc, avg_acc, aia, forgetting)))
 
 
 def run_stream(tasks: list[StreamTask], cfg: dict, seed: int,

@@ -111,16 +111,21 @@ def tangent_concat_t(feats: Tensor, space: MixedSpace) -> Tensor:
 
 
 def tangent_concat_np(feats: np.ndarray, space: MixedSpace) -> np.ndarray:
-    feats = np.atleast_2d(feats)
-    return np.concatenate([f.take(feats) for f in space.factors], axis=-1)
+    return tangent_concat_t(Tensor(np.atleast_2d(feats)), space).value
+
+
+def _tangent_cosines(q: Tensor) -> tuple[Tensor, np.ndarray]:
+    """All-pairs cosines of the rows of a 2-D tangent batch, and which rows
+    have a nonzero norm (a zero row gets cosine 0 with every row)."""
+    n = ad.norm(q)
+    unit = q / n
+    return ad.matmul(unit, ad.transpose2d(unit)), n.value[:, 0] > geometry.ZERO_TOL
 
 
 def cosine_matrix_np(tangents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All-pairs cosine matrix plus a validity mask (nonzero-norm rows)."""
-    n = np.linalg.norm(tangents, axis=1, keepdims=True)
-    ok = (n[:, 0] > geometry.ZERO_TOL)
-    unit = tangents / np.maximum(n, geometry.ZERO_TOL)
-    return unit @ unit.T, np.outer(ok, ok)
+    cos, ok = _tangent_cosines(Tensor(tangents))
+    return cos.value, np.outer(ok, ok)
 
 
 def angular_reg_loss_t(cur_feats: Tensor, cur_space: MixedSpace,
@@ -131,10 +136,9 @@ def angular_reg_loss_t(cur_feats: Tensor, cur_space: MixedSpace,
     with a degenerate tangent on either side are skipped via the mask.
     """
     q = tangent_concat_t(cur_feats, cur_space)
-    cur_ok = np.linalg.norm(q.value, axis=1) > geometry.ZERO_TOL
+    cos_cur, cur_ok = _tangent_cosines(q)
     b = q.shape[0]
     mask = np.triu(np.ones((b, b)), k=1) * valid * np.outer(cur_ok, cur_ok)
-    cos_cur = diffgeo.pairwise_cosines(q)
     per_pair = ad.huber(cos_cur, Tensor(prev_cos))
     # Averaged over pairs so the batch-pair count does not set the scale.
     return ad.sum_(per_pair * Tensor(mask)) * (1.0 / max(mask.sum(), 1.0))

@@ -49,10 +49,6 @@ class TestBasics:
 class TestElementwiseGradients:
     @pytest.mark.parametrize("op,ref", [
         (ad.tanh, lambda x: 1 - np.tanh(x) ** 2),
-        (ad.tan, lambda x: 1 / np.cos(x) ** 2),
-        (ad.arctan, lambda x: 1 / (1 + x ** 2)),
-        (ad.arctanh, lambda x: 1 / (1 - x ** 2)),
-        (ad.exp, np.exp),
         (ad.square, lambda x: 2 * x),
     ])
     def test_closed_form(self, op, ref):
@@ -60,23 +56,15 @@ class TestElementwiseGradients:
         ad.sum_(op(x)).backward()
         np.testing.assert_allclose(x.grad, ref(x.value), atol=1e-10)
 
-    def test_sqrt_and_log(self):
+    def test_sqrt(self):
         x = ad.Tensor(np.array([0.25, 4.0]), requires_grad=True)
         ad.sum_(ad.sqrt(x)).backward()
         np.testing.assert_allclose(x.grad, 0.5 / np.sqrt(x.value), atol=1e-12)
-        y = ad.Tensor(np.array([0.5, 2.0]), requires_grad=True)
-        ad.sum_(ad.log(y)).backward()
-        np.testing.assert_allclose(y.grad, 1 / y.value, atol=1e-12)
 
     def test_norm_zero_safe(self):
         x = ad.Tensor(np.zeros((1, 3)), requires_grad=True)
         ad.sum_(ad.norm(x)).backward()
         assert np.all(np.isfinite(x.grad))
-
-    def test_clip_max_blocks_gradient_in_clamp(self):
-        x = ad.Tensor(np.array([0.5, 2.0]), requires_grad=True)
-        ad.sum_(ad.clip_max(x, 1.0)).backward()
-        np.testing.assert_array_equal(x.grad, [1.0, 0.0])
 
 
 class TestHuber:
@@ -112,7 +100,7 @@ class TestSoftmaxCE:
 class TestGradcheck:
     def test_distance_style_loss(self):
         def build(t):
-            d2 = ad.sqnorm(t["x"] - t["w"], keepdims=False)
+            d2 = ad.sum_(ad.square(t["x"] - t["w"]), axis=-1)
             return ad.sum_(ad.sqrt(d2 + 1e-12))
 
         err = ad.gradcheck(
@@ -124,7 +112,8 @@ class TestGradcheck:
 
     def test_transcendental_chain(self):
         def build(t):
-            return ad.sum_(ad.arctan(ad.tanh(t["v"]) * 0.9))
+            h = ad.tanh(t["v"]) * 0.9
+            return ad.sum_(ad.sqrt(ad.square(h) + 1.0) / ad.norm(ad.reshape(h, (1, -1))))
 
         err = ad.gradcheck(build, lambda rng: {"v": rng.normal(size=5)}, trials=3, rng=1)
         assert err <= 1e-6

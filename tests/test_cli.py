@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geocl import cli, experiment
+from geocl import cli, experiment, geometry, model, verify
 from geocl.config import load_config
 
 
@@ -74,6 +74,26 @@ class TestRun:
         assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == 1
 
 
+class TestMalformedCsv:
+    @pytest.mark.parametrize("text", [
+        "",
+        "label,f1,f2\n",
+        "label,f1,f2\n0,1.0,2.0\n1,1.0\n",
+        "label,f1,f2\n0,1.0,abc\n",
+        "label,f1,f2\nx,1.0,2.0\n",
+        "label,f1,f2\n0,1.0,nan\n",
+        "label,f1,f2\n0,inf,2.0\n",
+    ], ids=["empty", "header-only", "ragged", "non-numeric", "non-integer-label",
+            "nan", "inf"])
+    def test_exit_code_1_with_one_line(self, tmp_path, capsys, text):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        cfg_path = write_tiny_config(tmp_path, stream={"csv_path": str(data)})
+        assert cli.main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset CSV") and err.count("\n") == 1
+
+
 class TestSynth:
     def test_writes_dataset_and_manifest(self, tmp_path, capsys):
         cfg_path = write_tiny_config(tmp_path)
@@ -111,6 +131,18 @@ class TestVerify:
     def test_fails_at_impossible_tolerance(self, capsys):
         assert cli.main(["verify", "--tolerance", "1e-30"]) == 2
         assert "FAIL" in capsys.readouterr().out
+
+    def test_angle_check_fails_on_curvature_dependent_tangent(self, monkeypatch):
+        # A tangent that reads curvature (the lifted point, not its log)
+        # must change the engine's cosines and fail the check.
+        def lifted(feats, space):
+            zero = np.zeros((len(feats), 1))
+            return np.concatenate([geometry.exp_map(zero, f.take(feats), f.curvature)
+                                   for f in space.factors], axis=-1)
+
+        assert verify.check_angle_conformality().passed
+        monkeypatch.setattr(model, "tangent_concat_np", lifted)
+        assert not verify.check_angle_conformality().passed
 
 
 class TestReport:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from geocl import autodiff as ad
-from geocl import model
+from geocl import gis, model
 from geocl.autodiff import Tensor
 from geocl.errors import ContractViolation
 from geocl.product import FactorSpec, MixedSpace
@@ -185,6 +185,39 @@ class TestNeighborRobustness:
         loss = model.neighbor_robustness_loss_t(Tensor(feats), space, aff,
                                                 repulsion_cap=4.0)
         assert float(loss.value) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestOverlappingSlices:
+    """The structure losses on the search pool's layout, where every
+    coordinate belongs to several factors."""
+
+    def setup_method(self):
+        self.space = gis.build_pool(8, [2, 4]).full_space()
+        rng = np.random.default_rng(7)
+        prev = rng.normal(0.0, 0.4, (5, 8))
+        self.prev_cos, self.prev_valid = model.cosine_matrix_np(
+            model.tangent_concat_np(prev, self.space))
+        prev_d2 = model.sq_dist_matrix_np(prev, prev, self.space)
+        labels = np.array([0, 0, 1, 1, 0])
+        self.affinity = model.affinity_matrix(
+            prev_d2, labels, model.tau2_same_class_mean(prev_d2, labels))
+
+    def test_angular_gradcheck(self):
+        err = ad.gradcheck(
+            lambda t: model.angular_reg_loss_t(t["feats"], self.space,
+                                               self.prev_cos, self.prev_valid),
+            lambda rng: {"feats": rng.normal(0.0, 0.4, (5, 8))}, trials=2, rng=8)
+        assert err <= 1e-4
+
+    def test_neighbor_gradcheck(self):
+        assert np.abs(self.affinity).sum() > 0
+        err = ad.gradcheck(
+            lambda t: model.neighbor_robustness_loss_t(t["feats"], self.space,
+                                                       self.affinity, kmag=t["kmag"]),
+            lambda rng: {"feats": rng.normal(0.0, 0.4, (5, 8)),
+                         "kmag": rng.uniform(0.5, 2.0, len(self.space.factors))},
+            trials=2, rng=9)
+        assert err <= 1e-4
 
 
 class TestTotalLoss:
