@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 
 from .errors import ConfigurationError
 
@@ -49,8 +50,13 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
     """Defaults, overlaid with a JSON file and explicit overrides, validated."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            user = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                user = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(f"config {path}: {exc}") from None
+        if not isinstance(user, dict):
+            raise ConfigurationError(f"config {path} must hold a JSON object")
         _merge(cfg, user, trail="")
     if overrides:
         _merge(cfg, overrides, trail="")
@@ -63,7 +69,9 @@ def _merge(base: dict, user: dict, trail: str):
         here = f"{trail}{key}"
         if key not in base:
             raise ConfigurationError(f"unknown config key '{here}'")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        if isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigurationError(f"'{here}' must be an object, got {value!r}")
             _merge(base[key], value, trail=f"{here}.")
         else:
             base[key] = value
@@ -76,6 +84,14 @@ def _lookup(cfg: dict, dotted: str):
     return node
 
 
+def _finite(v) -> bool:
+    """A number that is not a bool and stays finite as a float."""
+    try:
+        return not isinstance(v, bool) and math.isfinite(v)
+    except (TypeError, OverflowError):
+        return False
+
+
 def validate_config(cfg: dict):
     for key in _POSITIVE_INT:
         v = _lookup(cfg, key)
@@ -83,18 +99,22 @@ def validate_config(cfg: dict):
             raise ConfigurationError(f"'{key}' must be a positive integer, got {v!r}")
     for key in _NONNEG:
         v = _lookup(cfg, key)
-        if not isinstance(v, (int, float)) or v < 0:
+        if not _finite(v) or v < 0:
             raise ConfigurationError(f"'{key}' must be a non-negative number, got {v!r}")
     for key in _POSITIVE:
         v = _lookup(cfg, key)
-        if not isinstance(v, (int, float)) or v <= 0:
+        if not _finite(v) or v <= 0:
             raise ConfigurationError(f"'{key}' must be a positive number, got {v!r}")
     for key in _UNIT:
         v = _lookup(cfg, key)
-        if not isinstance(v, (int, float)) or not (0.0 <= v <= 1.0):
+        if not _finite(v) or not (0.0 <= v <= 1.0):
             raise ConfigurationError(f"'{key}' must lie in [0, 1], got {v!r}")
     if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool) or cfg["seed"] < 0:
         raise ConfigurationError("'seed' must be a non-negative integer")
+    if cfg["stream"]["csv_path"] is not None and not isinstance(cfg["stream"]["csv_path"], str):
+        raise ConfigurationError("'stream.csv_path' must be null or a string")
+    if not isinstance(cfg["out_dir"], str):
+        raise ConfigurationError("'out_dir' must be a string")
     if cfg["pool"]["mode"] not in ("mixed", "euclidean"):
         raise ConfigurationError("'pool.mode' must be 'mixed' or 'euclidean'")
     if cfg["buffer"]["policy"] not in ("per_class", "global"):

@@ -96,9 +96,12 @@ def write_dataset_csv(cfg: dict, out_dir: str | Path) -> dict:
 
 def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Features and labels of a CSV whose header is ``label,f1,...,fD``;
-    malformed or non-finite input raises ConfigurationError."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    unreadable, malformed or non-finite input raises ConfigurationError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigurationError(f"dataset CSV {path}: {exc}") from None
     if not rows or rows[0][:1] != ["label"]:
         raise ConfigurationError(f"dataset CSV {path} must start with a 'label' column")
     if len(rows) == 1:

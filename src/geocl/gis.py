@@ -3,7 +3,7 @@ thresholded choice of factors, and product-space expansion."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,42 +19,24 @@ from .product import FactorSpec, MixedSpace
 class SubmanifoldPool:
     """Fixed set of candidate factors; slices and signs never change.
 
-    Curvature magnitudes persist across steps; selection weights are
-    re-initialized at the start of each step's search phase.
+    Curvature magnitudes persist across steps; selection weights live only
+    inside each step's search phase.
     """
 
     factors: tuple[FactorSpec, ...]
     signs: np.ndarray          # per factor: -1, 0, or +1, immutable
     magnitudes: np.ndarray     # per factor: |K|, trainable where sign != 0
-    weights: np.ndarray        # per factor selection weight
 
     @property
     def size(self) -> int:
         return len(self.factors)
 
     def factor_with_current_curvature(self, pool_index: int) -> FactorSpec:
-        f = self.factors[pool_index]
-        return replace(
-            f,
-            curvature=float(self.signs[pool_index] * self.magnitudes[pool_index]),
-            weight=float(self.weights[pool_index]),
-        )
+        return replace(self.factors[pool_index],
+                       curvature=float(self.signs[pool_index] * self.magnitudes[pool_index]))
 
     def full_space(self) -> MixedSpace:
         return MixedSpace(tuple(self.factor_with_current_curvature(i) for i in range(self.size)))
-
-
-@dataclass
-class SelectionHistory:
-    """Per-step selected pool indices; the live space is their union."""
-
-    selected: list[frozenset] = field(default_factory=list)
-
-    def union(self) -> frozenset:
-        out: frozenset = frozenset()
-        for q in self.selected:
-            out = out | q
-        return out
 
 
 def build_pool(feature_dim: int, sizes, mode: str = "mixed") -> SubmanifoldPool:
@@ -66,9 +48,7 @@ def build_pool(feature_dim: int, sizes, mode: str = "mixed") -> SubmanifoldPool:
     """
     if mode == "euclidean":
         f = FactorSpec(pool_index=0, slice_start=1, slice_end=feature_dim, curvature=0.0)
-        return SubmanifoldPool(
-            factors=(f,), signs=np.zeros(1), magnitudes=np.zeros(1), weights=np.ones(1)
-        )
+        return SubmanifoldPool(factors=(f,), signs=np.zeros(1), magnitudes=np.zeros(1))
     if mode != "mixed":
         raise ConfigurationError(f"unknown pool mode '{mode}'")
     factors = []
@@ -85,9 +65,7 @@ def build_pool(feature_dim: int, sizes, mode: str = "mixed") -> SubmanifoldPool:
     xi = len(factors)
     signs = np.where(np.arange(xi) < xi // 2, -1.0, 1.0)
     factors = tuple(replace(f, curvature=float(signs[f.pool_index])) for f in factors)
-    return SubmanifoldPool(
-        factors=factors, signs=signs, magnitudes=np.ones(xi), weights=np.ones(xi)
-    )
+    return SubmanifoldPool(factors=factors, signs=signs, magnitudes=np.ones(xi))
 
 
 def classifier_warmup(pool: SubmanifoldPool, feats: np.ndarray, labels: np.ndarray,
@@ -139,7 +117,6 @@ def gis_optimize(pool: SubmanifoldPool, feats: np.ndarray, labels: np.ndarray,
             if kt.grad is not None:
                 mags = np.where(trainable_k,
                                 np.maximum(mags - lr * kt.grad, CURVATURE_FLOOR), mags)
-    pool.weights = weights
     pool.magnitudes = mags
     return weights, mags
 
@@ -156,21 +133,20 @@ def select(pool: SubmanifoldPool, weights: np.ndarray, tau1: float, step: int) -
     return chosen
 
 
-def expand(history: SelectionHistory, pool: SubmanifoldPool) -> MixedSpace:
-    """Product over the union of all selections, with live pool curvatures."""
-    indices = sorted(history.union())
-    return MixedSpace(tuple(pool.factor_with_current_curvature(i) for i in indices))
+def expand(selected: frozenset, pool: SubmanifoldPool) -> MixedSpace:
+    """Product over the selected pool indices, with live pool curvatures."""
+    return MixedSpace(tuple(pool.factor_with_current_curvature(i) for i in sorted(selected)))
 
 
-def trace_record(step: int, pool: SubmanifoldPool, chosen: frozenset,
-                 history: SelectionHistory) -> dict:
-    """JSON-serializable per-step search trace."""
+def trace_record(step: int, pool: SubmanifoldPool, weights: np.ndarray,
+                 chosen: frozenset, selected: frozenset) -> dict:
+    """JSON-serializable per-step search trace (``selected``: the union so far)."""
     return {
         "step": step,
-        "weights": pool.weights.tolist(),
+        "weights": weights.tolist(),
         "curvatures": (pool.signs * pool.magnitudes).tolist(),
         "selected": sorted(int(i) for i in chosen),
-        "space_size": len(history.union()),
+        "space_size": len(selected),
     }
 
 

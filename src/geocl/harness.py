@@ -12,7 +12,7 @@ from . import gis as gis_mod
 from . import model as mdl
 from .autodiff import Tensor
 from .errors import ConfigurationError, ContractViolation, NumericalDomainError
-from .gis import SelectionHistory, SubmanifoldPool
+from .gis import SubmanifoldPool
 from .product import MixedSpace
 
 # Stable per-phase stream ids so every phase draws from its own rng and
@@ -120,7 +120,8 @@ def stream_from_arrays(x: np.ndarray, y: np.ndarray, steps: int, train_ratio: fl
 
     Classes (sorted) are chunked into equal groups per step; rows are
     assigned to train/test by a content hash, so the split is stable
-    under row reordering.
+    under row reordering. Every class needs a train row (evaluation maps
+    test labels to classifier rows) and every step a test row.
     """
     labels = np.asarray(sorted(set(int(v) for v in y)))
     if len(labels) % steps != 0:
@@ -128,12 +129,18 @@ def stream_from_arrays(x: np.ndarray, y: np.ndarray, steps: int, train_ratio: fl
     per_step = len(labels) // steps
     is_train = np.array([_hash_split(row, int(lab), seed, train_ratio)
                          for row, lab in zip(x, y)])
+    for lab in labels:
+        if not is_train[y == lab].any():
+            raise ConfigurationError(f"class {lab} has no train row at train_ratio {train_ratio}")
     tasks = []
     for t in range(steps):
         group = set(labels[t * per_step:(t + 1) * per_step].tolist())
         mask = np.array([int(lab) in group for lab in y])
         tr = mask & is_train
         te = mask & ~is_train
+        if not te.any():
+            raise ConfigurationError(f"step {t + 1} (classes {sorted(group)}) has no test row "
+                                     f"at train_ratio {train_ratio}")
         tasks.append(StreamTask(step=t + 1, x_train=x[tr], y_train=y[tr].astype(int),
                                 x_test=x[te], y_test=y[te].astype(int)))
     _check_disjoint(tasks)
@@ -211,7 +218,7 @@ class EngineState:
     params: dict[str, np.ndarray]
     classifier: np.ndarray                  # (n_seen, feature_dim)
     pool: SubmanifoldPool
-    history: SelectionHistory
+    selected: frozenset = frozenset()       # union of every step's chosen factors
     space: MixedSpace | None = None
     snapshot: Snapshot | None = None
     buffer: MemoryBuffer = field(default_factory=MemoryBuffer)
@@ -222,8 +229,7 @@ class EngineState:
 def init_state(backbone: mdl.Backbone, pool: SubmanifoldPool, seed: int) -> EngineState:
     params = backbone.init_params(phase_rng(seed, 0, "init"))
     return EngineState(backbone=backbone, params=params,
-                       classifier=np.zeros((0, backbone.feature_dim)),
-                       pool=pool, history=SelectionHistory())
+                       classifier=np.zeros((0, backbone.feature_dim)), pool=pool)
 
 
 def run_step(state: EngineState, task: StreamTask, cfg: dict, seed: int) -> EngineState:
@@ -258,9 +264,9 @@ def run_step(state: EngineState, task: StreamTask, cfg: dict, seed: int) -> Engi
         epochs=cfg["epochs_gis"], lr=cfg["lr_gis"], batch_size=cfg["batch_size"],
         rng=phase_rng(seed, t, "gis"))
     chosen = gis_mod.select(state.pool, weights, tau1=1.0 / n_classes, step=t)
-    state.history.selected.append(chosen)
-    state.space = gis_mod.expand(state.history, state.pool)
-    state.gis_trace.append(gis_mod.trace_record(t, state.pool, chosen, state.history))
+    state.selected = state.selected | chosen
+    state.space = gis_mod.expand(state.selected, state.pool)
+    state.gis_trace.append(gis_mod.trace_record(t, state.pool, weights, chosen, state.selected))
 
     # Structure-preservation context from the frozen previous-step model.
     structure = None

@@ -12,7 +12,6 @@ its forward value only.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,13 +43,13 @@ class Backbone:
 
 
 def features_np(params: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Backbone features as an array: the value of :func:`features_t`."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != params["w1"].shape[0]:
         raise ContractViolation(
             f"input dim {x.shape[1]} != backbone dim {params['w1'].shape[0]}"
         )
-    h = np.tanh(x @ params["w1"] + params["b1"])
-    return h @ params["w2"] + params["b2"]
+    return features_t({k: Tensor(v) for k, v in params.items()}, x).value
 
 
 def features_t(params: dict[str, Tensor], x: np.ndarray) -> Tensor:
@@ -199,46 +198,3 @@ def total_loss_t(ce: Tensor, lam1: float, global_term: Tensor | None,
         loss = loss + lam2 * local_term
     return loss
 
-
-# -- checkpointing ------------------------------------------------------
-
-CHECKPOINT_VERSION = 1
-
-
-def save_checkpoint(path, backbone: Backbone, params: dict[str, np.ndarray],
-                    classifier: np.ndarray, factors, kmag: np.ndarray,
-                    signs: np.ndarray, weights: np.ndarray, rng_state: dict):
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "backbone": {"in_dim": backbone.in_dim, "hidden_dim": backbone.hidden_dim,
-                     "feature_dim": backbone.feature_dim},
-        "params": {k: v.tolist() for k, v in params.items()},
-        "classifier": np.asarray(classifier).tolist(),
-        "factors": [
-            {"pool_index": f.pool_index, "slice_start": f.slice_start,
-             "slice_end": f.slice_end, "curvature": f.curvature, "weight": f.weight}
-            for f in factors
-        ],
-        "curvature_magnitudes": np.asarray(kmag).tolist(),
-        "curvature_signs": np.asarray(signs).tolist(),
-        "selection_weights": np.asarray(weights).tolist(),
-        "rng_state": rng_state,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
-def load_checkpoint(path):
-    from .product import FactorSpec
-
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ContractViolation(f"unsupported checkpoint version {payload.get('version')}")
-    payload["params"] = {k: np.asarray(v) for k, v in payload["params"].items()}
-    payload["classifier"] = np.asarray(payload["classifier"])
-    payload["factors"] = [FactorSpec(**f) for f in payload["factors"]]
-    for key in ("curvature_magnitudes", "curvature_signs", "selection_weights"):
-        payload[key] = np.asarray(payload[key])
-    payload["backbone"] = Backbone(**payload["backbone"])
-    return payload

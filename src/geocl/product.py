@@ -1,7 +1,7 @@
 """Product of constant-curvature factors over slices of a feature vector.
 
 A factor owns a contiguous (possibly overlapping with other factors) slice
-of the backbone feature vector plus a curvature and a selection weight.
+of the backbone feature vector plus a curvature.
 The squared product distance, the sum of per-factor squared distances, is
 computed by :func:`geocl.diffgeo.sq_dist_matrix`; the product angle is the
 plain Euclidean cosine of the concatenated tangents (``geocl.model``).
@@ -27,7 +27,6 @@ class FactorSpec:
     slice_start: int
     slice_end: int
     curvature: float
-    weight: float = 1.0
 
     def __post_init__(self):
         if not (1 <= self.slice_start < self.slice_end):

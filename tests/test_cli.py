@@ -73,6 +73,18 @@ class TestRun:
     def test_missing_config_file_exit_code_1(self, tmp_path, capsys):
         assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize("text", ['{"seed": 5, "stream": {"noi', "[1, 2]",
+                                      '{"lambda1": NaN}', '{"lr_main": Infinity}',
+                                      '{"stream": {"csv_path": 5}}'],
+                             ids=["truncated", "top-level-list", "nan", "infinity",
+                                  "csv-path-int"])
+    def test_malformed_config_exit_code_1_with_one_line(self, tmp_path, capsys, text):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        assert cli.main(["run", "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestMalformedCsv:
     @pytest.mark.parametrize("text", [
@@ -92,6 +104,22 @@ class TestMalformedCsv:
         assert cli.main(["run", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: dataset CSV") and err.count("\n") == 1
+
+    def test_directory_exit_code_1_with_one_line(self, tmp_path, capsys):
+        cfg_path = write_tiny_config(tmp_path, stream={"csv_path": str(tmp_path)})
+        assert cli.main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset CSV") and err.count("\n") == 1
+
+    def test_class_without_train_row_exit_code_1(self, tmp_path, capsys):
+        # at seed 0 the only row of class 3 hashes to the test split
+        data = tmp_path / "data.csv"
+        rows = [f"{lab},{lab + i / 100:.2f},0,0,0,0,0" for lab in range(3) for i in range(20)]
+        data.write_text("label,f1,f2,f3,f4,f5,f6\n" + "\n".join(rows + ["3,7,7,7,7,7,7"]) + "\n")
+        cfg_path = write_tiny_config(tmp_path, stream={"csv_path": str(data)})
+        assert cli.main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: class 3 has no train row") and err.count("\n") == 1
 
 
 class TestSynth:

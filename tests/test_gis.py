@@ -66,11 +66,10 @@ class TestSelect:
 class TestExpand:
     def test_union_and_monotonic_growth(self):
         pool = gis.build_pool(32, [4, 8, 16])
-        hist = gis.SelectionHistory()
-        hist.selected.append(frozenset({2, 5}))
-        s1 = gis.expand(hist, pool)
-        hist.selected.append(frozenset({5, 9}))
-        s2 = gis.expand(hist, pool)
+        selected = frozenset({2, 5})
+        s1 = gis.expand(selected, pool)
+        selected = selected | frozenset({5, 9})
+        s2 = gis.expand(selected, pool)
         assert [f.pool_index for f in s1.factors] == [2, 5]
         assert [f.pool_index for f in s2.factors] == [2, 5, 9]
         assert set(f.pool_index for f in s1.factors) <= set(f.pool_index for f in s2.factors)
@@ -78,8 +77,7 @@ class TestExpand:
     def test_expand_reads_live_curvature(self):
         pool = gis.build_pool(32, [4, 8, 16])
         pool.magnitudes[2] = 0.5
-        hist = gis.SelectionHistory(selected=[frozenset({2})])
-        space = gis.expand(hist, pool)
+        space = gis.expand(frozenset({2}), pool)
         assert space.factors[0].curvature == -0.5
 
 
@@ -144,7 +142,9 @@ class TestGisOptimize:
         rng = np.random.default_rng(7)
         feats, labels, protos = _toy_problem(rng)
         pool = gis.build_pool(8, [4])
-        pool.weights[:] = 100.0  # stale weights must not leak into the search
+        # a trained search must not leak its weights into the next one
+        gis.gis_optimize(pool, feats, labels, protos, n_classes=2, epochs=3,
+                         lr=0.5, batch_size=32, rng=np.random.default_rng(8))
         w, _ = gis.gis_optimize(pool, feats, labels, protos, n_classes=2,
                                 epochs=0, lr=0.05, batch_size=32,
                                 rng=np.random.default_rng(8))
@@ -182,8 +182,9 @@ class TestTrace:
     def test_record_is_json_serializable(self):
         import json
         pool = gis.build_pool(8, [4])
-        hist = gis.SelectionHistory(selected=[frozenset({0})])
-        rec = gis.trace_record(1, pool, frozenset({0}), hist)
+        weights = np.array([0.75, 0.25])
+        rec = gis.trace_record(2, pool, weights, frozenset({0}), frozenset({0, 1}))
         assert json.loads(json.dumps(rec)) == rec
+        assert rec["weights"] == [0.75, 0.25]
         assert rec["selected"] == [0]
-        assert rec["space_size"] == 1
+        assert rec["space_size"] == 2

@@ -1,7 +1,12 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geocl import harness, model
+from geocl import experiment, harness, model
 from geocl.errors import ConfigurationError, ContractViolation
 from geocl.gis import build_pool
 
@@ -82,6 +87,71 @@ class TestStreamFromArrays:
             sa = set(map(tuple, np.round(a.x_train, 9)))
             sb = set(map(tuple, np.round(b.x_train, 9)))
             assert sa == sb
+
+    def single_row_class(self):
+        x, y = self.make_data(np.random.default_rng(3))
+        return np.concatenate([x, x[:1] + 9.0]), np.append(y, 4)
+
+    def test_class_without_train_row_rejected(self):
+        # at seed 0 the only row of class 4 hashes to the test split
+        x, y = self.single_row_class()
+        with pytest.raises(ConfigurationError, match="class 4 has no train row"):
+            harness.stream_from_arrays(x, y, steps=5, train_ratio=0.8, seed=0)
+
+    def test_step_without_test_row_rejected(self):
+        # at seed 1 it hashes to the train split, leaving step 5 no test row
+        x, y = self.single_row_class()
+        with pytest.raises(ConfigurationError, match=r"step 5 \(classes \[4\]\) has no test row"):
+            harness.stream_from_arrays(x, y, steps=5, train_ratio=0.8, seed=1)
+
+    def test_class_without_test_row_kept(self):
+        x, y = self.single_row_class()
+        (task,) = harness.stream_from_arrays(x, y, steps=1, train_ratio=0.8, seed=1)
+        assert 4 in task.labels and 4 not in task.y_test
+
+    @pytest.mark.parametrize("ratio, message", [(0.0, "class 0 has no train row"),
+                                                (1.0, "step 1 .* has no test row")],
+                             ids=["all-test", "all-train"])
+    def test_extreme_train_ratio_rejected(self, ratio, message):
+        x, y = self.make_data(np.random.default_rng(4))
+        with pytest.raises(ConfigurationError, match=message):
+            harness.stream_from_arrays(x, y, steps=2, train_ratio=ratio, seed=0)
+
+
+_CELLS = st.one_of(st.integers(-1, 3).map(str), st.floats(-5.0, 5.0).map(repr),
+                   st.sampled_from(["", "nan", "inf", "x", "1.5"]))
+
+
+def _class_rows(counts: list[int], seed: int) -> list[list[str]]:
+    """``counts[c]`` rows of class ``c`` with two random features each."""
+    rng = np.random.default_rng(seed)
+    return [[str(lab)] + [repr(float(v)) for v in rng.normal(size=2)]
+            for lab, n in enumerate(counts) for _ in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["label,f1,f2"] * 4 + ["label,f1", "f1,label,f2", ""]),
+       st.lists(st.integers(0, 10), max_size=4),
+       st.one_of(st.just([]), st.lists(st.lists(_CELLS, max_size=4), max_size=2)),
+       st.sampled_from([1, 2]), st.floats(0.0, 1.0),
+       st.integers(0, 5))
+def test_random_csv_streams_or_is_rejected(header, counts, bad_rows, steps, train_ratio, seed):
+    """A dataset CSV either gives tasks that can be trained and evaluated
+    (every class has a train row, every step a test row), or raises
+    ConfigurationError."""
+    rows = _class_rows(counts, seed) + bad_rows
+    text = "\n".join([header] + [",".join(r) for r in rows]) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_text(text)
+        try:
+            x, y = experiment.read_dataset_csv(path)
+            tasks = harness.stream_from_arrays(x, y, steps, train_ratio, seed)
+        except ConfigurationError:
+            return
+    assert len(tasks) == steps
+    for task in tasks:
+        assert len(task.y_test) and set(task.y_test.tolist()) <= set(task.labels)
 
 
 class TestMemoryBuffer:
@@ -220,6 +290,10 @@ class TestRunStream:
         pool = build_pool(8, [2, 4])
         state, _ = harness.run_stream(tasks, small_cfg(), seed=0,
                                       backbone=backbone, pool=pool)
-        assert len(state.history.selected) == 2
+        assert len(state.gis_trace) == 2
+        union = frozenset().union(*(rec["selected"] for rec in state.gis_trace))
+        assert state.selected == union
+        assert [f.pool_index for f in state.space.factors] == sorted(union)
         sizes = [rec["space_size"] for rec in state.gis_trace]
         assert sizes == sorted(sizes)
+        assert sizes[-1] == len(union)

@@ -232,27 +232,3 @@ class TestTotalLoss:
         ce = Tensor(np.array(2.0))
         assert float(model.total_loss_t(ce, 1.0, None, 1.0, None).value) == 2.0
 
-
-class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        bb = model.Backbone(5, 8, 4)
-        params = bb.init_params(np.random.default_rng(0))
-        classifier = np.random.default_rng(1).normal(size=(3, 4))
-        factors = [FactorSpec(0, 1, 2, -1.0), FactorSpec(1, 3, 4, 1.0)]
-        path = tmp_path / "ckpt.json"
-        model.save_checkpoint(path, bb, params, classifier, factors,
-                              kmag=np.array([1.0, 0.5]), signs=np.array([-1.0, 1.0]),
-                              weights=np.array([0.7, 0.3]), rng_state={"step": 3})
-        loaded = model.load_checkpoint(path)
-        assert loaded["backbone"] == bb
-        np.testing.assert_array_equal(loaded["classifier"], classifier)
-        for k in params:
-            np.testing.assert_array_equal(loaded["params"][k], params[k])
-        assert loaded["factors"] == factors
-        assert loaded["rng_state"] == {"step": 3}
-
-    def test_version_checked(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"version": 99}')
-        with pytest.raises(ContractViolation):
-            model.load_checkpoint(path)
