@@ -1,6 +1,6 @@
 """Command-line surface: synth, run, verify, report.
 
-Exit codes: 0 success, 1 validation error, 2 runtime/numerical failure.
+Exit codes: 0 success, 1 usage/validation error, 2 runtime/numerical failure.
 """
 
 from __future__ import annotations
@@ -14,9 +14,15 @@ from .config import load_config
 from .errors import ConfigurationError, ContractViolation, GeoclError
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error, which ``main`` reports as one line with exit 1."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="geocl",
-                                     description="mixed-curvature continual-learning engine")
+    parser = _Parser(prog="geocl", description="mixed-curvature continual-learning engine")
     sub = parser.add_subparsers(dest="command", required=True)
 
     synth = sub.add_parser("synth", help="write a synthetic dataset as CSV")
@@ -68,6 +74,8 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify as verify_mod
 
+    if not 0 < args.tolerance < float("inf"):  # also false for NaN
+        raise ConfigurationError(f"--tolerance must be a finite number > 0, got {args.tolerance}")
     results = verify_mod.run_all(tolerance_scale=args.tolerance)
     failed = [r for r in results if not r.passed]
     for r in results:
@@ -79,18 +87,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
+    # Everything is read and checked before the first table is written.
     aggregate = experiment.aggregate_reports(args.run_dirs)
-    experiment.write_aggregate(aggregate, args.out)
     experiment.write_accuracy_curve(args.run_dirs, args.out)
+    experiment.write_aggregate(aggregate, args.out)
     print(json.dumps(aggregate, indent=2))
     return 0
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     handlers = {"synth": cmd_synth, "run": cmd_run,
                 "verify": cmd_verify, "report": cmd_report}
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except (ConfigurationError, ContractViolation, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

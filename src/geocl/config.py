@@ -55,8 +55,6 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
                 user = json.load(fh)
         except (OSError, ValueError) as exc:
             raise ConfigurationError(f"config {path}: {exc}") from None
-        if not isinstance(user, dict):
-            raise ConfigurationError(f"config {path} must hold a JSON object")
         _merge(cfg, user, trail="")
     if overrides:
         _merge(cfg, overrides, trail="")
@@ -64,14 +62,14 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
     return cfg
 
 
-def _merge(base: dict, user: dict, trail: str):
+def _merge(base: dict, user, trail: str):
+    if not isinstance(user, dict):
+        raise ConfigurationError(f"'{trail[:-1] or 'config'}' must be an object, got {user!r}")
     for key, value in user.items():
         here = f"{trail}{key}"
         if key not in base:
             raise ConfigurationError(f"unknown config key '{here}'")
         if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigurationError(f"'{here}' must be an object, got {value!r}")
             _merge(base[key], value, trail=f"{here}.")
         else:
             base[key] = value
@@ -84,7 +82,7 @@ def _lookup(cfg: dict, dotted: str):
     return node
 
 
-def _finite(v) -> bool:
+def finite_number(v) -> bool:
     """A number that is not a bool and stays finite as a float."""
     try:
         return not isinstance(v, bool) and math.isfinite(v)
@@ -99,15 +97,15 @@ def validate_config(cfg: dict):
             raise ConfigurationError(f"'{key}' must be a positive integer, got {v!r}")
     for key in _NONNEG:
         v = _lookup(cfg, key)
-        if not _finite(v) or v < 0:
+        if not finite_number(v) or v < 0:
             raise ConfigurationError(f"'{key}' must be a non-negative number, got {v!r}")
     for key in _POSITIVE:
         v = _lookup(cfg, key)
-        if not _finite(v) or v <= 0:
+        if not finite_number(v) or v <= 0:
             raise ConfigurationError(f"'{key}' must be a positive number, got {v!r}")
     for key in _UNIT:
         v = _lookup(cfg, key)
-        if not _finite(v) or not (0.0 <= v <= 1.0):
+        if not finite_number(v) or not (0.0 <= v <= 1.0):
             raise ConfigurationError(f"'{key}' must lie in [0, 1], got {v!r}")
     if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool) or cfg["seed"] < 0:
         raise ConfigurationError("'seed' must be a non-negative integer")

@@ -20,8 +20,8 @@ and curvature sign, one batched Gram product per group.
 
 The op is a single autodiff node whose backward is written by hand for the
 features, the prototypes, the curvature magnitudes and the selection
-weights. Training, evaluation and the frozen snapshots all use it, so they
-measure with one metric; ``geometry`` stays the independent oracle.
+weights. Training, evaluation and the previous-step model all use it, so
+they measure with one metric; ``geometry`` stays the independent oracle.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ _BALL_ARG_CAP = float(np.arctanh(1.0 - geometry.BALL_EPS))
 _NORM_EPS = 1e-30
 # artanh arguments are clipped short of the branch point.
 _ATANH_CLIP = 1.0 - 1e-15
-# Forward-only calls (a snapshot over the whole buffer) run in blocks of
-# feature rows, so a group's (m, B, N) intermediates stay near 8 MB each.
+# Forward-only calls (the previous-step model over the whole buffer) run
+# in row blocks, so a group's (m, B, N) intermediates stay near 8 MB each.
 _BLOCK = 1 << 20
 
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from . import gis as gis_mod
 from . import harness, model as mdl
+from .config import finite_number, load_config
 from .errors import ConfigurationError
 
 
@@ -125,27 +126,18 @@ def aggregate_reports(run_dirs: list[str | Path]) -> dict:
     (everything except seed and output directory must match)."""
     if not run_dirs:
         raise ConfigurationError("no run directories given")
-    reports = []
-    for d in run_dirs:
-        path = Path(d) / "report.json"
-        if not path.exists():
-            raise ConfigurationError(f"{d} has no report.json")
-        reports.append(json.loads(path.read_text()))
+    reports = [_read_report(d) for d in run_dirs]
 
     def config_key(rep):
-        cfg = json.loads(json.dumps(rep["config"]))
-        cfg.pop("seed", None)
-        cfg.pop("out_dir", None)
+        cfg = {k: v for k, v in rep["config"].items() if k not in ("seed", "out_dir")}
         return json.dumps(cfg, sort_keys=True)
-
-    keys = {config_key(r) for r in reports}
-    if len(keys) > 1 and len({json.dumps(r["config"]["stream"], sort_keys=True)
-                              for r in reports}) > 1:
-        raise ConfigurationError("runs use incompatible stream configs; refusing to merge")
 
     groups: dict[str, list[dict]] = {}
     for rep in reports:
         groups.setdefault(config_key(rep), []).append(rep)
+    if len(groups) > 1 and len({json.dumps(r["config"]["stream"], sort_keys=True)
+                                for r in reports}) > 1:
+        raise ConfigurationError("runs use incompatible stream configs; refusing to merge")
     rows = []
     for key, members in sorted(groups.items()):
         row = {"runs": len(members), "label": _group_label(members[0]["config"])}
@@ -154,6 +146,27 @@ def aggregate_reports(run_dirs: list[str | Path]) -> dict:
             row[name] = {"mean": float(np.mean(vals)), "std": float(np.std(vals))} if vals else None
         rows.append(row)
     return {"groups": rows}
+
+
+def _read_report(run_dir) -> dict:
+    """A run's report.json, whose config must be complete and valid and
+    whose metrics must hold every summary metric; else ConfigurationError."""
+    path = Path(run_dir) / "report.json"
+    try:
+        rep = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(rep, dict) or not isinstance(rep.get("metrics"), dict):
+            raise ConfigurationError("must hold an object with a 'metrics' object")
+        # A run's config is the defaults overlaid and validated, so nothing
+        # may be filled in from the defaults.
+        if load_config(overrides=rep.get("config")) != rep.get("config"):
+            raise ConfigurationError("config is incomplete")
+        for name in harness.SUMMARY_METRICS:
+            value = rep["metrics"].get(name, "absent")
+            if value is not None and not finite_number(value):
+                raise ConfigurationError(f"metric '{name}' is {value!r}, not a number or null")
+    except (OSError, ValueError, ConfigurationError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+    return rep
 
 
 def _group_label(cfg: dict) -> str:
@@ -194,19 +207,26 @@ def write_aggregate(report: dict, out_dir: str | Path):
 
 
 def write_accuracy_curve(run_dirs: list[str | Path], out_dir: str | Path):
-    """Per-run (step, all-seen accuracy) points for external plotting."""
+    """Per-run (step, all-seen accuracy) points for external plotting; every
+    accuracy matrix is read and checked before the file is written."""
+    points = []
+    for d in run_dirs:
+        path = Path(d) / "accuracy_matrix.csv"
+        if not path.exists():
+            continue
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            accs = [[float(v) for v in row[1:] if v != ""] for row in rows]
+            if header[:1] != ["step"] or not all(a and np.isfinite(a).all() for a in accs):
+                raise ValueError("needs a 'step' header and a finite accuracy in every row")
+        except (OSError, ValueError, csv.Error) as exc:
+            raise ConfigurationError(f"{path}: {exc}") from None
+        points += [(Path(d).name, row[0], np.mean(a)) for row, a in zip(rows, accs)]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "accuracy_curve.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run", "step", "accuracy"])
-        for d in run_dirs:
-            matrix_path = Path(d) / "accuracy_matrix.csv"
-            if not matrix_path.exists():
-                continue
-            with open(matrix_path, newline="") as mfh:
-                reader = csv.reader(mfh)
-                next(reader)
-                for row in reader:
-                    accs = [float(v) for v in row[1:] if v != ""]
-                    writer.writerow([Path(d).name, row[0], f"{np.mean(accs):.10f}"])
+        for run, step, mean in points:
+            writer.writerow([run, step, f"{mean:.10f}"])

@@ -1,5 +1,5 @@
-"""Geometry incremental search: submanifold pool, weight-sum selection,
-thresholded choice of factors, and product-space expansion."""
+"""Geometry incremental search: submanifold pool (its factors hold the live
+curvatures), weight-sum selection, thresholded factor choice, space expansion."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import autodiff as ad
 from . import model as mdl
 from .autodiff import Tensor
 from .errors import ConfigurationError, NumericalDomainError
@@ -17,26 +16,17 @@ from .product import FactorSpec, MixedSpace
 
 @dataclass
 class SubmanifoldPool:
-    """Fixed set of candidate factors; slices and signs never change.
+    """Fixed set of candidate factors; slices and curvature signs never change.
 
-    Curvature magnitudes persist across steps; selection weights live only
-    inside each step's search phase.
+    Each factor holds its live curvature, which the search writes back;
+    selection weights live only inside each step's search phase.
     """
 
     factors: tuple[FactorSpec, ...]
-    signs: np.ndarray          # per factor: -1, 0, or +1, immutable
-    magnitudes: np.ndarray     # per factor: |K|, trainable where sign != 0
 
     @property
     def size(self) -> int:
         return len(self.factors)
-
-    def factor_with_current_curvature(self, pool_index: int) -> FactorSpec:
-        return replace(self.factors[pool_index],
-                       curvature=float(self.signs[pool_index] * self.magnitudes[pool_index]))
-
-    def full_space(self) -> MixedSpace:
-        return MixedSpace(tuple(self.factor_with_current_curvature(i) for i in range(self.size)))
 
 
 def build_pool(feature_dim: int, sizes, mode: str = "mixed") -> SubmanifoldPool:
@@ -48,24 +38,19 @@ def build_pool(feature_dim: int, sizes, mode: str = "mixed") -> SubmanifoldPool:
     """
     if mode == "euclidean":
         f = FactorSpec(pool_index=0, slice_start=1, slice_end=feature_dim, curvature=0.0)
-        return SubmanifoldPool(factors=(f,), signs=np.zeros(1), magnitudes=np.zeros(1))
+        return SubmanifoldPool(factors=(f,))
     if mode != "mixed":
         raise ConfigurationError(f"unknown pool mode '{mode}'")
-    factors = []
-    idx = 0
+    slices = []
     for size in sizes:
         if feature_dim % size != 0:
             raise ConfigurationError(f"factor size {size} does not divide feature dim {feature_dim}")
-        for tile in range(feature_dim // size):
-            factors.append(
-                FactorSpec(pool_index=idx, slice_start=tile * size + 1,
-                           slice_end=(tile + 1) * size, curvature=-1.0)
-            )
-            idx += 1
-    xi = len(factors)
-    signs = np.where(np.arange(xi) < xi // 2, -1.0, 1.0)
-    factors = tuple(replace(f, curvature=float(signs[f.pool_index])) for f in factors)
-    return SubmanifoldPool(factors=factors, signs=signs, magnitudes=np.ones(xi))
+        slices += [(tile * size + 1, (tile + 1) * size) for tile in range(feature_dim // size)]
+    half = len(slices) // 2
+    return SubmanifoldPool(factors=tuple(
+        FactorSpec(pool_index=i, slice_start=start, slice_end=end,
+                   curvature=-1.0 if i < half else 1.0)
+        for i, (start, end) in enumerate(slices)))
 
 
 def classifier_warmup(pool: SubmanifoldPool, feats: np.ndarray, labels: np.ndarray,
@@ -77,10 +62,10 @@ def classifier_warmup(pool: SubmanifoldPool, feats: np.ndarray, labels: np.ndarr
     newly appended (randomly initialized) class rows from corrupting the
     weight search that follows.
     """
-    space = pool.full_space()
+    space = MixedSpace(pool.factors)
     uniform = np.full(pool.size, 1.0 / pool.size)
     w = classifier.copy()
-    for batch in _batches(len(labels), batch_size, rng):
+    for batch in batches(len(labels), batch_size, rng):
         wt = Tensor(w, requires_grad=True)
         loss = mdl.ce_loss_t(Tensor(feats[batch]), wt, labels[batch], space,
                              weights=Tensor(uniform))
@@ -91,21 +76,22 @@ def classifier_warmup(pool: SubmanifoldPool, feats: np.ndarray, labels: np.ndarr
 
 def gis_optimize(pool: SubmanifoldPool, feats: np.ndarray, labels: np.ndarray,
                  classifier: np.ndarray, n_classes: int, epochs: int, lr: float,
-                 batch_size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+                 batch_size: int, rng: np.random.Generator) -> np.ndarray:
     """Gradient descent on the weight-sum classification loss.
 
     Only the selection weights and curvature magnitudes move; backbone
     features and classifier are frozen for the whole phase. Weights start
-    at 1/n (n = total classes); magnitudes start from the previous step's
-    pool state. Updates the pool in place and returns (weights, magnitudes).
+    at 1/n (n = total classes); magnitudes start from the pool's factors.
+    Writes the new curvatures back into the pool's factors and returns the
+    weights.
     """
     weights = np.full(pool.size, 1.0 / n_classes)
-    mags = pool.magnitudes.copy()
-    trainable_k = pool.signs != 0
+    curvatures = np.array([f.curvature for f in pool.factors])
+    signs, mags = np.sign(curvatures), np.abs(curvatures)
     # The kernel reads magnitudes from ``kt``; the space gives slices and signs.
-    space = pool.full_space()
+    space = MixedSpace(pool.factors)
     for _ in range(epochs):
-        for batch in _batches(len(labels), batch_size, rng):
+        for batch in batches(len(labels), batch_size, rng):
             wt = Tensor(weights, requires_grad=True)
             kt = Tensor(mags, requires_grad=True)
             loss = mdl.ce_loss_t(Tensor(feats[batch]), Tensor(classifier),
@@ -115,10 +101,11 @@ def gis_optimize(pool: SubmanifoldPool, feats: np.ndarray, labels: np.ndarray,
             loss.backward()
             weights = np.maximum(weights - lr * wt.grad, 0.0)
             if kt.grad is not None:
-                mags = np.where(trainable_k,
+                mags = np.where(signs != 0,
                                 np.maximum(mags - lr * kt.grad, CURVATURE_FLOOR), mags)
-    pool.magnitudes = mags
-    return weights, mags
+    pool.factors = tuple(replace(f, curvature=float(s * m))
+                         for f, s, m in zip(pool.factors, signs, mags))
+    return weights
 
 
 def select(pool: SubmanifoldPool, weights: np.ndarray, tau1: float, step: int) -> frozenset:
@@ -135,7 +122,7 @@ def select(pool: SubmanifoldPool, weights: np.ndarray, tau1: float, step: int) -
 
 def expand(selected: frozenset, pool: SubmanifoldPool) -> MixedSpace:
     """Product over the selected pool indices, with live pool curvatures."""
-    return MixedSpace(tuple(pool.factor_with_current_curvature(i) for i in sorted(selected)))
+    return MixedSpace(tuple(pool.factors[i] for i in sorted(selected)))
 
 
 def trace_record(step: int, pool: SubmanifoldPool, weights: np.ndarray,
@@ -144,13 +131,14 @@ def trace_record(step: int, pool: SubmanifoldPool, weights: np.ndarray,
     return {
         "step": step,
         "weights": weights.tolist(),
-        "curvatures": (pool.signs * pool.magnitudes).tolist(),
+        "curvatures": [f.curvature for f in pool.factors],
         "selected": sorted(int(i) for i in chosen),
         "space_size": len(selected),
     }
 
 
-def _batches(n: int, batch_size: int, rng: np.random.Generator):
+def batches(n: int, batch_size: int, rng: np.random.Generator):
+    """Index batches of one epoch over ``n`` rows, in a random order."""
     order = rng.permutation(n)
     for start in range(0, n, batch_size):
         yield order[start:start + batch_size]

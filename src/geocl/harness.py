@@ -1,5 +1,6 @@
 """Continual-learning orchestration: task streams, memory buffer, the
-per-step training loop, evaluation, and the aggregate metrics."""
+per-step training loop (which starts from the previous-step model that the
+structure losses compare with), evaluation, and the aggregate metrics."""
 
 from __future__ import annotations
 
@@ -205,22 +206,12 @@ class MemoryBuffer:
 # -- engine state and training loop -------------------------------------
 
 @dataclass
-class Snapshot:
-    """Frozen end-of-step backbone and space (never mutated afterwards)."""
-
-    params: dict[str, np.ndarray]
-    space: MixedSpace
-
-
-@dataclass
 class EngineState:
-    backbone: mdl.Backbone
     params: dict[str, np.ndarray]
     classifier: np.ndarray                  # (n_seen, feature_dim)
     pool: SubmanifoldPool
     selected: frozenset = frozenset()       # union of every step's chosen factors
     space: MixedSpace | None = None
-    snapshot: Snapshot | None = None
     buffer: MemoryBuffer = field(default_factory=MemoryBuffer)
     label_to_index: dict[int, int] = field(default_factory=dict)
     gis_trace: list[dict] = field(default_factory=list)
@@ -228,26 +219,30 @@ class EngineState:
 
 def init_state(backbone: mdl.Backbone, pool: SubmanifoldPool, seed: int) -> EngineState:
     params = backbone.init_params(phase_rng(seed, 0, "init"))
-    return EngineState(backbone=backbone, params=params,
-                       classifier=np.zeros((0, backbone.feature_dim)), pool=pool)
+    return EngineState(params=params, classifier=np.zeros((0, backbone.feature_dim)), pool=pool)
 
 
 def run_step(state: EngineState, task: StreamTask, cfg: dict, seed: int) -> EngineState:
     """One full continual-learning step.
 
-    Order: append classifier rows for new classes; warm up the classifier;
-    run the geometry search and expand the space; train backbone and
-    classifier on the step data plus the replay buffer; snapshot; refill
-    the buffer.
+    Order: measure the previous-step model (the step-start params and space,
+    which the warm-up and the search leave alone) on the replay buffer for
+    the structure losses; append classifier rows for new classes; warm up
+    the classifier; run the search and expand the space; train backbone and
+    classifier on the step data plus the buffer; refill the buffer.
     """
     t = task.step
+    structure = None
+    if len(state.buffer) > 1 and (cfg["lambda1"] > 0 or cfg["lambda2"] > 0):
+        structure = _structure_context(state.params, state.space, state.buffer)
+
     for lab in task.labels:
         if lab in state.label_to_index:
             raise ConfigurationError(f"label {lab} already seen")
         state.label_to_index[lab] = len(state.label_to_index)
     n_new = len(task.labels)
     init_rng = phase_rng(seed, t, "init")
-    new_rows = init_rng.normal(0.0, 0.01, (n_new, state.backbone.feature_dim))
+    new_rows = init_rng.normal(0.0, 0.01, (n_new, state.classifier.shape[1]))
     state.classifier = np.concatenate([state.classifier, new_rows])
     n_classes = state.classifier.shape[0]
 
@@ -259,7 +254,7 @@ def run_step(state: EngineState, task: StreamTask, cfg: dict, seed: int) -> Engi
         state.pool, feats, y_train, state.classifier,
         lr=cfg["lr_gis"], batch_size=cfg["batch_size"],
         rng=phase_rng(seed, t, "warmup"))
-    weights, _ = gis_mod.gis_optimize(
+    weights = gis_mod.gis_optimize(
         state.pool, feats, y_train, state.classifier, n_classes,
         epochs=cfg["epochs_gis"], lr=cfg["lr_gis"], batch_size=cfg["batch_size"],
         rng=phase_rng(seed, t, "gis"))
@@ -268,18 +263,8 @@ def run_step(state: EngineState, task: StreamTask, cfg: dict, seed: int) -> Engi
     state.space = gis_mod.expand(state.selected, state.pool)
     state.gis_trace.append(gis_mod.trace_record(t, state.pool, weights, chosen, state.selected))
 
-    # Structure-preservation context from the frozen previous-step model.
-    structure = None
-    use_structure = (cfg["lambda1"] > 0 or cfg["lambda2"] > 0)
-    if state.snapshot is not None and len(state.buffer) > 1 and use_structure:
-        structure = _structure_context(state.snapshot, state.buffer)
-
     _main_training(state, task, y_train, structure, cfg, seed)
 
-    state.snapshot = Snapshot(
-        params={k: v.copy() for k, v in state.params.items()},
-        space=state.space,
-    )
     buf_cfg = cfg["buffer"]
     state.buffer.update(task.x_train, y_train, buf_cfg["policy"],
                         buf_cfg["per_class"], buf_cfg["budget"],
@@ -287,13 +272,14 @@ def run_step(state: EngineState, task: StreamTask, cfg: dict, seed: int) -> Engi
     return state
 
 
-def _structure_context(snapshot: Snapshot, buffer: MemoryBuffer) -> dict:
-    """Snapshot-side quantities for the two structure losses, computed once
-    per step over the whole buffer."""
-    prev_feats = mdl.features_np(snapshot.params, buffer.x)
-    prev_tan = mdl.tangent_concat_np(prev_feats, snapshot.space)
+def _structure_context(params: dict[str, np.ndarray], space: MixedSpace,
+                       buffer: MemoryBuffer) -> dict:
+    """Previous-step-model quantities for the two structure losses, computed
+    once per step over the whole buffer from that model's params and space."""
+    prev_feats = mdl.features_np(params, buffer.x)
+    prev_tan = mdl.tangent_concat_np(prev_feats, space)
     prev_cos, prev_valid = mdl.cosine_matrix_np(prev_tan)
-    prev_d2 = mdl.sq_dist_matrix_np(prev_feats, prev_feats, snapshot.space)
+    prev_d2 = mdl.sq_dist_matrix_np(prev_feats, prev_feats, space)
     tau2 = mdl.tau2_same_class_mean(prev_d2, buffer.y)
     affinity = mdl.affinity_matrix(prev_d2, buffer.y, tau2)
     return {"prev_cos": prev_cos, "prev_valid": prev_valid,
@@ -304,9 +290,8 @@ def _main_training(state: EngineState, task: StreamTask, y_train: np.ndarray,
                    structure: dict | None, cfg: dict, seed: int):
     t = task.step
     if len(state.buffer):
-        buf_y = state.buffer.y
         x_all = np.concatenate([task.x_train, state.buffer.x])
-        y_all = np.concatenate([y_train, buf_y])
+        y_all = np.concatenate([y_train, state.buffer.y])
     else:
         x_all = task.x_train
         y_all = y_train
@@ -316,9 +301,7 @@ def _main_training(state: EngineState, task: StreamTask, y_train: np.ndarray,
     cap = cfg.get("repulsion_cap")
     pair_batch = cfg["pair_batch"]
     for _ in range(cfg["epochs_main"]):
-        order = rng_main.permutation(len(y_all))
-        for start in range(0, len(order), cfg["batch_size"]):
-            batch = order[start:start + cfg["batch_size"]]
+        for batch in gis_mod.batches(len(y_all), cfg["batch_size"], rng_main):
             tensors = {k: Tensor(v, requires_grad=True) for k, v in state.params.items()}
             wt = Tensor(state.classifier, requires_grad=True)
             feats = mdl.features_t(tensors, x_all[batch])

@@ -4,10 +4,10 @@ The backbone is a two-layer perceptron (affine, tanh, affine) whose output
 is sliced into the factors of the current mixed space. Classification is a
 softmax over negated squared product distances to per-class prototype rows.
 
-Training, evaluation and the frozen previous-step snapshots all measure
-with the one product-distance op in :mod:`geocl.diffgeo`:
-``sq_dist_matrix_t`` records it for autodiff, ``sq_dist_matrix_np`` takes
-its forward value only.
+Training, evaluation and the frozen previous-step model all measure with
+the one product-distance op in :mod:`geocl.diffgeo`: ``sq_dist_matrix_t``
+records it for autodiff, ``sq_dist_matrix_np`` takes its forward value
+only.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ def angular_reg_loss_t(cur_feats: Tensor, cur_space: MixedSpace,
 
 
 def neighbor_sets(sq_dists: np.ndarray, labels: np.ndarray, tau2: float):
-    """Within/between neighbor masks from snapshot squared distances."""
+    """Within/between neighbor masks from previous-step squared distances."""
     labels = np.asarray(labels)
     close = sq_dists < tau2
     np.fill_diagonal(close, False)
@@ -165,7 +165,7 @@ def affinity_matrix(sq_dists: np.ndarray, labels: np.ndarray, tau2: float) -> np
 
 
 def tau2_same_class_mean(sq_dists: np.ndarray, labels: np.ndarray) -> float:
-    """Mean squared snapshot distance over distinct same-class pairs."""
+    """Mean squared previous-step distance over distinct same-class pairs."""
     labels = np.asarray(labels)
     same = labels[:, None] == labels[None, :]
     np.fill_diagonal(same, False)

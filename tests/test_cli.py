@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geocl import cli, experiment, geometry, model, verify
+from geocl import cli, experiment, geometry, harness, model, verify
 from geocl.config import load_config
 
 
@@ -160,6 +160,13 @@ class TestVerify:
         assert cli.main(["verify", "--tolerance", "1e-30"]) == 2
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "abc"])
+    def test_bad_tolerance_exit_code_1_without_running(self, capsys, value):
+        assert cli.main(["verify", "--tolerance", value]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "--tolerance" in err and err.count("\n") == 1
+
     def test_angle_check_fails_on_curvature_dependent_tangent(self, monkeypatch):
         # A tangent that reads curvature (the lifted point, not its log)
         # must change the engine's cosines and fail the check.
@@ -197,3 +204,73 @@ class TestReport:
     def test_missing_run_dir_exit_code_1(self, tmp_path):
         assert cli.main(["report", str(tmp_path / "ghost"), "--out",
                          str(tmp_path / "agg")]) == 1
+
+    @staticmethod
+    def write_run_dir(path, edit=None, matrix="step,task_1\n1,0.5\n"):
+        """A run directory as `run` leaves it, written by hand; ``edit`` is
+        a text for report.json or a function that changes the report."""
+        path.mkdir()
+        report = {"config": load_config(overrides=tiny_overrides(path)),
+                  "metrics": {name: 0.5 for name in harness.SUMMARY_METRICS}}
+        if callable(edit):
+            edit(report)
+        (path / "report.json").write_text(edit if isinstance(edit, str) else json.dumps(report))
+        (path / "accuracy_matrix.csv").write_bytes(
+            matrix if isinstance(matrix, bytes) else matrix.encode())
+        return str(path)
+
+    def test_handwritten_run_dir_accepted(self, tmp_path, capsys):
+        run = self.write_run_dir(tmp_path / "run")
+        assert cli.main(["report", run, "--out", str(tmp_path / "agg")]) == 0
+        assert (tmp_path / "agg" / "accuracy_curve.csv").read_text().splitlines() == [
+            "run,step,accuracy", "run,1,0.5000000000"]
+
+    @pytest.mark.parametrize("edit", [
+        "{bad", "[1, 2]", "null",
+        lambda r: r.pop("config"),
+        lambda r: r.pop("metrics"),
+        lambda r: r.update(config=[]),
+        lambda r: r.update(metrics=None),
+        lambda r: r["metrics"].pop("final_accuracy"),
+        lambda r: r["metrics"].update(average_forgetting="high"),
+        lambda r: r["metrics"].update(final_accuracy=True),
+        lambda r: r.update(config={}),
+        lambda r: r["config"].pop("pool"),
+        lambda r: r["config"].update(lambda1=-1.0),
+        lambda r: r["config"].update(pool=3),
+        lambda r: r["config"].update(unknown=1),
+    ], ids=["not-json", "not-object", "null", "no-config", "no-metrics", "config-not-object",
+            "metrics-not-object", "metric-missing", "metric-string", "metric-bool",
+            "config-empty", "config-incomplete", "config-invalid",
+            "config-section-not-object", "config-unknown-key"])
+    def test_malformed_report_exit_code_1_with_one_line(self, tmp_path, capsys, edit):
+        run = self.write_run_dir(tmp_path / "run", edit)
+        assert cli.main(["report", run, "--out", str(tmp_path / "agg")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "report.json" in err and err.count("\n") == 1
+        assert not (tmp_path / "agg").exists()
+
+    @pytest.mark.parametrize("matrix", [
+        "", "\n", "task,task_1\n1,0.5\n", "step,task_1\n1,abc\n", "step,task_1\n1,\n",
+        "step,task_1\n\n", "step,task_1\n1,nan\n", b"step,task_1\n1,\xff\n",
+    ], ids=["empty", "blank", "bad-header", "non-numeric", "no-accuracy", "blank-row",
+            "nan", "not-utf8"])
+    def test_malformed_accuracy_matrix_exit_code_1_with_one_line(self, tmp_path, capsys,
+                                                                 matrix):
+        run = self.write_run_dir(tmp_path / "run", matrix=matrix)
+        assert cli.main(["report", run, "--out", str(tmp_path / "agg")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "accuracy_matrix.csv" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "agg").exists()
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["run", "--seed", "abc"],
+                                      ["run", "--bogus"], ["report", "somewhere"]],
+                             ids=["no-command", "unknown-command", "non-int-seed",
+                                  "unknown-option", "report-without-out"])
+    def test_usage_error_exit_code_1_with_one_line(self, capsys, argv):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

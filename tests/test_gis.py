@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,11 +26,9 @@ class TestBuildPool:
 
     def test_sign_split(self):
         pool = gis.build_pool(32, [4, 8, 16])
-        assert (pool.signs[:7] == -1).all()
-        assert (pool.signs[7:] == 1).all()
-        assert (pool.magnitudes == 1.0).all()
-        for f in pool.factors:
-            assert f.curvature == pool.signs[f.pool_index]
+        curvatures = [f.curvature for f in pool.factors]
+        assert curvatures == [-1.0] * 7 + [1.0] * 7
+        assert [f.pool_index for f in pool.factors] == list(range(14))
 
     def test_euclidean_mode(self):
         pool = gis.build_pool(32, [4], mode="euclidean")
@@ -76,9 +76,20 @@ class TestExpand:
 
     def test_expand_reads_live_curvature(self):
         pool = gis.build_pool(32, [4, 8, 16])
-        pool.magnitudes[2] = 0.5
+        pool.factors = tuple(replace(f, curvature=-0.5) if f.pool_index == 2 else f
+                             for f in pool.factors)
         space = gis.expand(frozenset({2}), pool)
         assert space.factors[0].curvature == -0.5
+
+    def test_expand_after_search_carries_searched_curvatures(self):
+        rng = np.random.default_rng(13)
+        feats, labels, protos = _curved_problem(rng)
+        pool = gis.build_pool(8, [2, 4])
+        gis.gis_optimize(pool, feats, labels, protos, n_classes=2, epochs=1,
+                         lr=1.0, batch_size=32, rng=np.random.default_rng(14))
+        space = gis.expand(frozenset(range(pool.size)), pool)
+        assert space.factors == pool.factors
+        assert [f.curvature for f in space.factors] != [-1.0] * 3 + [1.0] * 3
 
 
 def _toy_problem(rng, n=80, dim=8):
@@ -91,6 +102,14 @@ def _toy_problem(rng, n=80, dim=8):
     return feats, labels, protos
 
 
+def _curved_problem(rng, n=80, dim=8):
+    """Two classes with spread-out features, whose curvatures move fast."""
+    labels = rng.integers(0, 2, n)
+    protos = rng.normal(0.0, 1.0, (2, dim))
+    feats = protos[labels] + rng.normal(0.0, 1.0, (n, dim))
+    return feats, labels, protos
+
+
 class TestGisOptimize:
     def test_weight_sum_matches_plain_ce_at_unit_weights(self):
         # with every weight 1 and the pool's own curvatures, the weight-sum
@@ -98,7 +117,7 @@ class TestGisOptimize:
         rng = np.random.default_rng(0)
         feats, labels, protos = _toy_problem(rng)
         pool = gis.build_pool(8, [4])
-        space = pool.full_space()
+        space = MixedSpace(pool.factors)
         from geocl import autodiff as ad
         from geocl.autodiff import Tensor
         plain = model.ce_loss_t(Tensor(feats), Tensor(protos), labels, space)
@@ -112,20 +131,45 @@ class TestGisOptimize:
         rng = np.random.default_rng(1)
         feats, labels, protos = _toy_problem(rng)
         pool = gis.build_pool(8, [4])
-        w, _ = gis.gis_optimize(pool, feats, labels, protos, n_classes=2,
-                                epochs=5, lr=0.05, batch_size=32,
-                                rng=np.random.default_rng(2))
+        w = gis.gis_optimize(pool, feats, labels, protos, n_classes=2,
+                             epochs=5, lr=0.05, batch_size=32,
+                             rng=np.random.default_rng(2))
+        assert w.shape == (pool.size,)
         assert int(np.argmax(w)) == 0
+        assert w[0] > w[1]
 
     def test_constraints_respected(self):
         rng = np.random.default_rng(3)
         feats, labels, protos = _toy_problem(rng)
         pool = gis.build_pool(8, [2, 4])
-        w, mags = gis.gis_optimize(pool, feats, labels, protos, n_classes=2,
-                                   epochs=3, lr=0.5, batch_size=32,
-                                   rng=np.random.default_rng(4))
+        w = gis.gis_optimize(pool, feats, labels, protos, n_classes=2,
+                             epochs=3, lr=0.5, batch_size=32,
+                             rng=np.random.default_rng(4))
+        assert w.shape == (pool.size,)
         assert (w >= 0).all()
-        assert (mags >= gis.CURVATURE_FLOOR).all()
+        assert all(abs(f.curvature) >= gis.CURVATURE_FLOOR for f in pool.factors)
+
+    def test_search_keeps_signs_and_floor(self):
+        # a large step drives some magnitudes far below zero; the search
+        # must clamp them at the floor and never flip a curvature's sign
+        rng = np.random.default_rng(3)
+        feats, labels, protos = _curved_problem(rng)
+        pool = gis.build_pool(8, [2, 4])
+        signs = [np.sign(f.curvature) for f in pool.factors]
+        gis.gis_optimize(pool, feats, labels, protos, n_classes=2, epochs=3,
+                         lr=10.0, batch_size=32, rng=np.random.default_rng(4))
+        assert [np.sign(f.curvature) for f in pool.factors] == signs
+        magnitudes = [abs(f.curvature) for f in pool.factors]
+        assert min(magnitudes) == gis.CURVATURE_FLOOR
+        assert max(magnitudes) > 1.0
+
+    def test_euclidean_factor_stays_flat(self):
+        rng = np.random.default_rng(3)
+        feats, labels, protos = _curved_problem(rng)
+        pool = gis.build_pool(8, [4], mode="euclidean")
+        gis.gis_optimize(pool, feats, labels, protos, n_classes=2, epochs=2,
+                         lr=10.0, batch_size=32, rng=np.random.default_rng(4))
+        assert pool.factors[0].curvature == 0.0
 
     def test_classifier_and_features_frozen(self):
         rng = np.random.default_rng(5)
@@ -145,9 +189,10 @@ class TestGisOptimize:
         # a trained search must not leak its weights into the next one
         gis.gis_optimize(pool, feats, labels, protos, n_classes=2, epochs=3,
                          lr=0.5, batch_size=32, rng=np.random.default_rng(8))
-        w, _ = gis.gis_optimize(pool, feats, labels, protos, n_classes=2,
-                                epochs=0, lr=0.05, batch_size=32,
-                                rng=np.random.default_rng(8))
+        w = gis.gis_optimize(pool, feats, labels, protos, n_classes=2,
+                             epochs=0, lr=0.05, batch_size=32,
+                             rng=np.random.default_rng(8))
+        assert w.shape == (pool.size,)
         np.testing.assert_allclose(w, 0.5)
 
     def test_deterministic(self):
@@ -155,12 +200,14 @@ class TestGisOptimize:
         feats, labels, protos = _toy_problem(rng)
         outs = []
         for _ in range(2):
-            pool = gis.build_pool(8, [4])
-            outs.append(gis.gis_optimize(pool, feats, labels, protos, n_classes=2,
-                                         epochs=2, lr=0.05, batch_size=32,
-                                         rng=np.random.default_rng(10)))
+            pool = gis.build_pool(8, [2, 4])
+            w = gis.gis_optimize(pool, feats, labels, protos, n_classes=2,
+                                 epochs=2, lr=0.05, batch_size=32,
+                                 rng=np.random.default_rng(10))
+            outs.append((w, pool.factors))
+        assert outs[0][0].shape == (6,)
         np.testing.assert_array_equal(outs[0][0], outs[1][0])
-        np.testing.assert_array_equal(outs[0][1], outs[1][1])
+        assert outs[0][1] == outs[1][1]
 
 
 class TestWarmup:
@@ -169,7 +216,7 @@ class TestWarmup:
         feats, labels, _ = _toy_problem(rng)
         pool = gis.build_pool(8, [4])
         w0 = rng.normal(0.0, 0.01, (2, 8))
-        space = pool.full_space()
+        space = MixedSpace(pool.factors)
         before = (model.class_probs_np(feats, w0, space).argmax(1) == labels).mean()
         w1 = gis.classifier_warmup(pool, feats, labels, w0, lr=0.1, batch_size=32,
                                    rng=np.random.default_rng(12))
@@ -188,3 +235,4 @@ class TestTrace:
         assert rec["weights"] == [0.75, 0.25]
         assert rec["selected"] == [0]
         assert rec["space_size"] == 2
+        assert rec["curvatures"] == [-1.0, 1.0]

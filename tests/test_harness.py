@@ -246,6 +246,19 @@ def small_cfg(**kw):
     return cfg
 
 
+def _record_contexts(monkeypatch) -> list[dict]:
+    """Record every structure context ``run_step`` computes."""
+    original = harness._structure_context
+    contexts = []
+
+    def record(*args):
+        contexts.append(original(*args))
+        return contexts[-1]
+
+    monkeypatch.setattr(harness, "_structure_context", record)
+    return contexts
+
+
 class TestRunStream:
     def make_tasks(self, noise=0.0, seed=0):
         return harness.generate_synthetic_stream(
@@ -297,3 +310,35 @@ class TestRunStream:
         sizes = [rec["space_size"] for rec in state.gis_trace]
         assert sizes == sorted(sizes)
         assert sizes[-1] == len(union)
+
+    def test_step_context_is_previous_step_model(self, monkeypatch):
+        # The structure context of step t must be the one computed from the
+        # params, space and buffer as they stood after step t-1.
+        tasks = harness.generate_synthetic_stream(
+            classes=6, steps=3, samples_per_class=20, test_per_class=10,
+            ambient_dim=6, tree_fraction=0.5, noise=0.3, seed=0)
+        original = harness._structure_context
+        contexts = _record_contexts(monkeypatch)
+        state = harness.init_state(model.Backbone(6, 16, 8), build_pool(8, [2, 4]), seed=0)
+        expected = []
+        for task in tasks:
+            space_before = state.space
+            if len(state.buffer):
+                expected.append(original(state.params, state.space, state.buffer))
+            harness.run_step(state, task, small_cfg(), seed=0)
+            # the search moved the curvatures, so a context taken after it
+            # would differ
+            assert state.space != space_before
+        assert len(contexts) == len(expected) == 2
+        for got, want in zip(contexts, expected):
+            assert got.keys() == want.keys()
+            for key in want:
+                np.testing.assert_array_equal(got[key], want[key])
+
+    @pytest.mark.parametrize("lambdas,calls", [((1.0, 0.0), 1), ((0.0, 1.0), 1), ((0.0, 0.0), 0)])
+    def test_structure_context_only_when_a_penalty_is_on(self, monkeypatch, lambdas, calls):
+        contexts = _record_contexts(monkeypatch)
+        harness.run_stream(self.make_tasks(noise=0.3),
+                           small_cfg(lambda1=lambdas[0], lambda2=lambdas[1]), seed=0,
+                           backbone=model.Backbone(6, 16, 8), pool=build_pool(8, [4]))
+        assert len(contexts) == calls

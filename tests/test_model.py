@@ -192,7 +192,7 @@ class TestOverlappingSlices:
     coordinate belongs to several factors."""
 
     def setup_method(self):
-        self.space = gis.build_pool(8, [2, 4]).full_space()
+        self.space = MixedSpace(gis.build_pool(8, [2, 4]).factors)
         rng = np.random.default_rng(7)
         prev = rng.normal(0.0, 0.4, (5, 8))
         self.prev_cos, self.prev_valid = model.cosine_matrix_np(
