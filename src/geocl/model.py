@@ -5,9 +5,10 @@ is sliced into the factors of the current mixed space. Classification is a
 softmax over negated squared product distances to per-class prototype rows.
 
 Training, evaluation and the frozen previous-step model all measure with
-the one product-distance op in :mod:`geocl.diffgeo`: ``sq_dist_matrix_t``
+the one product-distance kernel in :mod:`geocl.diffgeo`: ``sq_dist_matrix_t``
 records it for autodiff, ``sq_dist_matrix_np`` takes its forward value
-only.
+only, and the neighbor loss measures only the pairs it weights, the
+within- and between-class neighbors, with ``diffgeo.pair_sq_dist``.
 """
 
 from __future__ import annotations
@@ -177,13 +178,19 @@ def tau2_same_class_mean(sq_dists: np.ndarray, labels: np.ndarray) -> float:
 def neighbor_robustness_loss_t(cur_feats: Tensor, cur_space: MixedSpace,
                                affinity: np.ndarray, kmag: Tensor | None = None,
                                repulsion_cap: float | None = None) -> Tensor:
-    """Signed sum of current pairwise squared distances, weighted by affinity."""
+    """Signed sum of current pairwise squared distances, weighted by affinity.
+
+    Only the pairs i < j with a nonzero affinity (the within- and
+    between-class neighbors) are measured, by :func:`diffgeo.pair_sq_dist`;
+    every other pair has weight 0. The sum is averaged over all b(b-1)/2
+    pairs of the batch.
+    """
     b = cur_feats.shape[0]
-    psi2 = sq_dist_matrix_t(cur_feats, cur_feats, cur_space, kmag=kmag)
     weight = np.triu(np.ones((b, b)), k=1) * affinity
+    psi2 = diffgeo.pair_sq_dist(cur_feats, weight != 0, cur_space, kmag=kmag)
     if repulsion_cap is not None:
         # Stop pushing apart pairs already separated past the cap.
-        capped = (affinity < 0) & (psi2.value > repulsion_cap)
+        capped = (weight < 0) & (psi2.value > repulsion_cap)
         weight = np.where(capped, 0.0, weight)
     n_pairs = b * (b - 1) / 2.0
     return ad.sum_(psi2 * Tensor(weight)) * (1.0 / max(n_pairs, 1.0))

@@ -80,7 +80,7 @@ class TestForward:
         np.testing.assert_allclose(d, d.T, rtol=0, atol=1e-12)
 
     def test_row_blocks_match_one_pass(self):
-        # Large forward-only calls run in blocks of rows; recording does not.
+        # Forward-only calls run in tiles; recording does not.
         rng = np.random.default_rng(13)
         feats = rng.normal(0.0, 0.4, (500, 6))
         kmag, weights = rng.uniform(0.3, 2.0, (2, len(MIXED)))
@@ -101,6 +101,57 @@ class TestForward:
                                      weights=Tensor(np.ones(6)))
         assert not out.requires_grad
         assert out._parents == () and out._backward is None
+
+
+class TestTiles:
+    @pytest.mark.parametrize("b", [1, 2, 15, 16, 17, 65, 129, 400])
+    def test_self_distance_tiles_equal_rectangular_call(self, b):
+        # Same rows: only tiles on or above the diagonal are computed.
+        rng = np.random.default_rng(b)
+        feats = rng.normal(0.0, 0.6, (b, 6))
+        kmag, weights = rng.uniform(0.3, 2.0, (2, len(MIXED)))
+        d = diffgeo.sq_dist_matrix(feats, feats, MIXED, kmag, weights).value
+        rect = diffgeo.sq_dist_matrix(feats, feats.copy(), MIXED, kmag, weights).value
+        assert np.array_equal(d, rect)
+        assert np.array_equal(d, d.T)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 66, 128, 129, 400])
+    def test_tiles_cover_rows_without_lone_row(self, n):
+        tiles = diffgeo._tiles(n, 64)
+        assert [r for start, stop in tiles for r in range(start, stop)] == list(range(n))
+        assert all(stop - start > 1 for start, stop in tiles) or n == 1
+        assert all(stop - start <= 65 for start, stop in tiles)
+
+
+class TestPairs:
+    @pytest.mark.parametrize("space", [MIXED, MixedSpace((FactorSpec(0, 1, 6, 0.0),))],
+                             ids=["mixed", "euclidean"])
+    @pytest.mark.parametrize("b", [2, 9])
+    def test_pairs_equal_matrix_entries_and_gradients(self, space, b):
+        rng = np.random.default_rng(b)
+        feats = rng.normal(0.0, 0.5, (b, 6))
+        kmag = rng.uniform(0.3, 2.0, len(space.factors))
+        pairs = np.triu(rng.random((b, b)) < 0.4, k=1)
+        pairs[0, 1] = True
+        g = rng.normal(size=(b, b)) * pairs
+        got = []
+        for op in (lambda f, k: diffgeo.pair_sq_dist(f, pairs, space, kmag=k),
+                   lambda f, k: diffgeo.sq_dist_matrix(f, f, space, kmag=k)):
+            f, k = Tensor(feats, requires_grad=True), Tensor(kmag, requires_grad=True)
+            d = op(f, k)
+            ad.sum_(d * Tensor(g)).backward()
+            got.append((d.value, f.grad, k.grad))
+        (d, gf, gk), (dense, want_gf, want_gk) = got
+        assert np.array_equal(d, np.where(pairs, dense, 0.0))
+        assert np.array_equal(gf, want_gf)
+        assert np.array_equal(gk, want_gk)
+
+    def test_no_pairs(self):
+        f = Tensor(np.random.default_rng(0).normal(size=(4, 6)), requires_grad=True)
+        d = diffgeo.pair_sq_dist(f, np.zeros((4, 4), dtype=bool), MIXED)
+        ad.sum_(d).backward()
+        assert np.array_equal(d.value, np.zeros((4, 4)))
+        assert np.array_equal(f.grad, np.zeros((4, 6)))
 
 
 def _loss(space, g, same=False):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from geocl import autodiff as ad
-from geocl import gis, model
+from geocl import diffgeo, gis, model
 from geocl.autodiff import Tensor
 from geocl.errors import ContractViolation
 from geocl.product import FactorSpec, MixedSpace
@@ -185,6 +185,64 @@ class TestNeighborRobustness:
         loss = model.neighbor_robustness_loss_t(Tensor(feats), space, aff,
                                                 repulsion_cap=4.0)
         assert float(loss.value) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestNeighborPairs:
+    """The neighbor loss measures only its affinity pairs, yet its loss and
+    gradients equal the dense form's bit for bit."""
+
+    @staticmethod
+    def dense_loss(feats, space, affinity, kmag, cap):
+        """The loss over the whole (b, b) distance matrix."""
+        b = feats.shape[0]
+        psi2 = diffgeo.sq_dist_matrix(feats, feats, space, kmag=kmag)
+        weight = np.triu(np.ones((b, b)), k=1) * affinity
+        if cap is not None:
+            weight = np.where((affinity < 0) & (psi2.value > cap), 0.0, weight)
+        return ad.sum_(psi2 * Tensor(weight)) * (1.0 / max(b * (b - 1) / 2.0, 1.0))
+
+    @staticmethod
+    def both(feats, space, affinity, kmag, cap):
+        """(loss, feats grad, kmag grad) of the pair path and of the dense form."""
+        out = []
+        for loss_fn in (model.neighbor_robustness_loss_t, TestNeighborPairs.dense_loss):
+            f, k = Tensor(feats, requires_grad=True), Tensor(kmag, requires_grad=True)
+            loss = loss_fn(f, space, affinity, k, cap)
+            loss.backward()
+            out.append((loss.value, f.grad, k.grad))
+        return out
+
+    @pytest.mark.parametrize("pool", ["mixed", "euclidean"])
+    @pytest.mark.parametrize("capped", [False, True])
+    @pytest.mark.parametrize("b", [2, 9, 40])
+    def test_equals_dense_form(self, pool, capped, b):
+        rng = np.random.default_rng(b)
+        space = (MixedSpace(gis.build_pool(32, [4, 8, 16]).factors) if pool == "mixed"
+                 else euclidean_space(32))
+        assert pool == "euclidean" or {np.sign(f.curvature) for f in space.factors} == {-1, 1}
+        feats = rng.normal(0.0, 0.5, (b, 32))
+        upper = np.triu(rng.choice([-1.0, 0.0, 0.0, 1.0], (b, b)), k=1)
+        upper[0, 1] = -1.0
+        affinity = upper + upper.T
+        kmag = rng.uniform(0.5, 2.0, len(space.factors))
+        cap = None
+        if capped:
+            # Half the between-class pairs lie past the cap.
+            d = model.sq_dist_matrix_np(feats, feats, space)
+            cap = float(np.median(d[upper < 0]))
+        (loss, gf, gk), (want, want_gf, want_gk) = self.both(feats, space, affinity, kmag, cap)
+        assert np.array_equal(loss, want)
+        assert np.array_equal(gf, want_gf)
+        assert np.array_equal(gk, want_gk)
+        assert np.abs(gf).max() > 0.0
+
+    def test_all_zero_affinity(self):
+        space = MixedSpace(gis.build_pool(8, [2, 4]).factors)
+        feats = np.random.default_rng(3).normal(0.0, 0.5, (6, 8))
+        (loss, gf, gk), _ = self.both(feats, space, np.zeros((6, 6)), np.ones(6), 1.0)
+        assert float(loss) == 0.0
+        assert np.array_equal(gf, np.zeros((6, 8)))
+        assert np.array_equal(gk, np.zeros(6))
 
 
 class TestOverlappingSlices:
