@@ -36,11 +36,32 @@ backward. They serve three callers:
   square tiles; when both operands are the same rows, only the tiles on or
   above the diagonal are computed, and mirrored.
 
+A recorded node decides when it is built which backward pieces run, from
+which of feats (u), protos (v), kmag (k) and weights require gradients:
+
+- dL/dw needs only the forward distances, and no group backward;
+- a frozen k (main training, the warm-up, the neighbor loss) skips the
+  core's three dL/dk terms, their scatter on the pair path and the lifts'
+  dL/dk sums;
+- an operand that is frozen while k is too (the features in the warm-up)
+  skips its whole side: its core term, |x|^2 sums, Gram-backward product
+  and lift backward;
+- a trainable k with both operands frozen (the search) runs both sides up
+  to the lifts' dL/dk, but assembles no dL/du or dL/dv.
+
+The pieces that run are the same operations in the same order, so every
+gradient that is read is bit for bit the one of a call where every input
+requires gradients. The grouping of a space's factors is built once per
+(space, feature width).
+
 Training, evaluation and the previous-step model thus measure with one
 metric; ``geometry`` stays the independent oracle.
 """
 
 from __future__ import annotations
+
+import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,13 +83,12 @@ _ATANH_CLIP = 1.0 - 1e-15
 _TILE = 64
 
 
-def _groups(space: MixedSpace, width: int, kmag: np.ndarray | None):
-    """Factors grouped by (slice width, curvature sign).
-
-    Yields (sign, feature columns, pool indices, curvature magnitudes) per
-    group; the columns of a group's factors are laid out factor after factor.
-    ``kmag``, indexed by pool index, overrides the factors' magnitudes.
-    """
+@functools.lru_cache(maxsize=64)
+def _layout(space: MixedSpace, width: int) -> tuple:
+    """Factors grouped by (slice width, curvature sign), built once per
+    (space, feature width): per group its sign, feature columns, pool
+    indices and curvature magnitudes, as read-only arrays. The columns of a
+    group's factors are laid out factor after factor."""
     groups: dict[tuple[int, float], list[FactorSpec]] = {}
     for f in space.factors:
         if f.slice_end > width:
@@ -76,31 +96,44 @@ def _groups(space: MixedSpace, width: int, kmag: np.ndarray | None):
                 f"factor {f.pool_index} slice [{f.slice_start}, {f.slice_end}] "
                 f"exceeds feature dim {width}")
         groups.setdefault((f.dim, float(np.sign(f.curvature))), []).append(f)
+    layout = []
     for (_, sign), members in groups.items():
-        cols = np.concatenate([np.arange(f.slice_start - 1, f.slice_end) for f in members])
-        pool = np.array([f.pool_index for f in members])
-        k = np.array([abs(f.curvature) for f in members]) if kmag is None else kmag[pool]
-        yield sign, cols, pool, k
+        arrays = (np.concatenate([np.arange(f.slice_start - 1, f.slice_end) for f in members]),
+                  np.array([f.pool_index for f in members]),
+                  np.array([abs(f.curvature) for f in members]))
+        for a in arrays:
+            a.flags.writeable = False
+        layout.append((sign, *arrays))
+    return tuple(layout)
+
+
+def _groups(space: MixedSpace, width: int, kmag: np.ndarray | None):
+    """Yields (sign, feature columns, pool indices, curvature magnitudes) per
+    group of :func:`_layout`; ``kmag``, indexed by pool index, overrides the
+    factors' magnitudes."""
+    for sign, cols, pool, k in _layout(space, width):
+        yield sign, cols, pool, k if kmag is None else kmag[pool]
 
 
 def _lift(u, k, sign):
     """Exp map at the origin of the rows of ``u`` (m, R, d), x = a u with
     a = tan_K(min(t, cap)) / t at t = sqrt(k) |u|, and the map from dL/dx to
-    (dL/du, dL/dk). The Euclidean lift is the identity."""
+    (dL/du, dL/dk), each None unless its flag ``want_u``/``want_k`` is set.
+    The Euclidean lift is the identity."""
     if sign == 0:
-        return u, lambda gx: (gx, 0.0)
+        return u, lambda gx, want_u, want_k: (gx, 0.0)
     cap = geometry.TAN_CAP if sign > 0 else _BALL_ARG_CAP
     t = np.sqrt(k)[:, None] * np.sqrt(np.einsum("mrd,mrd->mr", u, u) + _NORM_EPS)
     inside = t < cap
     tk = np.tan(np.where(inside, t, cap)) if sign > 0 else np.tanh(np.where(inside, t, cap))
     a = tk / t
 
-    def backward(gx):
+    def backward(gx, want_u, want_k):
         dtk = 1.0 + tk * tk if sign > 0 else 1.0 - tk * tk
         gt = np.einsum("mrd,mrd->mr", gx, u) * (inside * dtk - a) / t
         # t = sqrt(k) sqrt(|u|^2 + eps): dt/du = k u / t, dt/dk = t / (2 k).
-        gu = a[:, :, None] * gx + (gt * k[:, None] / t)[:, :, None] * u
-        return gu, (gt * t).sum(axis=1) / (2.0 * k)
+        gu = a[:, :, None] * gx + (gt * k[:, None] / t)[:, :, None] * u if want_u else None
+        return gu, (gt * t).sum(axis=1) / (2.0 * k) if want_k else None
 
     return a[:, :, None] * u, backward
 
@@ -119,15 +152,16 @@ def _core(gram, x2, y2, k, sign):
 
     ``gram``, ``x2`` = |x|^2 and ``y2`` = |y|^2 broadcast together; axis 0
     runs over the group's factors, of curvature magnitudes ``k``. The
-    backward maps dL/d(dist2) to the terms that :func:`_group_backward`
-    reduces: those of dL/d|x|^2, dL/d|y|^2 and dL/d<x,y>, and the three
-    terms of dL/dk (none for a Euclidean group).
+    backward maps dL/d(dist2) and a :class:`_Wanted` to the terms that
+    :func:`_group_backward` reduces: those of dL/d|x|^2 and dL/d|y|^2 (None
+    for a side that is not wanted), of dL/d<x,y>, and the three terms of
+    dL/dk (none for a Euclidean group, or when the curvature is frozen).
     """
     num = x2 + y2 - 2.0 * gram
     if sign == 0:
-        def euclidean_backward(gd):
+        def euclidean_backward(gd, want):
             gnum = 4.0 * gd * (num > 0.0)
-            return gnum, gnum, -2.0 * gnum, ()
+            return (gnum if want.x else None, gnum if want.y else None, -2.0 * gnum, ())
 
         return 4.0 * np.maximum(num, 0.0), euclidean_backward
     kk = k.reshape((-1,) + (1,) * (gram.ndim - 1))
@@ -144,47 +178,81 @@ def _core(gram, x2, y2, k, sign):
     else:
         ang = np.arctan(z)
 
-    def backward(gd):
+    def backward(gd, want):
         # dist2 = 4 ang^2 / k, ang = arctan_K(z), z = sqrt(k) n, n^2 = ratio.
         dang = 1.0 / (1.0 - z * z) if sign < 0 else 1.0 / (1.0 + z * z)
         gz = gd * (8.0 * ang / kk) * dang
         gratio = gz * (num > 0.0) * sk / (2.0 * n)
         gnum = gratio / den
         gden = -gratio * ratio / den
-        return (gnum + curv * curv * gden * y2, gnum + curv * curv * gden * x2,
+        return (gnum + curv * curv * gden * y2 if want.x else None,
+                gnum + curv * curv * gden * x2 if want.y else None,
                 2.0 * curv * gden - 2.0 * gnum,
-                (gz * n, gd * ang * ang, gden * (2.0 * gram + 2.0 * curv * x2y2)))
+                (gz * n, gd * ang * ang, gden * (2.0 * gram + 2.0 * curv * x2y2))
+                if want.k else ())
 
     return 4.0 * ang * ang / kk, backward
 
 
+class _Wanted(NamedTuple):
+    """Which gradients a distance node's backward computes, decided when the
+    node is built from which inputs require gradients: those of the left
+    operand (``u``), the right operand (``v``) and the curvature magnitudes
+    (``k``). The weights' gradient needs no group backward at all."""
+
+    u: bool
+    v: bool
+    k: bool
+
+    @property
+    def x(self) -> bool:
+        """dL/dx of the left lifts: read by dL/du, and by dL/dk through the lift."""
+        return self.u or self.k
+
+    @property
+    def y(self) -> bool:
+        """dL/dy of the right lifts, as :attr:`x`."""
+        return self.v or self.k
+
+
 def _group_backward(core_backward, k, sign, x, y, lift_back_x, lift_back_y, pairs=None):
     """The backward of one group, from dL/d(dist2) to the gradients of its
-    slices of both operands and of ``k``: the core's terms are reduced in
-    the (m, B, N) layout, then pass through the Gram product and the lifts.
+    slices of both operands and of ``k`` that a :class:`_Wanted` asks for
+    (None for the others): the core's terms are reduced in the (m, B, N)
+    layout, then pass through the Gram product and the lifts. A side whose
+    dL/dx or dL/dy is not wanted skips its core term, sums, Gram product and
+    lift backward; a frozen ``k`` skips the core's and the lifts' dL/dk.
 
     With ``pairs`` (flat indices into the (B, B) layout) the core covered
     those pairs only: their upstream gradients are gathered from the (B, B)
     gradient, and their terms are scattered back into zeros before the same
     reduction, so every sum runs in the matrix form's order.
     """
-    def backward(g):
+    def scatter(term):
+        if term is None:
+            return None
+        full = np.zeros((len(k), x.shape[1] * y.shape[1]))
+        full[:, pairs] = term
+        return full.reshape(len(k), x.shape[1], y.shape[1])
+
+    def backward(g, want):
         if pairs is None:
-            gx2, gy2, ggram, gk_terms = core_backward(g)
+            gx2, gy2, ggram, gk_terms = core_backward(g, want)
         else:
-            gx2, gy2, ggram, gk_terms = core_backward(g.reshape(-1)[pairs])
-            terms = [gx2, gy2, ggram, *gk_terms]
-            full = np.zeros((len(terms), len(k), x.shape[1] * y.shape[1]))
-            full[:, :, pairs] = terms
-            gx2, gy2, ggram, *gk_terms = full.reshape(len(terms), len(k), x.shape[1], y.shape[1])
-        gx2, gy2 = gx2.sum(axis=2), gy2.sum(axis=1)
-        gk = 0.0
+            gx2, gy2, ggram, gk_terms = core_backward(g.reshape(-1)[pairs], want)
+            gx2, gy2, ggram = scatter(gx2), scatter(gy2), scatter(ggram)
+            gk_terms = tuple(scatter(t) for t in gk_terms)
+        gk, gu, gku, gv, gkv = 0.0, None, None, None, None
         if gk_terms:
             g_n, g_ang, g_den = (t.sum(axis=(1, 2)) for t in gk_terms)
             gk = g_n / (2.0 * np.sqrt(k)) - 4.0 * g_ang / (k * k) + sign * g_den
-        gu, gku = lift_back_x(ggram @ y + 2.0 * gx2[:, :, None] * x)
-        gv, gkv = lift_back_y(ggram.transpose(0, 2, 1) @ x + 2.0 * gy2[:, :, None] * y)
-        return gu, gv, gk + gku + gkv
+        if want.x:
+            gu, gku = lift_back_x(ggram @ y + 2.0 * gx2.sum(axis=2)[:, :, None] * x,
+                                  want.u, want.k)
+        if want.y:
+            gv, gkv = lift_back_y(ggram.transpose(0, 2, 1) @ x
+                                  + 2.0 * gy2.sum(axis=1)[:, :, None] * y, want.v, want.k)
+        return gu, gv, gk + gku + gkv if want.k else None
 
     return backward
 
@@ -192,9 +260,12 @@ def _group_backward(core_backward, k, sign, x, y, lift_back_x, lift_back_y, pair
 def _node(out, feats, protos, kmag, weights, groups) -> Tensor:
     """The autodiff node of a distance op. ``groups`` holds, per group, its
     feature columns, pool indices, weights and squared distances (both None
-    when the op is unweighted) and its backward from :func:`_group_backward`."""
+    when the op is unweighted) and its backward from :func:`_group_backward`,
+    which runs only when an operand or ``kmag`` requires gradients."""
     parents = tuple(t for t in (feats, protos, kmag, weights) if t is not None)
     b, n = feats.shape[0], protos.shape[0]
+    want = _Wanted(feats.requires_grad, protos.requires_grad,
+                   kmag is not None and kmag.requires_grad)
 
     def bwd(g):
         gf, gp, gk, gw = (np.zeros_like(t.value) if t is not None and t.requires_grad else None
@@ -202,7 +273,9 @@ def _node(out, feats, protos, kmag, weights, groups) -> Tensor:
         for cols, pool, w, dist2, group_backward in groups:
             if gw is not None:
                 np.add.at(gw, pool, np.einsum("bn,mbn->m", g, dist2))
-            gu, gv, gkm = group_backward(g if w is None else w[:, None, None] * g)
+            if not (want.x or want.y):
+                continue
+            gu, gv, gkm = group_backward(g if w is None else w[:, None, None] * g, want)
             if gf is not None:
                 np.add.at(gf, (slice(None), cols), gu.transpose(1, 0, 2).reshape(b, -1))
             if gp is not None:

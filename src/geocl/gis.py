@@ -108,7 +108,7 @@ def gis_optimize(pool: SubmanifoldPool, feats: np.ndarray, labels: np.ndarray,
     return weights
 
 
-def select(pool: SubmanifoldPool, weights: np.ndarray, tau1: float, step: int) -> frozenset:
+def select(weights: np.ndarray, tau1: float, step: int) -> frozenset:
     """Factors whose weight strictly exceeds the threshold.
 
     At the first step an empty selection would leave no space to classify

@@ -149,7 +149,7 @@ def stream_from_arrays(x: np.ndarray, y: np.ndarray, steps: int, train_ratio: fl
 
 
 def _hash_split(row: np.ndarray, label: int, seed: int, train_ratio: float) -> bool:
-    payload = f"{seed}:{label}:" + ",".join(f"{v:.9g}" for v in row)
+    payload = f"{seed}:{label}:" + ",".join(map("{:.9g}".format, row.tolist()))
     digest = hashlib.sha256(payload.encode()).digest()
     frac = int.from_bytes(digest[:8], "big") / 2**64
     return frac < train_ratio
@@ -191,16 +191,19 @@ class MemoryBuffer:
             self._rebalance(budget, rng)
 
     def _rebalance(self, budget: int, rng: np.random.Generator):
-        """Evict uniformly at random from over-represented classes."""
-        while len(self.y) > budget:
-            labs, counts = np.unique(self.y, return_counts=True)
-            worst = labs[np.argmax(counts)]
-            candidates = np.nonzero(self.y == worst)[0]
-            drop = rng.choice(candidates)
-            keep = np.ones(len(self.y), dtype=bool)
-            keep[drop] = False
-            self.x = self.x[keep]
-            self.y = self.y[keep]
+        """Evict uniformly at random from over-represented classes: one row
+        at a time from the largest class (the lowest label on a tie), chosen
+        among that class's remaining rows in buffer order."""
+        labs = np.unique(self.y)
+        members = [list(np.flatnonzero(self.y == lab)) for lab in labs]
+        counts = np.array([len(m) for m in members])
+        keep = np.ones(len(self.y), dtype=bool)
+        for _ in range(len(self.y) - budget):
+            worst = int(np.argmax(counts))
+            counts[worst] -= 1
+            keep[members[worst].pop(rng.choice(len(members[worst])))] = False
+        self.x = self.x[keep]
+        self.y = self.y[keep]
 
 
 # -- engine state and training loop -------------------------------------
@@ -258,7 +261,7 @@ def run_step(state: EngineState, task: StreamTask, cfg: dict, seed: int) -> Engi
         state.pool, feats, y_train, state.classifier, n_classes,
         epochs=cfg["epochs_gis"], lr=cfg["lr_gis"], batch_size=cfg["batch_size"],
         rng=phase_rng(seed, t, "gis"))
-    chosen = gis_mod.select(state.pool, weights, tau1=1.0 / n_classes, step=t)
+    chosen = gis_mod.select(weights, tau1=1.0 / n_classes, step=t)
     state.selected = state.selected | chosen
     state.space = gis_mod.expand(state.selected, state.pool)
     state.gis_trace.append(gis_mod.trace_record(t, state.pool, weights, chosen, state.selected))

@@ -1,0 +1,89 @@
+"""The summary of ``tools/bench_pairs.py``, on canned ``bench/run.py`` output."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+BETTER = {"run_s": "lower", "setup_s": "lower", "peak_rss_mb": "lower"}
+
+
+def printout(run_s, setup_s=0.2, rss=50.0, failed=0, attempted=8):
+    """A runner printout: human-readable lines, then the JSON result line."""
+    metrics = {"run_s": {"value": run_s, "unit": "s"},
+               "setup_s": {"value": setup_s, "unit": "s"},
+               "peak_rss_mb": {"value": rss, "unit": "MB"}}
+    return "\n".join([
+        "workload=ref-full seed=1 nproc=2",
+        f"run_s = {run_s} s (median; max {run_s}; n=2)",
+        json.dumps({"correct": failed == 0, "attempted": attempted, "failed": failed,
+                    "metrics": metrics})]) + "\n"
+
+
+def test_parse_result_takes_the_last_line():
+    result = bench_pairs.parse_result(printout(1.5))
+    assert result["metrics"]["run_s"] == {"value": 1.5, "unit": "s"}
+    assert (result["attempted"], result["failed"]) == (8, 0)
+
+
+@pytest.mark.parametrize("text", ["", "no run succeeded\n"])
+def test_parse_result_without_json(text):
+    result = bench_pairs.parse_result(text)
+    assert result["metrics"] == {} and result["attempted"] is None
+
+
+@pytest.mark.parametrize("text, seeds", [("21-25", [21, 22, 23, 24, 25]), ("3", [3])])
+def test_parse_seeds(text, seeds):
+    assert bench_pairs.parse_seeds(text) == seeds
+
+
+@pytest.mark.parametrize("text", ["5-4", "-3", "a-b"])
+def test_parse_seeds_rejects(text):
+    with pytest.raises(ValueError):
+        bench_pairs.parse_seeds(text)
+
+
+def pairs_of(runs, failed_pair=None):
+    return [(bench_pairs.parse_result(printout(p)),
+             bench_pairs.parse_result(printout(c, failed=int(i == failed_pair))))
+            for i, (p, c) in enumerate(runs)]
+
+
+def test_pair_lines_alternate_which_tree_goes_first():
+    pairs = pairs_of([(1.6, 1.4), (1.5, 1.3)], failed_pair=1)
+    first, second = (bench_pairs.pair_line(i, 21 + i, pair, BETTER)
+                     for i, pair in enumerate(pairs))
+    assert first == ("pair 0 seed 21 (parent first) parent / change: run_s 1.6 / 1.4; "
+                     "setup_s 0.2 / 0.2; peak_rss_mb 50 / 50; runs 0/8 failed / 0/8 failed")
+    assert second.startswith("pair 1 seed 22 (change first)")
+    assert second.endswith("runs 0/8 failed / 1/8 failed")
+
+
+def test_summary_of_four_pairs():
+    pairs = pairs_of([(1.6, 1.4), (1.5, 1.3), (1.7, 1.45), (1.4, 1.5)], failed_pair=3)
+    lines = bench_pairs.summarize(pairs, BETTER)
+    assert len(lines) == 3 + 1
+    # Parent 1.4 1.5 1.6 1.7 and change 1.3 1.4 1.45 1.5, linear interpolation.
+    assert lines[0].startswith("run_s (s, lower is better): parent median 1.55 "
+                               "[q1 1.475, q3 1.625], change median 1.425 [q1 1.375, q3 1.4625];")
+    assert "median difference -0.125 against parent IQR 0.15" in lines[0]
+    assert lines[0].endswith("change better in 3/4 pairs")
+    assert lines[1].endswith("change better in 0/4 pairs")  # equal set-up times
+    assert lines[-1] == "failed runs: parent 0 of 32, change 1 of 32"
+
+
+def test_summary_skips_a_pair_without_result():
+    pairs = [(bench_pairs.parse_result(printout(1.0)), bench_pairs.parse_result(printout(0.9))),
+             (bench_pairs.parse_result(printout(1.1)), bench_pairs.parse_result(""))]
+    assert bench_pairs.pair_line(1, 2, pairs[1], ["run_s"]).endswith(
+        "run_s 1.1 / -; runs 0/8 failed / no result")
+    lines = bench_pairs.summarize(pairs, {"run_s": "lower"})
+    assert lines[0].startswith("run_s (s, lower is better): parent median 1 [q1 1, q3 1]")
+    assert lines[0].endswith("change better in 1/1 pairs")
+    assert lines[1] == "failed runs: parent 0 of 16, change 0 of 8"

@@ -1,6 +1,8 @@
 """The fused product-distance kernel against the closed-form geometry oracle,
 finite differences, and its own margins."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -225,3 +227,79 @@ class TestBackward:
         right = Tensor(f, requires_grad=True)
         ad.sum_(diffgeo.sq_dist_matrix(left, right, MIXED) * Tensor(g)).backward()
         np.testing.assert_allclose(both.grad, left.grad + right.grad, rtol=1e-12, atol=1e-12)
+
+
+EUCLID = MixedSpace((FactorSpec(0, 1, 6, 0.0),))
+INPUTS = ("feats", "protos", "kmag", "weights")
+
+
+def _subsets(names):
+    return [s for r in range(1, len(names) + 1) for s in itertools.combinations(names, r)]
+
+
+# (same tensor as both operands, inputs that require gradients)
+MATRIX_CASES = ([(False, s) for s in _subsets(INPUTS)]
+                + [(True, s) for s in _subsets(("feats", "kmag", "weights"))])
+
+
+class TestPrunedBackward:
+    """The backward computes only the gradients of inputs that require them,
+    and each of those is bit for bit the one every input requiring
+    gradients gives."""
+
+    @staticmethod
+    def grads(op, values, trained):
+        t = {k: Tensor(v, requires_grad=k in trained) for k, v in values.items()}
+        op(t).backward()
+        assert all((t[k].grad is not None) == (k in trained) for k in t)
+        return {k: t[k].grad for k in trained}
+
+    @pytest.mark.parametrize("space", [MIXED, EUCLID], ids=["mixed", "euclidean"])
+    @pytest.mark.parametrize("same, trained", MATRIX_CASES,
+                             ids=[("same:" if s else "") + "+".join(t) for s, t in MATRIX_CASES])
+    def test_matrix_gradients_equal_full_backward(self, space, same, trained):
+        rng = np.random.default_rng(21)
+        n = len(space.factors)
+        values = {"feats": rng.normal(0.0, 0.6, (5, 6)), "kmag": rng.uniform(0.3, 2.0, n),
+                  "weights": rng.uniform(0.2, 1.0, n)}
+        if not same:
+            values["protos"] = rng.normal(0.0, 0.6, (4, 6))
+        g = rng.normal(size=(5, 5 if same else 4))
+
+        def op(t):
+            d = diffgeo.sq_dist_matrix(t["feats"], t["feats"] if same else t["protos"], space,
+                                       kmag=t["kmag"], weights=t["weights"])
+            return ad.sum_(d * Tensor(g))
+
+        got = self.grads(op, values, trained)
+        full = self.grads(op, values, tuple(values))
+        for name, grad in got.items():
+            assert np.array_equal(grad, full[name]), name
+
+    @pytest.mark.parametrize("space", [MIXED, EUCLID], ids=["mixed", "euclidean"])
+    @pytest.mark.parametrize("trained", [("feats",), ("kmag",)], ids="+".join)
+    def test_pair_gradients_equal_full_backward(self, space, trained):
+        rng = np.random.default_rng(22)
+        values = {"feats": rng.normal(0.0, 0.6, (7, 6)),
+                  "kmag": rng.uniform(0.3, 2.0, len(space.factors))}
+        pairs = np.triu(rng.random((7, 7)) < 0.5, k=1)
+        g = rng.normal(size=(7, 7)) * pairs
+
+        def op(t):
+            return ad.sum_(diffgeo.pair_sq_dist(t["feats"], pairs, space, kmag=t["kmag"])
+                           * Tensor(g))
+
+        got = self.grads(op, values, trained)
+        full = self.grads(op, values, ("feats", "kmag"))
+        for name, grad in got.items():
+            assert np.array_equal(grad, full[name]), name
+
+
+class TestLayout:
+    def test_built_once_per_space_and_width(self):
+        space = with_curvatures(MIXED, [f.curvature for f in MIXED.factors])
+        assert space == MIXED and space is not MIXED
+        first = diffgeo._layout(MIXED, 6)
+        assert diffgeo._layout(space, 6) is first
+        assert diffgeo._layout(MIXED, 7) is not first
+        assert all(not a.flags.writeable for group in first for a in group[1:])

@@ -47,20 +47,17 @@ class TestBuildPool:
 
 class TestSelect:
     def test_strict_threshold(self):
-        pool = gis.build_pool(8, [4])
         w = np.array([0.30, 0.25, 0.25])  # tau1 = 0.25 with n = 4
-        assert gis.select(pool, w, tau1=0.25, step=2) == frozenset({0})
+        assert gis.select(w, tau1=0.25, step=2) == frozenset({0})
 
     def test_boundary_excluded(self):
-        pool = gis.build_pool(8, [4])
         w = np.array([0.25, 0.25])
-        assert gis.select(pool, w, tau1=0.25, step=2) == frozenset()
+        assert gis.select(w, tau1=0.25, step=2) == frozenset()
 
     def test_first_step_guard(self):
-        pool = gis.build_pool(8, [4])
         w = np.array([0.10, 0.20])
-        assert gis.select(pool, w, tau1=0.25, step=1) == frozenset({1})
-        assert gis.select(pool, w, tau1=0.25, step=2) == frozenset()
+        assert gis.select(w, tau1=0.25, step=1) == frozenset({1})
+        assert gis.select(w, tau1=0.25, step=2) == frozenset()
 
 
 class TestExpand:

@@ -195,6 +195,50 @@ class TestMemoryBuffer:
             assert tuple(np.round(row, 9)) in pool_rows
 
 
+def _rebalance_reference(x, y, budget, rng):
+    """Eviction one row at a time, recounting and copying the buffer for
+    every row: the definition that ``MemoryBuffer._rebalance`` must match."""
+    while len(y) > budget:
+        labs, counts = np.unique(y, return_counts=True)
+        drop = rng.choice(np.nonzero(y == labs[np.argmax(counts)])[0])
+        keep = np.ones(len(y), dtype=bool)
+        keep[drop] = False
+        x, y = x[keep], y[keep]
+    return x, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=80), st.integers(1, 90),
+       st.integers(0, 2**32 - 1))
+def test_rebalance_evicts_the_rows_of_the_reference_loop(labels, budget, seed):
+    """Same rows kept, in the same order, and the generator left in the same
+    state as evicting one row at a time."""
+    y = np.array(labels)
+    x = np.random.default_rng(seed).normal(size=(len(y), 2))
+    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want_x, want_y = _rebalance_reference(x, y, budget, want_rng)
+    buf = harness.MemoryBuffer(x, y)
+    buf._rebalance(budget, got_rng)
+    assert np.array_equal(buf.x, want_x) and np.array_equal(buf.y, want_y)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("row", [
+    [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-310],
+    [1e300, -1e300, 1.7976931348623157e308, -9.999999999999999e299, 123456789.123],
+    [0.1, -1.5, 3.0, 1e-9, 2.5e-5],
+], ids=["zeros-subnormals", "near-1e300", "ordinary"])
+def test_hash_split_payload_is_per_scalar_formatting(row, monkeypatch):
+    """The split hashes the same payload as formatting each NumPy scalar."""
+    row = np.array(row)
+    payloads = []
+    real = harness.hashlib.sha256
+    monkeypatch.setattr(harness.hashlib, "sha256",
+                        lambda data: payloads.append(data) or real(data))
+    harness._hash_split(row, 3, 7, 0.8)
+    assert payloads == [("7:3:" + ",".join(f"{v:.9g}" for v in row)).encode()]
+
+
 class TestMetrics:
     def record(self, rows, sizes):
         rec = harness.MetricsRecord()

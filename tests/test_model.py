@@ -245,6 +245,53 @@ class TestNeighborPairs:
         assert np.array_equal(gk, np.zeros(6))
 
 
+class TestCallerGradients:
+    """Each engine caller trains its own inputs of the distance kernel (the
+    warm-up the prototypes, the search the curvatures and weights, main
+    training the features and prototypes); the gradients it reads are bit
+    for bit those of the same loss with every input trainable."""
+
+    SPACE = MixedSpace(gis.build_pool(32, [4, 8, 16]).factors)
+
+    @classmethod
+    def ce_grads(cls, values, labels, trained, kmag, weights):
+        t = {k: Tensor(v, requires_grad=k in trained) for k, v in values.items()}
+        model.ce_loss_t(t["feats"], t["protos"], labels, cls.SPACE,
+                        kmag=t["kmag"] if kmag else None,
+                        weights=t["weights"] if weights else None).backward()
+        return {k: t[k].grad for k in trained}
+
+    @pytest.mark.parametrize("trained, kmag, weights", [
+        (("protos",), False, True),            # classifier warm-up
+        (("kmag", "weights"), True, True),     # geometry search
+        (("feats", "protos"), False, False),   # main training
+    ], ids=["warmup", "search", "main"])
+    def test_ce(self, trained, kmag, weights):
+        rng = np.random.default_rng(31)
+        n = len(self.SPACE.factors)
+        values = {"feats": rng.normal(0.0, 0.5, (12, 32)), "protos": rng.normal(0.0, 0.5, (5, 32)),
+                  "kmag": rng.uniform(0.5, 1.5, n), "weights": rng.uniform(0.05, 0.3, n)}
+        labels = rng.integers(0, 5, 12)
+        got = self.ce_grads(values, labels, trained, kmag, weights)
+        full = self.ce_grads(values, labels, tuple(values), kmag, weights)
+        for name, grad in got.items():
+            assert np.array_equal(grad, full[name]), name
+
+    def test_neighbor_loss(self):
+        rng = np.random.default_rng(32)
+        feats = rng.normal(0.0, 0.5, (10, 32))
+        upper = np.triu(rng.choice([-1.0, 0.0, 1.0], (10, 10)), k=1)
+        kmag = rng.uniform(0.5, 1.5, len(self.SPACE.factors))
+        grads = []
+        for trainable in (False, True):
+            f = Tensor(feats, requires_grad=True)
+            model.neighbor_robustness_loss_t(f, self.SPACE, upper + upper.T,
+                                             kmag=Tensor(kmag, requires_grad=trainable),
+                                             repulsion_cap=5.0).backward()
+            grads.append(f.grad)
+        assert np.array_equal(grads[0], grads[1])
+
+
 class TestOverlappingSlices:
     """The structure losses on the search pool's layout, where every
     coordinate belongs to several factors."""
