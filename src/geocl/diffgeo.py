@@ -47,7 +47,9 @@ which of feats (u), protos (v), kmag (k) and weights require gradients:
   skips its whole side: its core term, |x|^2 sums, Gram-backward product
   and lift backward;
 - a trainable k with both operands frozen (the search) runs both sides up
-  to the lifts' dL/dk, but assembles no dL/du or dL/dv.
+  to the lifts' dL/dk, but assembles no dL/du or dL/dv;
+- a Euclidean group has no curvature, so it runs as if k were frozen: in
+  the search on the one-factor Euclidean pool it runs no backward at all.
 
 The pieces that run are the same operations in the same order, so every
 gradient that is read is bit for bit the one of a call where every input
@@ -121,7 +123,7 @@ def _lift(u, k, sign):
     (dL/du, dL/dk), each None unless its flag ``want_u``/``want_k`` is set.
     The Euclidean lift is the identity."""
     if sign == 0:
-        return u, lambda gx, want_u, want_k: (gx, 0.0)
+        return u, lambda gx, want_u, want_k: (gx, None)
     cap = geometry.TAN_CAP if sign > 0 else _BALL_ARG_CAP
     t = np.sqrt(k)[:, None] * np.sqrt(np.einsum("mrd,mrd->mr", u, u) + _NORM_EPS)
     inside = t < cap
@@ -259,7 +261,7 @@ def _group_backward(core_backward, k, sign, x, y, lift_back_x, lift_back_y, pair
 
 def _node(out, feats, protos, kmag, weights, groups) -> Tensor:
     """The autodiff node of a distance op. ``groups`` holds, per group, its
-    feature columns, pool indices, weights and squared distances (both None
+    curvature sign, feature columns, pool indices, weights and squared distances (both None
     when the op is unweighted) and its backward from :func:`_group_backward`,
     which runs only when an operand or ``kmag`` requires gradients."""
     parents = tuple(t for t in (feats, protos, kmag, weights) if t is not None)
@@ -270,17 +272,19 @@ def _node(out, feats, protos, kmag, weights, groups) -> Tensor:
     def bwd(g):
         gf, gp, gk, gw = (np.zeros_like(t.value) if t is not None and t.requires_grad else None
                           for t in (feats, protos, kmag, weights))
-        for cols, pool, w, dist2, group_backward in groups:
+        for sign, cols, pool, w, dist2, group_backward in groups:
             if gw is not None:
                 np.add.at(gw, pool, np.einsum("bn,mbn->m", g, dist2))
-            if not (want.x or want.y):
+            # A Euclidean group's distances do not depend on its curvature.
+            group_want = want if sign else want._replace(k=False)
+            if not (group_want.x or group_want.y):
                 continue
-            gu, gv, gkm = group_backward(g if w is None else w[:, None, None] * g, want)
+            gu, gv, gkm = group_backward(g if w is None else w[:, None, None] * g, group_want)
             if gf is not None:
                 np.add.at(gf, (slice(None), cols), gu.transpose(1, 0, 2).reshape(b, -1))
             if gp is not None:
                 np.add.at(gp, (slice(None), cols), gv.transpose(1, 0, 2).reshape(n, -1))
-            if gk is not None:
+            if gkm is not None:
                 np.add.at(gk, pool, gkm)
         for t, grad in zip((feats, protos, kmag, weights), (gf, gp, gk, gw)):
             if grad is not None:
@@ -315,7 +319,7 @@ def sq_dist_matrix(feats, protos, space: MixedSpace, kmag=None, weights=None) ->
                                      y2[:, None, :], k, sign)
         w = None if weights is None else weights.value[pool]
         out += (dist2 if w is None else w[:, None, None] * dist2).sum(axis=0)
-        groups.append((cols, pool, w, dist2, _group_backward(
+        groups.append((sign, cols, pool, w, dist2, _group_backward(
             core_backward, k, sign, x, y, lift_back_x, lift_back_y)))
     return _node(out, feats, protos, kmag, weights, groups)
 
@@ -345,7 +349,7 @@ def pair_sq_dist(feats, pairs: np.ndarray, space: MixedSpace, kmag=None) -> Tens
         gram = (x @ y.transpose(0, 2, 1)).reshape(len(k), -1)
         dist2, core_backward = _core(gram[:, flat], x2[:, i], y2[:, j], k, sign)
         values += dist2.sum(axis=0)
-        groups.append((cols, pool, None, None, _group_backward(
+        groups.append((sign, cols, pool, None, None, _group_backward(
             core_backward, k, sign, x, y, lift_back_x, lift_back_y, flat)))
     out = np.zeros(pairs.shape)
     out.flat[flat] = values

@@ -295,6 +295,30 @@ class TestPrunedBackward:
             assert np.array_equal(grad, full[name]), name
 
 
+    @pytest.mark.parametrize("space, runs", [(MIXED, 4), (EUCLID, 0)], ids=["mixed", "euclidean"])
+    def test_search_runs_only_curved_group_backwards(self, space, runs, monkeypatch):
+        """With only kmag and weights trained, a Euclidean group needs no
+        backward: its distances do not depend on its curvature."""
+        calls = []
+        make = diffgeo._group_backward
+
+        def counted(*args, **kwargs):
+            backward = make(*args, **kwargs)
+            return lambda g, want: calls.append(want) or backward(g, want)
+
+        monkeypatch.setattr(diffgeo, "_group_backward", counted)
+        rng = np.random.default_rng(23)
+        n = len(space.factors)
+        kmag = Tensor(rng.uniform(0.3, 2.0, n), requires_grad=True)
+        weights = Tensor(rng.uniform(0.2, 1.0, n), requires_grad=True)
+        d = diffgeo.sq_dist_matrix(rng.normal(0.0, 0.6, (5, 6)), rng.normal(0.0, 0.6, (4, 6)),
+                                   space, kmag=kmag, weights=weights)
+        ad.sum_(d).backward()
+        assert len(calls) == runs and all(want.k for want in calls)
+        euclidean = [f.pool_index for f in space.factors if f.curvature == 0.0]
+        assert np.all(kmag.grad[euclidean] == 0.0) and np.all(np.isfinite(weights.grad))
+
+
 class TestLayout:
     def test_built_once_per_space_and_width(self):
         space = with_curvatures(MIXED, [f.curvature for f in MIXED.factors])

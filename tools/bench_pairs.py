@@ -2,11 +2,12 @@
 
 Usage (from any directory):
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload W --seeds A-B [--seconds S]
+    python3 tools/bench_pairs.py PARENT CHANGE --workload W --seeds A-B
 
 PARENT and CHANGE are checkouts of this repository. Each seed from A to B
 makes one pair: each tree's own ``bench/run.py --workload W --seed SEED
---seconds S --trace 0`` runs once, one tree after the other. The parent goes
+--seconds S --trace 0`` runs once, one tree after the other, with S the
+``run_seconds`` of CHANGE's ``BENCHMARK.json``. The parent goes
 first in the first pair, the change in the second, and so on, so that a
 shared host's drift falls on both trees alike. Per pair the printout holds
 both trees' end-to-end metrics and failed/attempted run counts. Then, per
@@ -121,8 +122,6 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, help="A-B: one pair per seed")
-    parser.add_argument("--seconds", type=float, default=30.0,
-                        help="--seconds of each bench/run.py invocation (default 30)")
     args = parser.parse_args(argv)
     try:
         seeds = parse_seeds(args.seeds)
@@ -134,11 +133,12 @@ def main(argv=None) -> int:
             parser.error(f"{tree} has no bench/run.py")
     bench = json.loads((trees[1] / "BENCHMARK.json").read_text())
     better = {entry["name"]: entry["better"] for entry in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
     pairs = []
     for index, seed in enumerate(seeds):
         results = {}
         for which in ((0, 1) if index % 2 == 0 else (1, 0)):
-            results[which] = run_bench(trees[which], args.workload, seed, args.seconds)
+            results[which] = run_bench(trees[which], args.workload, seed, seconds)
         pairs.append((results[0], results[1]))
         print(pair_line(index, seed, pairs[-1], better), flush=True)
     print("\n".join(summarize(pairs, better)))
