@@ -23,18 +23,21 @@ Three pieces make up the kernel: ``_lift``; one elementwise core over
 broadcastable (Gram, |x|^2, |y|^2) arrays with its elementwise backward; and
 one reduction of the core's backward terms in the (m, B, N) layout of a
 group's m factors, which ends in the Gram-backward products and the lift
-backward. They serve three callers:
+backward. They serve four callers:
 
 - ``sq_dist_matrix`` recording for autodiff (the classification and search
   losses) runs the core over the whole (m, B, N) matrix;
-- ``pair_sq_dist`` (the neighbor loss) runs the core forward and backward
-  on the listed pairs of one batch only, and scatters the per-pair backward
-  terms into the (m, B, B) layout before the reduction, so its gradients
-  are those of the matrix form;
-- ``sq_dist_matrix`` without an input requiring gradients (evaluation and
-  the previous-step model) lifts both operands once and runs the core over
-  square tiles; when both operands are the same rows, only the tiles on or
-  above the diagonal are computed, and mirrored.
+- ``pair_sq_dist`` recording for autodiff (the neighbor loss) runs the core
+  forward and backward on the listed pairs of one batch only, and scatters
+  the per-pair backward terms into the (m, B, B) layout before the
+  reduction, so its gradients are those of the matrix form;
+- ``sq_dist_matrix`` without an input requiring gradients (evaluation)
+  lifts both operands once and runs the core over square tiles;
+- ``pair_sq_dist`` without an input requiring gradients (the previous-step
+  model's distances on the pairs the structure losses read) visits only the
+  tiles of the forward-only matrix that hold a listed pair, takes each
+  listed Gram entry from that tile's product, and runs the core on the
+  listed entries only, so its values are the matrix's entries bit for bit.
 
 A recorded node decides when it is built which backward pieces run, from
 which of feats (u), protos (v), kmag (k) and weights require gradients:
@@ -175,7 +178,8 @@ def _core(gram, x2, y2, k, sign):
     n = np.sqrt(ratio + _NORM_EPS)
     z = sk * n
     if sign < 0:
-        z = np.clip(z, -_ATANH_CLIP, _ATANH_CLIP)
+        # z = sqrt(k) sqrt(ratio + eps) > 0: only the upper clip can bind.
+        z = np.minimum(z, _ATANH_CLIP)
         ang = np.arctanh(z)
     else:
         ang = np.arctan(z)
@@ -331,11 +335,15 @@ def pair_sq_dist(feats, pairs: np.ndarray, space: MixedSpace, kmag=None) -> Tens
 
     Only the listed pairs go through the distance formula and its backward;
     values and gradients equal those of ``sq_dist_matrix(feats, feats, ...)``
-    on the listed pairs. ``kmag`` is as in :func:`sq_dist_matrix`.
+    on the listed pairs. ``kmag`` is as in :func:`sq_dist_matrix`. Without
+    an input that requires gradients no graph is built, and the pairs are
+    measured in tiles (see :func:`_tiled_pairs`).
     """
     feats = ad.as_tensor(feats)
     kmag = None if kmag is None else ad.as_tensor(kmag)
     fv = feats.value
+    if not (feats.requires_grad or kmag is not None and kmag.requires_grad):
+        return Tensor(_tiled_pairs(fv, pairs, space, None if kmag is None else kmag.value))
     flat = np.flatnonzero(pairs)
     i, j = np.divmod(flat, fv.shape[0])
     values = np.zeros(len(flat))
@@ -369,37 +377,68 @@ def _tiles(n: int, size: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _tiled(fv, pv, space: MixedSpace, kmag, weights) -> np.ndarray:
-    """Forward-only :func:`sq_dist_matrix` on arrays, over tiles.
+def _tile_grid(rows: int, cols: int) -> tuple[list, list]:
+    """Row and column tiles of a forward-only (rows, cols) matrix, sized as
+    ``_TILE`` says."""
+    return _tiles(rows, max(_TILE, _TILE * _TILE // max(cols, 1))), _tiles(cols, _TILE)
 
-    Each operand is lifted once per group. With at least ``_TILE`` columns
-    the tiles are square. When ``fv`` is ``pv`` the matrix is symmetric:
-    only the tiles on or above the diagonal are computed, and each
-    off-diagonal one is mirrored. The tiles of a product and of its
-    transpose are transposes of each other bit for bit, so the result equals
-    the one computed from a copy of the rows.
-    """
-    same = fv is pv
+
+def _lift_operands(fv, pv, space: MixedSpace, kmag, weights) -> list[tuple]:
+    """Per group: sign, magnitudes, weights (or None) and both operands'
+    lifts and squared norms. Each operand is lifted on its own, also when
+    both are the same rows, so that no tile is a product with its own
+    transpose (NumPy computes that by a symmetric rank-k update)."""
     lifted = []
     for sign, cols, pool, k in _groups(space, fv.shape[1], kmag):
-        # Both operands are lifted even when they are the same rows, so that
-        # a diagonal tile is not a product with its own transpose.
         x, x2, _ = _lifted(fv, cols, k, sign)
         y, y2, _ = _lifted(pv, cols, k, sign)
         lifted.append((sign, k, None if weights is None else weights[pool], x, x2, y, y2))
+    return lifted
+
+
+def _tiled(fv, pv, space: MixedSpace, kmag, weights) -> np.ndarray:
+    """Forward-only :func:`sq_dist_matrix` on arrays, over the tiles of
+    :func:`_tile_grid`, each operand lifted once per group."""
+    lifted = _lift_operands(fv, pv, space, kmag, weights)
     out = np.empty((fv.shape[0], pv.shape[0]))
-    row_tiles = _tiles(fv.shape[0], max(_TILE, _TILE * _TILE // max(pv.shape[0], 1)))
-    col_tiles = _tiles(pv.shape[0], _TILE)
-    for t, (r0, r1) in enumerate(row_tiles):
-        for c0, c1 in col_tiles[t if same else 0:]:
+    row_tiles, col_tiles = _tile_grid(fv.shape[0], pv.shape[0])
+    for r0, r1 in row_tiles:
+        for c0, c1 in col_tiles:
             tile = np.zeros((r1 - r0, c1 - c0))
             for sign, k, w, x, x2, y, y2 in lifted:
                 dist2, _ = _core(x[:, r0:r1] @ y[:, c0:c1].transpose(0, 2, 1),
                                  x2[:, r0:r1, None], y2[:, None, c0:c1], k, sign)
                 tile += (dist2 if w is None else w[:, None, None] * dist2).sum(axis=0)
             out[r0:r1, c0:c1] = tile
-            if same and c0 != r0:
-                out[c0:c1, r0:r1] = tile.T
+    return out
+
+
+def _tiled_pairs(fv, pairs: np.ndarray, space: MixedSpace, kmag) -> np.ndarray:
+    """Forward-only :func:`pair_sq_dist` on arrays: the listed entries of
+    ``_tiled(fv, fv.copy(), ...)``, bit for bit, and zero elsewhere.
+
+    Only the tiles that hold a listed pair are visited. Each takes its Gram
+    block from the same tile product as :func:`_tiled`, since the rounding
+    of a product depends on its shape, and runs the core on its listed
+    entries only.
+    """
+    lifted = _lift_operands(fv, fv, space, kmag, None)
+    out = np.zeros(pairs.shape)
+    row_tiles, col_tiles = _tile_grid(*pairs.shape)
+    for r0, r1 in row_tiles:
+        for c0, c1 in col_tiles:
+            flat = np.flatnonzero(pairs[r0:r1, c0:c1])
+            if not len(flat):
+                continue
+            i, j = np.divmod(flat, c1 - c0)
+            i += r0
+            j += c0
+            values = np.zeros(len(flat))
+            for sign, k, _, x, x2, y, y2 in lifted:
+                gram = (x[:, r0:r1] @ y[:, c0:c1].transpose(0, 2, 1)).reshape(len(k), -1)
+                dist2, _ = _core(gram[:, flat], x2[:, i], y2[:, j], k, sign)
+                values += dist2.sum(axis=0)
+            out[i, j] = values
     return out
 
 

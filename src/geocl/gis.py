@@ -137,6 +137,11 @@ def trace_record(step: int, pool: SubmanifoldPool, weights: np.ndarray,
     }
 
 
+def batch_count(n: int, batch_size: int) -> int:
+    """Number of batches :func:`batches` yields per epoch over ``n`` rows."""
+    return len(range(0, n, batch_size))
+
+
 def batches(n: int, batch_size: int, rng: np.random.Generator):
     """Index batches of one epoch over ``n`` rows, in a random order."""
     order = rng.permutation(n)

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import diffgeo
 from . import gis as gis_mod
 from . import model as mdl
 from .autodiff import Tensor
@@ -194,14 +195,14 @@ class MemoryBuffer:
         """Evict uniformly at random from over-represented classes: one row
         at a time from the largest class (the lowest label on a tie), chosen
         among that class's remaining rows in buffer order."""
-        labs = np.unique(self.y)
+        labs = sorted(set(self.y.tolist()))
         members = [list(np.flatnonzero(self.y == lab)) for lab in labs]
         counts = np.array([len(m) for m in members])
         keep = np.ones(len(self.y), dtype=bool)
         for _ in range(len(self.y) - budget):
             worst = int(np.argmax(counts))
             counts[worst] -= 1
-            keep[members[worst].pop(rng.choice(len(members[worst])))] = False
+            keep[members[worst].pop(rng.integers(len(members[worst])))] = False
         self.x = self.x[keep]
         self.y = self.y[keep]
 
@@ -228,16 +229,18 @@ def init_state(backbone: mdl.Backbone, pool: SubmanifoldPool, seed: int) -> Engi
 def run_step(state: EngineState, task: StreamTask, cfg: dict, seed: int) -> EngineState:
     """One full continual-learning step.
 
-    Order: measure the previous-step model (the step-start params and space,
-    which the warm-up and the search leave alone) on the replay buffer for
-    the structure losses; append classifier rows for new classes; warm up
+    Order: draw the buffer rows that each main-training batch measures the
+    structure losses on, and measure the previous-step model (the step-start
+    params and space, which the warm-up and the search leave alone) on the
+    pairs those losses read; append classifier rows for new classes; warm up
     the classifier; run the search and expand the space; train backbone and
     classifier on the step data plus the buffer; refill the buffer.
     """
     t = task.step
     structure = None
     if len(state.buffer) > 1 and (cfg["lambda1"] > 0 or cfg["lambda2"] > 0):
-        structure = _structure_context(state.params, state.space, state.buffer)
+        rows = _pair_rows(task, state.buffer, cfg, seed)
+        structure = _structure_context(state.params, state.space, state.buffer, rows)
 
     for lab in task.labels:
         if lab in state.label_to_index:
@@ -275,17 +278,43 @@ def run_step(state: EngineState, task: StreamTask, cfg: dict, seed: int) -> Engi
     return state
 
 
+def _pair_rows(task: StreamTask, buffer: MemoryBuffer, cfg: dict, seed: int) -> list:
+    """The buffer rows each main-training batch measures the structure
+    losses on: one index set per batch of every epoch, in batch order, from
+    the step's "pairs" stream."""
+    n_rows = len(task.y_train) + len(buffer)
+    n_batches = cfg["epochs_main"] * gis_mod.batch_count(n_rows, cfg["batch_size"])
+    rng = phase_rng(seed, task.step, "pairs")
+    size = min(cfg["pair_batch"], len(buffer))
+    return [rng.choice(len(buffer), size=size, replace=False) for _ in range(n_batches)]
+
+
 def _structure_context(params: dict[str, np.ndarray], space: MixedSpace,
-                       buffer: MemoryBuffer) -> dict:
+                       buffer: MemoryBuffer, rows: list) -> dict:
     """Previous-step-model quantities for the two structure losses, computed
-    once per step over the whole buffer from that model's params and space."""
+    once per step from that model's params and space, for main training's
+    batches of buffer rows ``rows``.
+
+    The tangent cosines cover the whole buffer. The squared distances are
+    measured only on the pairs main training reads: the same-class pairs,
+    which set tau2, and the pairs within each row set, which set the
+    affinity. Every other distance is +inf, which is never a neighbor.
+    """
     prev_feats = mdl.features_np(params, buffer.x)
     prev_tan = mdl.tangent_concat_np(prev_feats, space)
     prev_cos, prev_valid = mdl.cosine_matrix_np(prev_tan)
-    prev_d2 = mdl.sq_dist_matrix_np(prev_feats, prev_feats, space)
+    read = buffer.y[:, None] == buffer.y[None, :]
+    for idx in rows:
+        read[np.ix_(idx, idx)] = True
+    np.fill_diagonal(read, False)
+    # Measured above the diagonal only and mirrored (the rest is zero): the
+    # forward-only matrix is symmetric bit for bit, since a tile product and
+    # that of its transpose are transposes of each other.
+    prev_d2 = diffgeo.pair_sq_dist(prev_feats, np.triu(read), space).value
+    prev_d2 = np.where(read, prev_d2 + prev_d2.T, np.inf)
     tau2 = mdl.tau2_same_class_mean(prev_d2, buffer.y)
     affinity = mdl.affinity_matrix(prev_d2, buffer.y, tau2)
-    return {"prev_cos": prev_cos, "prev_valid": prev_valid,
+    return {"rows": rows, "prev_cos": prev_cos, "prev_valid": prev_valid,
             "affinity": affinity, "tau2": tau2}
 
 
@@ -299,36 +328,37 @@ def _main_training(state: EngineState, task: StreamTask, y_train: np.ndarray,
         x_all = task.x_train
         y_all = y_train
     rng_main = phase_rng(seed, t, "main")
-    rng_pairs = phase_rng(seed, t, "pairs")
+    batches = [batch for _ in range(cfg["epochs_main"])
+               for batch in gis_mod.batches(len(y_all), cfg["batch_size"], rng_main)]
+    rows = [None] * len(batches) if structure is None else structure["rows"]
+    if len(rows) != len(batches):
+        raise ContractViolation(f"{len(batches)} main-training batches at step {t}, "
+                                f"but the structure context holds {len(rows)} row sets")
     lr = cfg["lr_main"]
     cap = cfg.get("repulsion_cap")
-    pair_batch = cfg["pair_batch"]
-    for _ in range(cfg["epochs_main"]):
-        for batch in gis_mod.batches(len(y_all), cfg["batch_size"], rng_main):
-            tensors = {k: Tensor(v, requires_grad=True) for k, v in state.params.items()}
-            wt = Tensor(state.classifier, requires_grad=True)
-            feats = mdl.features_t(tensors, x_all[batch])
-            loss = mdl.ce_loss_t(feats, wt, y_all[batch], state.space)
-            if structure is not None:
-                idx = rng_pairs.choice(len(state.buffer), size=min(pair_batch, len(state.buffer)),
-                                       replace=False)
-                buf_feats = mdl.features_t(tensors, state.buffer.x[idx])
-                g_term = mdl.angular_reg_loss_t(
-                    buf_feats, state.space,
-                    structure["prev_cos"][np.ix_(idx, idx)],
-                    structure["prev_valid"][np.ix_(idx, idx)])
-                cap_val = None if not cap else cap * structure["tau2"]
-                l_term = mdl.neighbor_robustness_loss_t(
-                    buf_feats, state.space, structure["affinity"][np.ix_(idx, idx)],
-                    repulsion_cap=cap_val)
-                loss = mdl.total_loss_t(loss, cfg["lambda1"], g_term, cfg["lambda2"], l_term)
-            if not np.isfinite(loss.value):
-                raise NumericalDomainError(
-                    f"training loss diverged at step {t} (batch of {len(batch)})")
-            loss.backward()
-            for k, p in tensors.items():
-                state.params[k] = state.params[k] - lr * p.grad
-            state.classifier = state.classifier - lr * wt.grad
+    for batch, idx in zip(batches, rows):
+        tensors = {k: Tensor(v, requires_grad=True) for k, v in state.params.items()}
+        wt = Tensor(state.classifier, requires_grad=True)
+        feats = mdl.features_t(tensors, x_all[batch])
+        loss = mdl.ce_loss_t(feats, wt, y_all[batch], state.space)
+        if structure is not None:
+            buf_feats = mdl.features_t(tensors, state.buffer.x[idx])
+            g_term = mdl.angular_reg_loss_t(
+                buf_feats, state.space,
+                structure["prev_cos"][np.ix_(idx, idx)],
+                structure["prev_valid"][np.ix_(idx, idx)])
+            cap_val = None if not cap else cap * structure["tau2"]
+            l_term = mdl.neighbor_robustness_loss_t(
+                buf_feats, state.space, structure["affinity"][np.ix_(idx, idx)],
+                repulsion_cap=cap_val)
+            loss = mdl.total_loss_t(loss, cfg["lambda1"], g_term, cfg["lambda2"], l_term)
+        if not np.isfinite(loss.value):
+            raise NumericalDomainError(
+                f"training loss diverged at step {t} (batch of {len(batch)})")
+        loss.backward()
+        for k, p in tensors.items():
+            state.params[k] = state.params[k] - lr * p.grad
+        state.classifier = state.classifier - lr * wt.grad
 
 
 def evaluate(state: EngineState, tasks: list[StreamTask]) -> list[float]:

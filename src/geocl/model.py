@@ -8,7 +8,11 @@ Training, evaluation and the frozen previous-step model all measure with
 the one product-distance kernel in :mod:`geocl.diffgeo`: ``sq_dist_matrix_t``
 records it for autodiff, ``sq_dist_matrix_np`` takes its forward value
 only, and the neighbor loss measures only the pairs it weights, the
-within- and between-class neighbors, with ``diffgeo.pair_sq_dist``.
+within- and between-class neighbors, with ``diffgeo.pair_sq_dist``. The
+previous-step model's distances also come from ``diffgeo.pair_sq_dist``,
+forward only: a step draws main training's buffer rows before it measures
+that model, so only the same-class pairs and the pairs within a batch's
+rows are measured (see ``harness._structure_context``).
 """
 
 from __future__ import annotations

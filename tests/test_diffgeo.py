@@ -22,6 +22,7 @@ MIXED = MixedSpace((
     FactorSpec(4, 5, 6, 2.0),
     FactorSpec(5, 1, 3, 1.0),
 ))
+EUCLID = MixedSpace((FactorSpec(0, 1, 6, 0.0),))
 
 
 def oracle(feats, protos, space, weights=None):
@@ -108,7 +109,6 @@ class TestForward:
 class TestTiles:
     @pytest.mark.parametrize("b", [1, 2, 15, 16, 17, 65, 129, 400])
     def test_self_distance_tiles_equal_rectangular_call(self, b):
-        # Same rows: only tiles on or above the diagonal are computed.
         rng = np.random.default_rng(b)
         feats = rng.normal(0.0, 0.6, (b, 6))
         kmag, weights = rng.uniform(0.3, 2.0, (2, len(MIXED)))
@@ -154,6 +154,52 @@ class TestPairs:
         ad.sum_(d).backward()
         assert np.array_equal(d.value, np.zeros((4, 4)))
         assert np.array_equal(f.grad, np.zeros((4, 6)))
+
+
+def _masks(b, rng):
+    """Upper-triangle, lower-triangle and mixed pair masks of ``b`` rows."""
+    mixed = rng.random((b, b)) < 0.1
+    mixed[0, -1] = mixed[-1, 0] = True
+    return {"upper": np.triu(mixed, k=1), "lower": np.tril(mixed, k=-1), "mixed": mixed}
+
+
+class TestForwardPairs:
+    """Forward-only pairs are the listed entries of the forward-only matrix."""
+
+    @pytest.mark.parametrize("space", [MIXED, EUCLID], ids=["mixed", "euclidean"])
+    @pytest.mark.parametrize("b", [2, 63, 65, 129, 400])
+    def test_equal_matrix_entries(self, space, b):
+        rng = np.random.default_rng(b)
+        feats = rng.normal(0.0, 0.6, (b, 6))
+        kmag = rng.uniform(0.3, 2.0, len(space.factors))
+        for kv in (None, kmag):
+            dense = diffgeo.sq_dist_matrix(feats, feats.copy(), space, kmag=kv).value
+            for name, pairs in _masks(b, rng).items():
+                got = diffgeo.pair_sq_dist(feats, pairs, space, kmag=kv)
+                assert not got.requires_grad and got._parents == ()
+                assert np.array_equal(got.value, np.where(pairs, dense, 0.0)), name
+                recorded = diffgeo.pair_sq_dist(Tensor(feats, requires_grad=True), pairs,
+                                                space, kmag=kv)
+                assert np.array_equal(got.value, recorded.value), name
+
+    def test_tiles_without_pairs_run_no_core(self, monkeypatch):
+        calls = []
+        core = diffgeo._core
+
+        def counted(gram, *args):
+            calls.append(gram.shape)
+            return core(gram, *args)
+
+        monkeypatch.setattr(diffgeo, "_core", counted)
+        feats = np.random.default_rng(5).normal(0.0, 0.6, (129, 6))
+        n_groups = len(diffgeo._layout(MIXED, 6))
+        pairs = np.zeros((129, 129), dtype=bool)
+        assert not diffgeo.pair_sq_dist(feats, pairs, MIXED).value.any()
+        assert calls == []
+        # Tiles are rows and columns [0, 64) and [64, 129): two of four hold pairs.
+        pairs[3, 70] = pairs[100, 128] = pairs[64, 127] = True
+        diffgeo.pair_sq_dist(feats, pairs, MIXED)
+        assert sorted(shape[-1] for shape in calls) == [1] * n_groups + [2] * n_groups
 
 
 def _loss(space, g, same=False):
@@ -229,7 +275,6 @@ class TestBackward:
         np.testing.assert_allclose(both.grad, left.grad + right.grad, rtol=1e-12, atol=1e-12)
 
 
-EUCLID = MixedSpace((FactorSpec(0, 1, 6, 0.0),))
 INPUTS = ("feats", "protos", "kmag", "weights")
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geocl import experiment, harness, model
+from geocl import experiment, gis, harness, model
 from geocl.errors import ConfigurationError, ContractViolation
 from geocl.gis import build_pool
 
@@ -368,7 +368,8 @@ class TestRunStream:
         for task in tasks:
             space_before = state.space
             if len(state.buffer):
-                expected.append(original(state.params, state.space, state.buffer))
+                rows = harness._pair_rows(task, state.buffer, small_cfg(), seed=0)
+                expected.append(original(state.params, state.space, state.buffer, rows))
             harness.run_step(state, task, small_cfg(), seed=0)
             # the search moved the curvatures, so a context taken after it
             # would differ
@@ -386,3 +387,83 @@ class TestRunStream:
                            small_cfg(lambda1=lambdas[0], lambda2=lambdas[1]), seed=0,
                            backbone=model.Backbone(6, 16, 8), pool=build_pool(8, [4]))
         assert len(contexts) == calls
+
+
+def _batchwise_pair_rows(task, buffer, cfg, seed):
+    """The buffer rows as main training drew them batch by batch, between
+    its batch draws: the sequence that ``harness._pair_rows`` must match."""
+    rng_main = harness.phase_rng(seed, task.step, "main")
+    rng_pairs = harness.phase_rng(seed, task.step, "pairs")
+    rows = []
+    for _ in range(cfg["epochs_main"]):
+        for _batch in gis.batches(len(task.y_train) + len(buffer), cfg["batch_size"], rng_main):
+            rows.append(rng_pairs.choice(len(buffer), size=min(cfg["pair_batch"], len(buffer)),
+                                         replace=False))
+    return rows
+
+
+class TestPairRows:
+    def tasks(self):
+        return harness.generate_synthetic_stream(
+            classes=6, steps=3, samples_per_class=20, test_per_class=10,
+            ambient_dim=6, tree_fraction=0.5, noise=0.3, seed=1)
+
+    @pytest.mark.parametrize("epochs, batch_size, pair_batch",
+                             [(1, 32, 16), (3, 7, 5), (2, 200, 64)])
+    def test_rows_are_the_batchwise_draws(self, monkeypatch, epochs, batch_size, pair_batch):
+        contexts = _record_contexts(monkeypatch)
+        cfg = small_cfg(epochs_main=epochs, batch_size=batch_size, pair_batch=pair_batch)
+        state = harness.init_state(model.Backbone(6, 16, 8), build_pool(8, [2, 4]), seed=5)
+        expected = []
+        for task in self.tasks():
+            if len(state.buffer) > 1:
+                expected.append(_batchwise_pair_rows(task, state.buffer, cfg, seed=5))
+            harness.run_step(state, task, cfg, seed=5)
+        assert len(contexts) == len(expected) == 2
+        for context, want in zip(contexts, expected):
+            assert len(context["rows"]) == len(want)
+            for got, idx in zip(context["rows"], want):
+                assert np.array_equal(got, idx)
+
+    @pytest.mark.parametrize("change", [lambda rows: rows[:-1], lambda rows: rows + rows[:1]],
+                             ids=["one-short", "one-over"])
+    def test_main_training_needs_one_row_set_per_batch(self, monkeypatch, change):
+        draw = harness._pair_rows
+        monkeypatch.setattr(harness, "_pair_rows", lambda *args: change(draw(*args)))
+        tasks = self.tasks()
+        state = harness.init_state(model.Backbone(6, 16, 8), build_pool(8, [4]), seed=0)
+        harness.run_step(state, tasks[0], small_cfg(), seed=0)
+        with pytest.raises(ContractViolation, match="row sets"):
+            harness.run_step(state, tasks[1], small_cfg(), seed=0)
+
+
+def _dense_context(params, space, buffer):
+    """The structure context measured over every pair of the buffer."""
+    prev_feats = model.features_np(params, buffer.x)
+    prev_cos, prev_valid = model.cosine_matrix_np(model.tangent_concat_np(prev_feats, space))
+    prev_d2 = model.sq_dist_matrix_np(prev_feats, prev_feats.copy(), space)
+    assert np.array_equal(prev_d2, prev_d2.T)
+    tau2 = model.tau2_same_class_mean(prev_d2, buffer.y)
+    return {"prev_cos": prev_cos, "prev_valid": prev_valid,
+            "affinity": model.affinity_matrix(prev_d2, buffer.y, tau2), "tau2": tau2}
+
+
+@pytest.mark.parametrize("mode", ["mixed", "euclidean"])
+@pytest.mark.parametrize("b, classes", [(2, 1), (40, 4), (130, 9), (400, 40)])
+def test_structure_context_reads_as_the_dense_one(mode, b, classes):
+    """tau2 exactly, and the affinity, cosines and validity at every entry
+    main training reads, equal those of the context over every pair."""
+    rng = np.random.default_rng(b)
+    params = model.Backbone(6, 16, 8).init_params(rng)
+    buffer = harness.MemoryBuffer(rng.normal(0.0, 1.5, (b, 6)), rng.integers(classes, size=b))
+    pool = build_pool(8, [2, 4], mode=mode)
+    space = gis.expand(frozenset(range(pool.size)), pool)
+    rows = [rng.choice(b, size=min(size, b), replace=False) for size in (16, 16, 33, 64, 2)]
+    got = harness._structure_context(params, space, buffer, rows)
+    want = _dense_context(params, space, buffer)
+    assert got["rows"] is rows
+    assert got["tau2"] == want["tau2"]
+    assert np.count_nonzero(want["affinity"]) > 0 or b == 2
+    for idx in rows:
+        for key in ("affinity", "prev_cos", "prev_valid"):
+            assert np.array_equal(got[key][np.ix_(idx, idx)], want[key][np.ix_(idx, idx)]), key
