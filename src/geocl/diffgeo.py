@@ -349,16 +349,14 @@ def pair_sq_dist(feats, pairs: np.ndarray, space: MixedSpace, kmag=None) -> Tens
     values = np.zeros(len(flat))
     groups = []
     for sign, cols, pool, k in _groups(space, fv.shape[1], None if kmag is None else kmag.value):
-        # Two lifts of the same rows, so the Gram block is the same general
-        # matrix product as in the matrix form (NumPy computes a product
-        # with its own transpose by a symmetric rank-k update instead).
-        x, x2, lift_back_x = _lifted(fv, cols, k, sign)
-        y, y2, lift_back_y = _lifted(fv, cols, k, sign)
-        gram = (x @ y.transpose(0, 2, 1)).reshape(len(k), -1)
-        dist2, core_backward = _core(gram[:, flat], x2[:, i], y2[:, j], k, sign)
+        # The rows are lifted once; the right operand is a copy of the lift
+        # (see :func:`_self_operand`), and both sides share the lift backward.
+        x, x2, lift_back = _lifted(fv, cols, k, sign)
+        gram = (x @ _self_operand(x).transpose(0, 2, 1)).reshape(len(k), -1)
+        dist2, core_backward = _core(gram[:, flat], x2[:, i], x2[:, j], k, sign)
         values += dist2.sum(axis=0)
         groups.append((sign, cols, pool, None, None, _group_backward(
-            core_backward, k, sign, x, y, lift_back_x, lift_back_y, flat)))
+            core_backward, k, sign, x, x, lift_back, lift_back, flat)))
     out = np.zeros(pairs.shape)
     out.flat[flat] = values
     return _node(out, feats, feats, kmag, None, groups)
@@ -383,15 +381,24 @@ def _tile_grid(rows: int, cols: int) -> tuple[list, list]:
     return _tiles(rows, max(_TILE, _TILE * _TILE // max(cols, 1))), _tiles(cols, _TILE)
 
 
+def _self_operand(x: np.ndarray) -> np.ndarray:
+    """The right operand of a Gram product of the lifts ``x`` with
+    themselves: a copy, so that the product is the general matrix product of
+    two lifts, bit for bit (NumPy computes a product of an array with its own
+    transpose by a symmetric rank-k update, which rounds differently). The
+    copy keeps the lift's memory layout, so BLAS reads both operands as it
+    reads two lifts."""
+    return x.copy(order="K")
+
+
 def _lift_operands(fv, pv, space: MixedSpace, kmag, weights) -> list[tuple]:
     """Per group: sign, magnitudes, weights (or None) and both operands'
-    lifts and squared norms. Each operand is lifted on its own, also when
-    both are the same rows, so that no tile is a product with its own
-    transpose (NumPy computes that by a symmetric rank-k update)."""
+    lifts and squared norms. When both operands are the same array its rows
+    are lifted once, and the right lift is :func:`_self_operand`."""
     lifted = []
     for sign, cols, pool, k in _groups(space, fv.shape[1], kmag):
         x, x2, _ = _lifted(fv, cols, k, sign)
-        y, y2, _ = _lifted(pv, cols, k, sign)
+        y, y2 = (_self_operand(x), x2) if pv is fv else _lifted(pv, cols, k, sign)[:2]
         lifted.append((sign, k, None if weights is None else weights[pool], x, x2, y, y2))
     return lifted
 

@@ -6,6 +6,7 @@ import csv
 import json
 import platform
 import time
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -96,29 +97,58 @@ def write_dataset_csv(cfg: dict, out_dir: str | Path) -> dict:
 
 
 def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Features and labels of a CSV whose header is ``label,f1,...,fD``;
-    unreadable, malformed or non-finite input raises ConfigurationError."""
+    """Features (C-contiguous float64) and int64 labels of a CSV whose header
+    is ``label,f1,...,fD``; unreadable, malformed or non-finite input raises
+    ConfigurationError.
+
+    Rows are parsed as they are read, into compact arrays, so the file is
+    never held as Python strings or floats. The whole file is read before a
+    fault is reported, and the first fault in this order wins: an unreadable
+    file (also one that turns unreadable after a bad row), a header without
+    the leading ``label`` column, no data rows, the first row whose width is
+    not the header's, the first label that is not an int64 integer, the first
+    feature that is not a number, a non-finite feature.
+    """
+    labels, feats = array("q"), array("d")
+    # The first ragged row, the first bad label and the first bad feature.
+    faults = [None, None, None]
+    line = 1
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            width, labelled = len(header), header[:1] == ["label"]
+            for line, row in enumerate(reader, start=2):
+                if faults[0] is not None or not labelled:
+                    continue
+                if len(row) != width:
+                    faults[0] = f" line {line} has {len(row)} fields where the header has {width}"
+                    continue
+                if faults[1] is not None:
+                    continue
+                try:
+                    labels.append(int(row[0]))
+                except (ValueError, OverflowError) as exc:
+                    faults[1] = f": {exc}"
+                    continue
+                if faults[2] is None:
+                    try:
+                        feats.extend(map(float, row[1:]))
+                    except ValueError as exc:
+                        faults[2] = f": {exc}"
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigurationError(f"dataset CSV {path}: {exc}") from None
-    if not rows or rows[0][:1] != ["label"]:
+    if not labelled:
         raise ConfigurationError(f"dataset CSV {path} must start with a 'label' column")
-    if len(rows) == 1:
+    if line == 1:
         raise ConfigurationError(f"dataset CSV {path} has no data rows")
-    for line, row in enumerate(rows[1:], start=2):
-        if len(row) != len(rows[0]):
-            raise ConfigurationError(f"dataset CSV {path} line {line} has {len(row)} "
-                                     f"fields where the header has {len(rows[0])}")
-    try:
-        y = np.array([int(r[0]) for r in rows[1:]])
-        x = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
-    except ValueError as exc:
-        raise ConfigurationError(f"dataset CSV {path}: {exc}") from None
+    fault = next((f for f in faults if f is not None), None)
+    if fault is not None:
+        raise ConfigurationError(f"dataset CSV {path}{fault}")
+    x = np.frombuffer(feats, dtype=np.float64).reshape(len(labels), width - 1)
     if not np.isfinite(x).all():
         raise ConfigurationError(f"dataset CSV {path} has a non-finite feature")
-    return x, y
+    return x, np.frombuffer(labels, dtype=np.int64)
 
 
 def aggregate_reports(run_dirs: list[str | Path]) -> dict:

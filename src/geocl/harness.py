@@ -136,12 +136,12 @@ def stream_from_arrays(x: np.ndarray, y: np.ndarray, steps: int, train_ratio: fl
             raise ConfigurationError(f"class {lab} has no train row at train_ratio {train_ratio}")
     tasks = []
     for t in range(steps):
-        group = set(labels[t * per_step:(t + 1) * per_step].tolist())
-        mask = np.array([int(lab) in group for lab in y])
+        group = labels[t * per_step:(t + 1) * per_step]
+        mask = np.isin(y, group)
         tr = mask & is_train
         te = mask & ~is_train
         if not te.any():
-            raise ConfigurationError(f"step {t + 1} (classes {sorted(group)}) has no test row "
+            raise ConfigurationError(f"step {t + 1} (classes {group.tolist()}) has no test row "
                                      f"at train_ratio {train_ratio}")
         tasks.append(StreamTask(step=t + 1, x_train=x[tr], y_train=y[tr].astype(int),
                                 x_test=x[te], y_test=y[te].astype(int)))
@@ -150,7 +150,8 @@ def stream_from_arrays(x: np.ndarray, y: np.ndarray, steps: int, train_ratio: fl
 
 
 def _hash_split(row: np.ndarray, label: int, seed: int, train_ratio: float) -> bool:
-    payload = f"{seed}:{label}:" + ",".join(map("{:.9g}".format, row.tolist()))
+    # One %-format per row; its "%.9g" is "{:.9g}" of each value.
+    payload = f"{seed}:{label}:" + ",".join(["%.9g"] * len(row)) % tuple(row.tolist())
     digest = hashlib.sha256(payload.encode()).digest()
     frac = int.from_bytes(digest[:8], "big") / 2**64
     return frac < train_ratio
@@ -293,17 +294,28 @@ def _structure_context(params: dict[str, np.ndarray], space: MixedSpace,
                        buffer: MemoryBuffer, rows: list) -> dict:
     """Previous-step-model quantities for the two structure losses, computed
     once per step from that model's params and space, for main training's
-    batches of buffer rows ``rows``.
-
-    The tangent cosines cover the whole buffer. The squared distances are
-    measured only on the pairs main training reads: the same-class pairs,
-    which set tau2, and the pairs within each row set, which set the
-    affinity. Every other distance is +inf, which is never a neighbor.
+    batches of buffer rows ``rows``: tau2 and the int8 affinity (see
+    :func:`_prev_affinity`), and the tangent cosines over the whole buffer
+    with their validity mask. The cosines are computed after the distances
+    are gone, so the two B x B float matrices are never held together.
     """
     prev_feats = mdl.features_np(params, buffer.x)
-    prev_tan = mdl.tangent_concat_np(prev_feats, space)
-    prev_cos, prev_valid = mdl.cosine_matrix_np(prev_tan)
-    read = buffer.y[:, None] == buffer.y[None, :]
+    tau2, affinity = _prev_affinity(prev_feats, space, buffer.y, rows)
+    prev_cos, prev_valid = mdl.cosine_matrix_np(mdl.tangent_concat_np(prev_feats, space))
+    return {"rows": rows, "prev_cos": prev_cos, "prev_valid": prev_valid,
+            "affinity": affinity, "tau2": tau2}
+
+
+def _prev_affinity(prev_feats: np.ndarray, space: MixedSpace, labels: np.ndarray,
+                   rows: list) -> tuple[float, np.ndarray]:
+    """tau2 and the affinity of the previous-step features ``prev_feats``.
+
+    The squared distances are measured only on the pairs main training
+    reads: the same-class pairs, which set tau2, and the pairs within each
+    row set, which set the affinity. Every other distance is +inf, which is
+    never a neighbor. The distances are mirrored and masked in place.
+    """
+    read = labels[:, None] == labels[None, :]
     for idx in rows:
         read[np.ix_(idx, idx)] = True
     np.fill_diagonal(read, False)
@@ -311,11 +323,10 @@ def _structure_context(params: dict[str, np.ndarray], space: MixedSpace,
     # forward-only matrix is symmetric bit for bit, since a tile product and
     # that of its transpose are transposes of each other.
     prev_d2 = diffgeo.pair_sq_dist(prev_feats, np.triu(read), space).value
-    prev_d2 = np.where(read, prev_d2 + prev_d2.T, np.inf)
-    tau2 = mdl.tau2_same_class_mean(prev_d2, buffer.y)
-    affinity = mdl.affinity_matrix(prev_d2, buffer.y, tau2)
-    return {"rows": rows, "prev_cos": prev_cos, "prev_valid": prev_valid,
-            "affinity": affinity, "tau2": tau2}
+    prev_d2 += prev_d2.T  # NumPy reads the overlapping transpose from a copy
+    prev_d2[~read] = np.inf
+    tau2 = mdl.tau2_same_class_mean(prev_d2, labels)
+    return tau2, mdl.affinity_matrix(prev_d2, labels, tau2)
 
 
 def _main_training(state: EngineState, task: StreamTask, y_train: np.ndarray,
@@ -349,8 +360,8 @@ def _main_training(state: EngineState, task: StreamTask, y_train: np.ndarray,
                 structure["prev_valid"][np.ix_(idx, idx)])
             cap_val = None if not cap else cap * structure["tau2"]
             l_term = mdl.neighbor_robustness_loss_t(
-                buf_feats, state.space, structure["affinity"][np.ix_(idx, idx)],
-                repulsion_cap=cap_val)
+                buf_feats, state.space,
+                structure["affinity"][np.ix_(idx, idx)].astype(float), repulsion_cap=cap_val)
             loss = mdl.total_loss_t(loss, cfg["lambda1"], g_term, cfg["lambda2"], l_term)
         if not np.isfinite(loss.value):
             raise NumericalDomainError(

@@ -158,15 +158,16 @@ def neighbor_sets(sq_dists: np.ndarray, labels: np.ndarray, tau2: float):
 
 
 def affinity_matrix(sq_dists: np.ndarray, labels: np.ndarray, tau2: float) -> np.ndarray:
-    """Pairwise affinity: +1 within-class neighbors, -1 between-class, else 0.
+    """Pairwise affinity as int8: +1 within-class neighbors, -1 between-class,
+    else 0.
 
     The neighbor relation is symmetrized ("either direction"), which makes
-    the masks symmetric already since the distance matrix is.
+    the masks symmetric already since the distance matrix is. The result is
+    the difference of the two masks read as 0/1 bytes, exact and an eighth
+    the size of a float matrix; the losses take a float block of it.
     """
     within, between = neighbor_sets(sq_dists, labels, tau2)
-    w = (within | within.T).astype(float)
-    b = (between | between.T).astype(float)
-    return w - b
+    return (within | within.T).view(np.int8) - (between | between.T).view(np.int8)
 
 
 def tau2_same_class_mean(sq_dists: np.ndarray, labels: np.ndarray) -> float:

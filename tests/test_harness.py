@@ -1,5 +1,9 @@
+import hashlib
+import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -239,6 +243,21 @@ def test_hash_split_payload_is_per_scalar_formatting(row, monkeypatch):
     assert payloads == [("7:3:" + ",".join(f"{v:.9g}" for v in row)).encode()]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.binary(min_size=8, max_size=8).map(
+    lambda raw: struct.unpack("<d", raw)[0])), max_size=40))
+def test_hash_split_payload_equals_per_value_format(values):
+    """The one %-format per row gives the bytes of formatting each value
+    with "{:.9g}": random bit patterns, subnormals, infinities, NaN, -0."""
+    row = np.array(values, dtype=float)
+    payloads = []
+    real = hashlib.sha256
+    with mock.patch.object(harness.hashlib, "sha256",
+                           lambda data: payloads.append(data) or real(data)):
+        harness._hash_split(row, 3, 7, 0.8)
+    assert payloads == [("7:3:" + ",".join(map("{:.9g}".format, row.tolist()))).encode()]
+
+
 class TestMetrics:
     def record(self, rows, sizes):
         rec = harness.MetricsRecord()
@@ -467,3 +486,27 @@ def test_structure_context_reads_as_the_dense_one(mode, b, classes):
     for idx in rows:
         for key in ("affinity", "prev_cos", "prev_valid"):
             assert np.array_equal(got[key][np.ix_(idx, idx)], want[key][np.ix_(idx, idx)]), key
+
+
+def test_structure_context_peak_memory():
+    """At B = 400 on the default pool the context peaks at no more than 4.5
+    B x B float matrices and returns an int8 affinity. Built densely and with
+    a float affinity, it peaked near 5.8."""
+    b = 400
+    rng = np.random.default_rng(0)
+    params = model.Backbone(32, 64, 32).init_params(rng)
+    buffer = harness.MemoryBuffer(rng.normal(0.0, 1.5, (b, 32)), rng.integers(40, size=b))
+    pool = build_pool(32, [4, 8, 16])
+    space = gis.expand(frozenset(range(pool.size)), pool)
+    rows = [rng.choice(b, size=64, replace=False) for _ in range(30)]
+    harness._structure_context(params, space, buffer, rows)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        context = harness._structure_context(params, space, buffer, rows)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert context["affinity"].dtype == np.int8
+    assert np.count_nonzero(context["affinity"] == 1) and np.count_nonzero(context["affinity"] == -1)
+    assert peak <= 4.5 * b * b * 8
