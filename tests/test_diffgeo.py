@@ -107,7 +107,7 @@ class TestForward:
 
 
 class TestTiles:
-    @pytest.mark.parametrize("b", [1, 2, 15, 16, 17, 65, 129, 400])
+    @pytest.mark.parametrize("b", [1, 2, 15, 16, 17, 40, 64, 65, 129, 400])
     def test_self_distance_tiles_equal_rectangular_call(self, b):
         rng = np.random.default_rng(b)
         feats = rng.normal(0.0, 0.6, (b, 6))
@@ -128,7 +128,7 @@ class TestTiles:
 class TestPairs:
     @pytest.mark.parametrize("space", [MIXED, MixedSpace((FactorSpec(0, 1, 6, 0.0),))],
                              ids=["mixed", "euclidean"])
-    @pytest.mark.parametrize("b", [2, 9])
+    @pytest.mark.parametrize("b", [2, 9, 40, 64, 65])
     def test_pairs_equal_matrix_entries_and_gradients(self, space, b):
         rng = np.random.default_rng(b)
         feats = rng.normal(0.0, 0.5, (b, 6))
@@ -167,7 +167,7 @@ class TestForwardPairs:
     """Forward-only pairs are the listed entries of the forward-only matrix."""
 
     @pytest.mark.parametrize("space", [MIXED, EUCLID], ids=["mixed", "euclidean"])
-    @pytest.mark.parametrize("b", [2, 63, 65, 129, 400])
+    @pytest.mark.parametrize("b", [2, 40, 63, 64, 65, 129, 400])
     def test_equal_matrix_entries(self, space, b):
         rng = np.random.default_rng(b)
         feats = rng.normal(0.0, 0.6, (b, 6))
@@ -204,8 +204,10 @@ class TestForwardPairs:
 
 class TestSharedLift:
     """A product of rows with themselves lifts them once; the right operand
-    is a copy of the lift in its layout, whose Gram products equal those of
-    a second lift bit for bit (a copy in C order rounds differently)."""
+    is a copy of the lift, whose Gram products equal those of a second lift
+    bit for bit (a product with the lift itself rounds differently at some
+    sizes). The ops that share the lift are checked against the two-lift
+    matrix at the same sizes in TestTiles, TestPairs and TestForwardPairs."""
 
     @pytest.mark.parametrize("space", [MIXED, EUCLID], ids=["mixed", "euclidean"])
     @pytest.mark.parametrize("b", [2, 40, 64, 65, 129, 400])
@@ -220,32 +222,6 @@ class TestSharedLift:
             for (r0, r1), (c0, c1) in itertools.product(row_tiles, col_tiles):
                 assert np.array_equal(x[:, r0:r1] @ shared[:, c0:c1].transpose(0, 2, 1),
                                       x[:, r0:r1] @ y[:, c0:c1].transpose(0, 2, 1))
-
-    @pytest.mark.parametrize("space", [MIXED, EUCLID], ids=["mixed", "euclidean"])
-    @pytest.mark.parametrize("b", [2, 40, 64, 65, 129, 400])
-    def test_ops_equal_two_lift_matrix(self, space, b):
-        rng = np.random.default_rng(b)
-        feats = rng.normal(0.0, 0.6, (b, 6))
-        pairs = np.triu(rng.random((b, b)) < 0.3, k=1)
-        pairs[0, -1] = True
-        two_lifts = diffgeo.sq_dist_matrix(feats, feats.copy(), space).value
-        assert np.array_equal(diffgeo.sq_dist_matrix(feats, feats, space).value, two_lifts)
-        assert np.array_equal(diffgeo.pair_sq_dist(feats, pairs, space).value,
-                              np.where(pairs, two_lifts, 0.0))
-        if b > 65:
-            return  # the recorded matrix form is (factors, b, b) per intermediate
-        g = rng.normal(size=(b, b)) * pairs
-        got = []
-        for op in (lambda f, k: diffgeo.pair_sq_dist(f, pairs, space, kmag=k),
-                   lambda f, k: diffgeo.sq_dist_matrix(f, f, space, kmag=k)):
-            f = Tensor(feats, requires_grad=True)
-            k = Tensor(np.abs([fs.curvature for fs in space.factors]) + 0.5, requires_grad=True)
-            d = op(f, k)
-            ad.sum_(d * Tensor(g)).backward()
-            got.append((d.value, f.grad, k.grad))
-        (d, gf, gk), (dense, want_gf, want_gk) = got
-        assert np.array_equal(d, np.where(pairs, dense, 0.0))
-        assert np.array_equal(gf, want_gf) and np.array_equal(gk, want_gk)
 
 
 def _loss(space, g, same=False):
