@@ -3,7 +3,7 @@
 A ``Tensor`` wraps an ndarray and remembers how it was produced; calling
 ``backward`` on a scalar loss fills ``grad`` on every reachable tensor
 that requires gradients. The op set is deliberately closed to what the
-engine calls: arithmetic, matmul, square, sqrt, elementwise tanh, reshape,
+engine calls: arithmetic, matmul, square, sqrt, elementwise tanh,
 transpose, column slicing, concatenation, sums, norms, log-sum-exp
 cross-entropy and Huber. A fused op with a hand-written backward (the
 product-distance kernel in ``geocl.diffgeo``) builds its node with
@@ -198,11 +198,6 @@ def tanh(a: Tensor) -> Tensor:
 
 
 # -- shape ops ----------------------------------------------------------
-
-def reshape(a: Tensor, shape) -> Tensor:
-    old = a.value.shape
-    return _make(a.value.reshape(shape), (a,), lambda g: _accum(a, g.reshape(old)))
-
 
 def transpose2d(a: Tensor) -> Tensor:
     return _make(a.value.T, (a,), lambda g: _accum(a, g.T))

@@ -23,21 +23,26 @@ Three pieces make up the kernel: ``_lift``; one elementwise core over
 broadcastable (Gram, |x|^2, |y|^2) arrays with its elementwise backward; and
 one reduction of the core's backward terms in the (m, B, N) layout of a
 group's m factors, which ends in the Gram-backward products and the lift
-backward. They serve four callers:
+backward. One routine, ``_measure``, runs them: per group it lifts both
+operands, takes one Gram product, runs the core on every entry or on listed
+entries only, and, when an input requires gradients, keeps the group's
+backward for the autodiff node. Three paths call it:
 
 - ``sq_dist_matrix`` recording for autodiff (the classification and search
-  losses) runs the core over the whole (m, B, N) matrix;
-- ``pair_sq_dist`` recording for autodiff (the neighbor loss) runs the core
-  forward and backward on the listed pairs of one batch only, and scatters
-  the per-pair backward terms into the (m, B, B) layout before the
-  reduction, so its gradients are those of the matrix form;
+  losses) runs it on the whole (B, N) matrix;
+- ``pair_sq_dist`` recording for autodiff (the neighbor loss) runs it on
+  the listed pairs of one batch only; the backward scatters the per-pair
+  terms into the (m, B, B) layout before the reduction, so its gradients
+  are those of the matrix form;
 - ``sq_dist_matrix`` without an input requiring gradients (evaluation)
-  lifts both operands once and runs the core over square tiles;
-- ``pair_sq_dist`` without an input requiring gradients (the previous-step
-  model's distances on the pairs the structure losses read) visits only the
-  tiles of the forward-only matrix that hold a listed pair, takes each
-  listed Gram entry from that tile's product, and runs the core on the
-  listed entries only, so its values are the matrix's entries bit for bit.
+  runs it forward only over blocks of rows.
+
+One tile walk, ``_tiled_pairs``, serves ``pair_sq_dist`` without an input
+requiring gradients: the previous-step model's distances on the pairs the
+structure losses read, on up to B = 400 buffer rows with a fifth to all of
+the upper triangle listed. It lifts the rows once, visits only the tiles
+that hold a listed pair, and runs the core on the listed entries only, so
+its values are the matrix's entries bit for bit.
 
 A recorded node decides when it is built which backward pieces run, from
 which of feats (u), protos (v), kmag (k) and weights require gradients:
@@ -82,9 +87,10 @@ _BALL_ARG_CAP = float(np.arctanh(1.0 - geometry.BALL_EPS))
 _NORM_EPS = 1e-30
 # artanh arguments are clipped short of the branch point.
 _ATANH_CLIP = 1.0 - 1e-15
-# Forward-only calls run over tiles of at most this many columns, and as many
-# rows as keep a tile within _TILE^2 entries, so that a group's (m, rows,
-# columns) intermediates stay in cache.
+# The forward-only pair op's tiles are _TILE x _TILE; the forward-only matrix
+# runs over blocks of as many rows (at least _TILE) as keep a block within
+# _TILE^2 entries, so that a group's (m, rows, columns) intermediates stay in
+# cache.
 _TILE = 64
 
 
@@ -297,6 +303,40 @@ def _node(out, feats, protos, kmag, weights, groups) -> Tensor:
     return ad._make(out, parents, bwd)
 
 
+def _measure(fv, pv, space: MixedSpace, kmag, weights, flat=None, record=False):
+    """The distance routine: squared product distances between the lifts of
+    the rows of ``fv`` (R, D) and ``pv`` (N, D), as the (R, N) matrix, or
+    with ``flat`` (indices into that matrix) as its listed entries only.
+
+    Per group it lifts both operands (the rows once when ``pv`` is ``fv``,
+    with :func:`_self_operand` as the right operand), takes one Gram
+    product, runs the core on every entry or on the listed ones, and adds
+    the group's sum, weighted by ``weights`` (matrix form only), into the
+    output. With ``record`` it also returns the groups :func:`_node` needs;
+    without, each group's intermediates are freed before the next group.
+    """
+    out = np.zeros((len(fv), len(pv)) if flat is None else len(flat))
+    if flat is not None:
+        i, j = np.divmod(flat, len(pv))
+    groups = []
+    for sign, cols, pool, k in _groups(space, fv.shape[1], kmag):
+        x, x2, lift_back_x = _lifted(fv, cols, k, sign)
+        y, y2, lift_back_y = ((_self_operand(x), x2, lift_back_x) if pv is fv
+                              else _lifted(pv, cols, k, sign))
+        gram = x @ y.transpose(0, 2, 1)
+        if flat is None:
+            dist2, core_backward = _core(gram, x2[:, :, None], y2[:, None, :], k, sign)
+        else:
+            dist2, core_backward = _core(gram.reshape(len(k), -1)[:, flat], x2[:, i], y2[:, j],
+                                         k, sign)
+        w = None if weights is None else weights[pool]
+        out += (dist2 if w is None else w[:, None, None] * dist2).sum(axis=0)
+        if record:
+            groups.append((sign, cols, pool, w, None if w is None else dist2, _group_backward(
+                core_backward, k, sign, x, y, lift_back_x, lift_back_y, flat)))
+    return out, groups
+
+
 def sq_dist_matrix(feats, protos, space: MixedSpace, kmag=None, weights=None) -> Tensor:
     """(B, N) squared product distances between the lifts of the rows of
     ``feats`` (B, D) and ``protos`` (N, D); arrays or Tensors.
@@ -304,28 +344,24 @@ def sq_dist_matrix(feats, protos, space: MixedSpace, kmag=None, weights=None) ->
     ``kmag`` optionally supplies the curvature magnitudes, indexed by pool
     index (otherwise |curvature| of each factor is used); ``weights``
     optionally supplies per-factor weights with the same indexing. Without
-    an input that requires gradients no graph is built, and the matrix is
-    computed in tiles (see :func:`_tiled`).
+    an input that requires gradients no graph is built, and the routine runs
+    over blocks of max(_TILE, _TILE^2 / N) rows, so that a group's (m, rows,
+    N) intermediates stay in cache. In a run these calls are evaluation, on
+    up to 200 test rows x 20 classes or 52 x 40: one block each.
     """
     feats, protos = ad.as_tensor(feats), ad.as_tensor(protos)
     kmag = None if kmag is None else ad.as_tensor(kmag)
     weights = None if weights is None else ad.as_tensor(weights)
     fv, pv = feats.value, protos.value
     kv = None if kmag is None else kmag.value
-    if not any(t is not None and t.requires_grad for t in (feats, protos, kmag, weights)):
-        return Tensor(_tiled(fv, pv, space, kv, None if weights is None else weights.value))
-    out = np.zeros((fv.shape[0], pv.shape[0]))
-    groups = []
-    for sign, cols, pool, k in _groups(space, fv.shape[1], kv):
-        x, x2, lift_back_x = _lifted(fv, cols, k, sign)
-        y, y2, lift_back_y = _lifted(pv, cols, k, sign)
-        dist2, core_backward = _core(x @ y.transpose(0, 2, 1), x2[:, :, None],
-                                     y2[:, None, :], k, sign)
-        w = None if weights is None else weights.value[pool]
-        out += (dist2 if w is None else w[:, None, None] * dist2).sum(axis=0)
-        groups.append((sign, cols, pool, w, dist2, _group_backward(
-            core_backward, k, sign, x, y, lift_back_x, lift_back_y)))
-    return _node(out, feats, protos, kmag, weights, groups)
+    wv = None if weights is None else weights.value
+    if any(t is not None and t.requires_grad for t in (feats, protos, kmag, weights)):
+        out, groups = _measure(fv, pv, space, kv, wv, record=True)
+        return _node(out, feats, protos, kmag, weights, groups)
+    out = np.empty((len(fv), len(pv)))
+    for r0, r1 in _tiles(len(fv), max(_TILE, _TILE * _TILE // max(len(pv), 1))):
+        out[r0:r1] = _measure(fv[r0:r1], pv, space, kv, wv)[0]
+    return Tensor(out)
 
 
 def pair_sq_dist(feats, pairs: np.ndarray, space: MixedSpace, kmag=None) -> Tensor:
@@ -335,28 +371,18 @@ def pair_sq_dist(feats, pairs: np.ndarray, space: MixedSpace, kmag=None) -> Tens
 
     Only the listed pairs go through the distance formula and its backward;
     values and gradients equal those of ``sq_dist_matrix(feats, feats, ...)``
-    on the listed pairs. ``kmag`` is as in :func:`sq_dist_matrix`. Without
-    an input that requires gradients no graph is built, and the pairs are
-    measured in tiles (see :func:`_tiled_pairs`).
+    on the listed pairs. ``kmag`` is as in :func:`sq_dist_matrix`. Recording
+    runs the routine once on the listed pairs; without an input that
+    requires gradients no graph is built, and the pairs are measured in
+    tiles (see :func:`_tiled_pairs`).
     """
     feats = ad.as_tensor(feats)
     kmag = None if kmag is None else ad.as_tensor(kmag)
-    fv = feats.value
+    fv, kv = feats.value, None if kmag is None else kmag.value
     if not (feats.requires_grad or kmag is not None and kmag.requires_grad):
-        return Tensor(_tiled_pairs(fv, pairs, space, None if kmag is None else kmag.value))
+        return Tensor(_tiled_pairs(fv, pairs, space, kv))
     flat = np.flatnonzero(pairs)
-    i, j = np.divmod(flat, fv.shape[0])
-    values = np.zeros(len(flat))
-    groups = []
-    for sign, cols, pool, k in _groups(space, fv.shape[1], None if kmag is None else kmag.value):
-        # The rows are lifted once; the right operand is a copy of the lift
-        # (see :func:`_self_operand`), and both sides share the lift backward.
-        x, x2, lift_back = _lifted(fv, cols, k, sign)
-        gram = (x @ _self_operand(x).transpose(0, 2, 1)).reshape(len(k), -1)
-        dist2, core_backward = _core(gram[:, flat], x2[:, i], x2[:, j], k, sign)
-        values += dist2.sum(axis=0)
-        groups.append((sign, cols, pool, None, None, _group_backward(
-            core_backward, k, sign, x, x, lift_back, lift_back, flat)))
+    values, groups = _measure(fv, fv, space, kv, None, flat, record=True)
     out = np.zeros(pairs.shape)
     out.flat[flat] = values
     return _node(out, feats, feats, kmag, None, groups)
@@ -375,12 +401,6 @@ def _tiles(n: int, size: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _tile_grid(rows: int, cols: int) -> tuple[list, list]:
-    """Row and column tiles of a forward-only (rows, cols) matrix, sized as
-    ``_TILE`` says."""
-    return _tiles(rows, max(_TILE, _TILE * _TILE // max(cols, 1))), _tiles(cols, _TILE)
-
-
 def _self_operand(x: np.ndarray) -> np.ndarray:
     """The right operand of a Gram product of the lifts ``x`` with
     themselves: a copy, so that the product is the general matrix product of
@@ -391,49 +411,22 @@ def _self_operand(x: np.ndarray) -> np.ndarray:
     return x.copy(order="K")
 
 
-def _lift_operands(fv, pv, space: MixedSpace, kmag, weights) -> list[tuple]:
-    """Per group: sign, magnitudes, weights (or None) and both operands'
-    lifts and squared norms. When both operands are the same array its rows
-    are lifted once, and the right lift is :func:`_self_operand`."""
-    lifted = []
-    for sign, cols, pool, k in _groups(space, fv.shape[1], kmag):
-        x, x2, _ = _lifted(fv, cols, k, sign)
-        y, y2 = (_self_operand(x), x2) if pv is fv else _lifted(pv, cols, k, sign)[:2]
-        lifted.append((sign, k, None if weights is None else weights[pool], x, x2, y, y2))
-    return lifted
-
-
-def _tiled(fv, pv, space: MixedSpace, kmag, weights) -> np.ndarray:
-    """Forward-only :func:`sq_dist_matrix` on arrays, over the tiles of
-    :func:`_tile_grid`, each operand lifted once per group."""
-    lifted = _lift_operands(fv, pv, space, kmag, weights)
-    out = np.empty((fv.shape[0], pv.shape[0]))
-    row_tiles, col_tiles = _tile_grid(fv.shape[0], pv.shape[0])
-    for r0, r1 in row_tiles:
-        for c0, c1 in col_tiles:
-            tile = np.zeros((r1 - r0, c1 - c0))
-            for sign, k, w, x, x2, y, y2 in lifted:
-                dist2, _ = _core(x[:, r0:r1] @ y[:, c0:c1].transpose(0, 2, 1),
-                                 x2[:, r0:r1, None], y2[:, None, c0:c1], k, sign)
-                tile += (dist2 if w is None else w[:, None, None] * dist2).sum(axis=0)
-            out[r0:r1, c0:c1] = tile
-    return out
-
-
 def _tiled_pairs(fv, pairs: np.ndarray, space: MixedSpace, kmag) -> np.ndarray:
-    """Forward-only :func:`pair_sq_dist` on arrays: the listed entries of
-    ``_tiled(fv, fv.copy(), ...)``, bit for bit, and zero elsewhere.
-
-    Only the tiles that hold a listed pair are visited. Each takes its Gram
-    block from the same tile product as :func:`_tiled`, since the rounding
-    of a product depends on its shape, and runs the core on its listed
-    entries only.
-    """
-    lifted = _lift_operands(fv, fv, space, kmag, None)
+    """Forward-only :func:`pair_sq_dist` on arrays, the kernel's one tile
+    walk. Its caller, the previous-step model's context, lists a fifth to
+    all of the upper triangle of up to B = 400 rows in a run, where a whole
+    (m, B, B) Gram per group would leave the cache. So the rows are lifted
+    once, and only the _TILE x _TILE tiles that hold a listed pair run the
+    core, on their listed entries only: the values are the recorded op's
+    and the forward-only matrix's, bit for bit."""
+    lifted = []
+    for sign, cols, _, k in _groups(space, fv.shape[1], kmag):
+        x, x2, _ = _lifted(fv, cols, k, sign)
+        lifted.append((sign, k, x, x2, _self_operand(x)))
     out = np.zeros(pairs.shape)
-    row_tiles, col_tiles = _tile_grid(*pairs.shape)
-    for r0, r1 in row_tiles:
-        for c0, c1 in col_tiles:
+    tiles = _tiles(len(fv), _TILE)
+    for r0, r1 in tiles:
+        for c0, c1 in tiles:
             flat = np.flatnonzero(pairs[r0:r1, c0:c1])
             if not len(flat):
                 continue
@@ -441,9 +434,9 @@ def _tiled_pairs(fv, pairs: np.ndarray, space: MixedSpace, kmag) -> np.ndarray:
             i += r0
             j += c0
             values = np.zeros(len(flat))
-            for sign, k, _, x, x2, y, y2 in lifted:
+            for sign, k, x, x2, y in lifted:
                 gram = (x[:, r0:r1] @ y[:, c0:c1].transpose(0, 2, 1)).reshape(len(k), -1)
-                dist2, _ = _core(gram[:, flat], x2[:, i], y2[:, j], k, sign)
+                dist2, _ = _core(gram[:, flat], x2[:, i], x2[:, j], k, sign)
                 values += dist2.sum(axis=0)
             out[i, j] = values
     return out
@@ -451,9 +444,7 @@ def _tiled_pairs(fv, pairs: np.ndarray, space: MixedSpace, kmag) -> np.ndarray:
 
 def lifted_sq_distance(u: Tensor, v: Tensor, kmag: Tensor, sign: float) -> Tensor:
     """One-factor case of :func:`sq_dist_matrix`: squared distances between
-    the lifts of the rows of ``u`` and of ``v`` on a factor of curvature
-    sign ``sign`` and magnitude ``kmag`` (a scalar tensor)."""
-    d = u.shape[-1]
-    space = MixedSpace((FactorSpec(0, 1, d, float(sign)),))
-    return sq_dist_matrix(ad.reshape(u, (-1, d)), ad.reshape(v, (-1, d)), space,
-                          kmag=ad.reshape(kmag, (1,)))
+    the lifts of the rows of ``u`` (R, d) and of ``v`` (N, d) on a factor of
+    curvature sign ``sign`` and magnitude ``kmag`` (a (1,) tensor)."""
+    space = MixedSpace((FactorSpec(0, 1, u.shape[1], float(sign)),))
+    return sq_dist_matrix(u, v, space, kmag=kmag)

@@ -100,9 +100,7 @@ def gis_optimize(pool: SubmanifoldPool, feats: np.ndarray, labels: np.ndarray,
                 raise NumericalDomainError("weight-sum loss diverged (NaN/Inf)")
             loss.backward()
             weights = np.maximum(weights - lr * wt.grad, 0.0)
-            if kt.grad is not None:
-                mags = np.where(signs != 0,
-                                np.maximum(mags - lr * kt.grad, CURVATURE_FLOOR), mags)
+            mags = np.where(signs != 0, np.maximum(mags - lr * kt.grad, CURVATURE_FLOOR), mags)
     pool.factors = tuple(replace(f, curvature=float(s * m))
                          for f, s, m in zip(pool.factors, signs, mags))
     return weights
@@ -135,11 +133,6 @@ def trace_record(step: int, pool: SubmanifoldPool, weights: np.ndarray,
         "selected": sorted(int(i) for i in chosen),
         "space_size": len(selected),
     }
-
-
-def batch_count(n: int, batch_size: int) -> int:
-    """Number of batches :func:`batches` yields per epoch over ``n`` rows."""
-    return len(range(0, n, batch_size))
 
 
 def batches(n: int, batch_size: int, rng: np.random.Generator):

@@ -230,17 +230,22 @@ def init_state(backbone: mdl.Backbone, pool: SubmanifoldPool, seed: int) -> Engi
 def run_step(state: EngineState, task: StreamTask, cfg: dict, seed: int) -> EngineState:
     """One full continual-learning step.
 
-    Order: draw the buffer rows that each main-training batch measures the
-    structure losses on, and measure the previous-step model (the step-start
-    params and space, which the warm-up and the search leave alone) on the
-    pairs those losses read; append classifier rows for new classes; warm up
-    the classifier; run the search and expand the space; train backbone and
-    classifier on the step data plus the buffer; refill the buffer.
+    Order: draw main training's batches over the step data plus the buffer,
+    and the buffer rows that each batch measures the structure losses on;
+    measure the previous-step model (the step-start params and space, which
+    the warm-up and the search leave alone) on the pairs those losses read;
+    append classifier rows for new classes; warm up the classifier; run the
+    search and expand the space; train backbone and classifier on the drawn
+    batches; refill the buffer.
     """
     t = task.step
+    rng_main = phase_rng(seed, t, "main")
+    batches = [batch for _ in range(cfg["epochs_main"])
+               for batch in gis_mod.batches(len(task.y_train) + len(state.buffer),
+                                            cfg["batch_size"], rng_main)]
     structure = None
     if len(state.buffer) > 1 and (cfg["lambda1"] > 0 or cfg["lambda2"] > 0):
-        rows = _pair_rows(task, state.buffer, cfg, seed)
+        rows = _pair_rows(task, state.buffer, cfg, seed, len(batches))
         structure = _structure_context(state.params, state.space, state.buffer, rows)
 
     for lab in task.labels:
@@ -270,7 +275,7 @@ def run_step(state: EngineState, task: StreamTask, cfg: dict, seed: int) -> Engi
     state.space = gis_mod.expand(state.selected, state.pool)
     state.gis_trace.append(gis_mod.trace_record(t, state.pool, weights, chosen, state.selected))
 
-    _main_training(state, task, y_train, structure, cfg, seed)
+    _main_training(state, task, y_train, batches, structure, cfg)
 
     buf_cfg = cfg["buffer"]
     state.buffer.update(task.x_train, y_train, buf_cfg["policy"],
@@ -279,12 +284,11 @@ def run_step(state: EngineState, task: StreamTask, cfg: dict, seed: int) -> Engi
     return state
 
 
-def _pair_rows(task: StreamTask, buffer: MemoryBuffer, cfg: dict, seed: int) -> list:
-    """The buffer rows each main-training batch measures the structure
-    losses on: one index set per batch of every epoch, in batch order, from
-    the step's "pairs" stream."""
-    n_rows = len(task.y_train) + len(buffer)
-    n_batches = cfg["epochs_main"] * gis_mod.batch_count(n_rows, cfg["batch_size"])
+def _pair_rows(task: StreamTask, buffer: MemoryBuffer, cfg: dict, seed: int,
+               n_batches: int) -> list:
+    """The buffer rows each of main training's ``n_batches`` batches
+    measures the structure losses on: one index set per batch, in batch
+    order, from the step's "pairs" stream."""
     rng = phase_rng(seed, task.step, "pairs")
     size = min(cfg["pair_batch"], len(buffer))
     return [rng.choice(len(buffer), size=size, replace=False) for _ in range(n_batches)]
@@ -330,7 +334,9 @@ def _prev_affinity(prev_feats: np.ndarray, space: MixedSpace, labels: np.ndarray
 
 
 def _main_training(state: EngineState, task: StreamTask, y_train: np.ndarray,
-                   structure: dict | None, cfg: dict, seed: int):
+                   batches: list, structure: dict | None, cfg: dict):
+    """Train backbone and classifier on ``batches`` (index sets into the step
+    data followed by the buffer), each with its row set of ``structure``."""
     t = task.step
     if len(state.buffer):
         x_all = np.concatenate([task.x_train, state.buffer.x])
@@ -338,13 +344,7 @@ def _main_training(state: EngineState, task: StreamTask, y_train: np.ndarray,
     else:
         x_all = task.x_train
         y_all = y_train
-    rng_main = phase_rng(seed, t, "main")
-    batches = [batch for _ in range(cfg["epochs_main"])
-               for batch in gis_mod.batches(len(y_all), cfg["batch_size"], rng_main)]
     rows = [None] * len(batches) if structure is None else structure["rows"]
-    if len(rows) != len(batches):
-        raise ContractViolation(f"{len(batches)} main-training batches at step {t}, "
-                                f"but the structure context holds {len(rows)} row sets")
     lr = cfg["lr_main"]
     cap = cfg.get("repulsion_cap")
     for batch, idx in zip(batches, rows):

@@ -104,8 +104,8 @@ def check_angle_conformality(tolerance=1e-12, seed=3) -> CheckResult:
 def _gradcheck_distance(sign: float, trials: int, rng) -> float:
     """Finite differences against the backward of the distance kernel."""
     def sampler(r):
-        return {"v": r.normal(0.0, 0.5, 4), "w": r.normal(0.0, 0.5, 4),
-                "k": np.array(r.uniform(0.3, 1.5))}
+        return {"v": r.normal(0.0, 0.5, (1, 4)), "w": r.normal(0.0, 0.5, (1, 4)),
+                "k": r.uniform(0.3, 1.5, (1,))}
 
     def loss(t):
         return ad.sum_(diffgeo.lifted_sq_distance(t["v"], t["w"], t["k"], sign))

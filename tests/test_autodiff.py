@@ -113,7 +113,7 @@ class TestGradcheck:
     def test_transcendental_chain(self):
         def build(t):
             h = ad.tanh(t["v"]) * 0.9
-            return ad.sum_(ad.sqrt(ad.square(h) + 1.0) / ad.norm(ad.reshape(h, (1, -1))))
+            return ad.sum_(ad.sqrt(ad.square(h) + 1.0) / ad.norm(h))
 
         err = ad.gradcheck(build, lambda rng: {"v": rng.normal(size=5)}, trials=3, rng=1)
         assert err <= 1e-6

@@ -1,4 +1,5 @@
-"""The summary of ``tools/bench_pairs.py``, on canned ``bench/run.py`` output."""
+"""The summary of ``tools/bench_pairs.py``, on canned ``bench/run.py`` output
+and child result files."""
 
 import importlib.util
 import json
@@ -87,3 +88,48 @@ def test_summary_skips_a_pair_without_result():
     assert lines[0].startswith("run_s (s, lower is better): parent median 1 [q1 1, q3 1]")
     assert lines[0].endswith("change better in 1/1 pairs")
     assert lines[1] == "failed runs: parent 0 of 16, change 0 of 8"
+
+
+def write_children(tree, workload, seed, children):
+    """Child result files as one ``bench/run.py --trace 0`` invocation
+    leaves them; a string is written as it is."""
+    work = tree / ".bench_out" / f"{workload}-seed{seed}-trace0"
+    work.mkdir(parents=True)
+    for index, child in enumerate(children):
+        text = child if isinstance(child, str) else json.dumps(child)
+        (work / f"run-{index}.json").write_text(text)
+
+
+def test_wall_clock_reads_the_child_result_files(tmp_path):
+    write_children(tmp_path, "ref-full", 3, [
+        {"setup_s": 0.2, "run_s": 1.0, "calibration_s": [0.0015], "peak_rss_mb": 50.0},
+        {"setup_s": 0.1, "calibration_s": [0.0014]},
+        {"setup_s": 0.3, "calibration_s": [0.0016]},
+        {"setup_s": 0.25, "run_s": 1.4, "calibration_s": [0.0015], "peak_rss_mb": 50.0},
+        "{",
+    ])
+    write_children(tmp_path, "ref-full", 4, [{"setup_s": 9.0, "run_s": 9.0}])
+    metrics = bench_pairs.wall_clock(tmp_path, "ref-full", 3)
+    assert metrics == {"wall_clock.run_s": {"value": 1.2, "unit": "s"},
+                       "wall_clock.setup_s": {"value": 0.225, "unit": "s"}}
+    assert bench_pairs.wall_clock(tmp_path, "ref-full", 5) == {}
+
+
+def test_run_bench_adds_the_wall_clock_medians(tmp_path):
+    # A fake runner that leaves two children's files and prints its result.
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        "import json, pathlib\n"
+        "work = pathlib.Path('.bench_out/ref-full-seed7-trace0')\n"
+        "work.mkdir(parents=True)\n"
+        "(work / 'run-0.json').write_text(json.dumps({'setup_s': 0.1, 'run_s': 0.5}))\n"
+        "(work / 'run-1.json').write_text(json.dumps({'setup_s': 0.2}))\n"
+        f"print({printout(0.6, setup_s=0.16)!r})\n")
+    result = bench_pairs.run_bench(tmp_path, "ref-full", 7, 1.0)
+    assert result["metrics"]["run_s"] == {"value": 0.6, "unit": "s"}
+    assert result["metrics"]["wall_clock.run_s"] == {"value": 0.5, "unit": "s"}
+    assert result["metrics"]["wall_clock.setup_s"]["value"] == pytest.approx(0.15)
+    better = dict(BETTER, **dict.fromkeys(bench_pairs.WALL_CLOCK, "lower"))
+    lines = bench_pairs.summarize([(result, result)], better)
+    assert lines[3].startswith("wall_clock.run_s (s, lower is better): parent median 0.5 ")
+    assert lines[4].startswith("wall_clock.setup_s (s, lower is better): parent median 0.15 ")

@@ -2,6 +2,7 @@
 finite differences, and its own margins."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from geocl import autodiff as ad
 from geocl import diffgeo, geometry
 from geocl.autodiff import Tensor
 from geocl.errors import ConfigurationError
+from geocl.gis import build_pool
 from geocl.product import FactorSpec, MixedSpace
 
 # Both signs, two magnitudes each, a Euclidean factor; slice widths 2-4,
@@ -70,7 +72,7 @@ class TestForward:
         rng = np.random.default_rng(2)
         u = rng.normal(0.0, 0.4, (3, 4))
         v = rng.normal(0.0, 0.4, (2, 4))
-        got = diffgeo.lifted_sq_distance(Tensor(u), Tensor(v), Tensor(abs(curvature)),
+        got = diffgeo.lifted_sq_distance(Tensor(u), Tensor(v), Tensor([abs(curvature)]),
                                          np.sign(curvature)).value
         space = MixedSpace((FactorSpec(0, 1, 4, curvature),))
         np.testing.assert_allclose(got, oracle(u, v, space), rtol=0, atol=1e-10)
@@ -83,7 +85,7 @@ class TestForward:
         np.testing.assert_allclose(d, d.T, rtol=0, atol=1e-12)
 
     def test_row_blocks_match_one_pass(self):
-        # Forward-only calls run in tiles; recording does not.
+        # Forward-only calls run over blocks of rows; recording runs once.
         rng = np.random.default_rng(13)
         feats = rng.normal(0.0, 0.4, (500, 6))
         kmag, weights = rng.uniform(0.3, 2.0, (2, len(MIXED)))
@@ -114,8 +116,31 @@ class TestTiles:
         kmag, weights = rng.uniform(0.3, 2.0, (2, len(MIXED)))
         d = diffgeo.sq_dist_matrix(feats, feats, MIXED, kmag, weights).value
         rect = diffgeo.sq_dist_matrix(feats, feats.copy(), MIXED, kmag, weights).value
+        both = Tensor(feats, requires_grad=True)
+        recorded = diffgeo.sq_dist_matrix(both, both, MIXED, kmag, weights).value
         assert np.array_equal(d, rect)
+        assert np.array_equal(recorded, rect)
         assert np.array_equal(d, d.T)
+
+    @pytest.mark.parametrize("rows, bound", [(200, 100), (1000, 40)])
+    def test_forward_only_matrix_peak_memory(self, rows, bound):
+        """On the default 14-factor pool a forward-only call holds one
+        group's intermediates for one block of rows at a time: it peaks
+        within ``bound`` (rows x 20) float matrices (about 79 and 17). One
+        that kept every group's intermediates peaked near 139 at 200 rows,
+        and one without row blocks near 76 at 1000 rows."""
+        space = MixedSpace(build_pool(32, [4, 8, 16]).factors)
+        rng = np.random.default_rng(0)
+        feats, protos = rng.normal(0.0, 1.0, (rows, 32)), rng.normal(0.0, 1.0, (20, 32))
+        diffgeo.sq_dist_matrix(feats, protos, space)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            diffgeo.sq_dist_matrix(feats, protos, space)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * rows * 20 * 8
 
     @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 66, 128, 129, 400])
     def test_tiles_cover_rows_without_lone_row(self, n):
@@ -164,7 +189,9 @@ def _masks(b, rng):
 
 
 class TestForwardPairs:
-    """Forward-only pairs are the listed entries of the forward-only matrix."""
+    """Forward-only pairs, measured in tiles, are the listed entries of the
+    forward-only matrix, measured in blocks of rows, and of the recorded
+    pair op, measured in one pass."""
 
     @pytest.mark.parametrize("space", [MIXED, EUCLID], ids=["mixed", "euclidean"])
     @pytest.mark.parametrize("b", [2, 40, 63, 64, 65, 129, 400])
@@ -207,19 +234,19 @@ class TestSharedLift:
     is a copy of the lift, whose Gram products equal those of a second lift
     bit for bit (a product with the lift itself rounds differently at some
     sizes). The ops that share the lift are checked against the two-lift
-    matrix at the same sizes in TestTiles, TestPairs and TestForwardPairs."""
+    matrix at the same sizes in TestTiles and TestForwardPairs."""
 
     @pytest.mark.parametrize("space", [MIXED, EUCLID], ids=["mixed", "euclidean"])
     @pytest.mark.parametrize("b", [2, 40, 64, 65, 129, 400])
     def test_gram_products_equal_two_lifts(self, space, b):
         feats = np.random.default_rng(b).normal(0.0, 0.6, (b, 6))
-        row_tiles, col_tiles = diffgeo._tile_grid(b, b)
+        tiles = diffgeo._tiles(b, diffgeo._TILE)
         for sign, cols, _, k in diffgeo._groups(space, 6, None):
             x = diffgeo._lifted(feats, cols, k, sign)[0]
             y = diffgeo._lifted(feats, cols, k, sign)[0]
             shared = diffgeo._self_operand(x)
             assert np.array_equal(x @ shared.transpose(0, 2, 1), x @ y.transpose(0, 2, 1))
-            for (r0, r1), (c0, c1) in itertools.product(row_tiles, col_tiles):
+            for (r0, r1), (c0, c1) in itertools.product(tiles, tiles):
                 assert np.array_equal(x[:, r0:r1] @ shared[:, c0:c1].transpose(0, 2, 1),
                                       x[:, r0:r1] @ y[:, c0:c1].transpose(0, 2, 1))
 

@@ -15,6 +15,14 @@ metric, it gives each tree's median and quartiles (linear interpolation)
 over the pairs, the change's median over the parent's, the parent's
 interquartile range, and in how many pairs the change was better, in the
 direction CHANGE's ``BENCHMARK.json`` declares.
+
+Beside the runner's ``run_s`` and ``setup_s``, which are scaled by each
+child's calibration samples, it prints the raw wall-clock medians
+``wall_clock.run_s`` (the full runs) and ``wall_clock.setup_s`` (all
+children, set-up-only ones included) with the same summary. It reads them
+from the child result files each invocation leaves in
+``TREE/.bench_out/W-seedS-trace0/run-*.json``, since the calibration
+kernel's speed follows a child's memory layout as well as the host's.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ import sys
 from pathlib import Path
 
 TREES = ("parent", "change")
+WALL_CLOCK = {"wall_clock.run_s": "run_s", "wall_clock.setup_s": "setup_s"}
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -48,6 +57,26 @@ def parse_result(stdout: str) -> dict:
         return {"correct": False, "attempted": None, "failed": None, "metrics": {}}
 
 
+def wall_clock(tree: Path, workload: str, seed: int) -> dict:
+    """The unscaled medians of the child result files that ``bench/run.py
+    --workload W --seed S --trace 0`` left in ``tree``, as metrics entries:
+    ``run_s`` over the full runs, ``setup_s`` over every child (a run that
+    failed its output checks counts too). A file that does not parse is
+    skipped, and a time no file holds is left out."""
+    results = []
+    for path in sorted((tree / ".bench_out" / f"{workload}-seed{seed}-trace0").glob("run-*.json")):
+        try:
+            results.append(json.loads(path.read_text()))
+        except (OSError, json.JSONDecodeError):
+            continue
+    metrics = {}
+    for name, key in WALL_CLOCK.items():
+        values = [r[key] for r in results if key in r]
+        if values:
+            metrics[name] = {"value": statistics.median(values), "unit": "s"}
+    return metrics
+
+
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(
         [sys.executable, str(tree / "bench" / "run.py"), "--workload", workload,
@@ -56,7 +85,9 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0:
         print(f"{tree}: bench/run.py exited {proc.returncode}: "
               f"{(proc.stderr.strip().splitlines() or ['no output'])[-1]}", file=sys.stderr)
-    return parse_result(proc.stdout)
+    result = parse_result(proc.stdout)
+    result["metrics"].update(wall_clock(tree, workload, seed))
+    return result
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -133,6 +164,7 @@ def main(argv=None) -> int:
             parser.error(f"{tree} has no bench/run.py")
     bench = json.loads((trees[1] / "BENCHMARK.json").read_text())
     better = {entry["name"]: entry["better"] for entry in bench["end_to_end"]}
+    better.update(dict.fromkeys(WALL_CLOCK, "lower"))
     seconds = bench["run_seconds"]
     pairs = []
     for index, seed in enumerate(seeds):
