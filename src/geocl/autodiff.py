@@ -4,10 +4,10 @@ A ``Tensor`` wraps an ndarray and remembers how it was produced; calling
 ``backward`` on a scalar loss fills ``grad`` on every reachable tensor
 that requires gradients. The op set is deliberately closed to what the
 engine calls: arithmetic, matmul, square, sqrt, elementwise tanh,
-transpose, column slicing, concatenation, sums, norms, log-sum-exp
-cross-entropy and Huber. A fused op with a hand-written backward (the
-product-distance kernel in ``geocl.diffgeo``) builds its node with
-``_make`` and hands its gradients to ``_accum``.
+transpose, a column gather, sums, norms, log-sum-exp cross-entropy and
+Huber. A fused op with a hand-written backward (the product-distance
+kernel in ``geocl.diffgeo``) builds its node with ``_make`` and hands its
+gradients to ``_accum``.
 
 Graphs are per-step and single-threaded; accumulation order is fixed, so
 identical inputs give bit-identical gradients.
@@ -55,9 +55,6 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, as_tensor(other))
 
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, as_tensor(other))
 
@@ -66,14 +63,8 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, as_tensor(other))
 
-    def __rtruediv__(self, other):
-        return div(as_tensor(other), self)
-
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, as_tensor(other))
 
     def backward(self):
         if self.value.size != 1:
@@ -203,27 +194,17 @@ def transpose2d(a: Tensor) -> Tensor:
     return _make(a.value.T, (a,), lambda g: _accum(a, g.T))
 
 
-def cols(a: Tensor, start: int, stop: int) -> Tensor:
-    """Slice [start:stop) along the last axis."""
-    out = a.value[..., start:stop]
+def take_cols(a: Tensor, cols: np.ndarray) -> Tensor:
+    """Gather the columns ``cols`` of a 2-D tensor; a column may repeat."""
+    # np.take keeps C order, which a[:, cols] does not.
+    out = np.take(a.value, cols, axis=1)
 
     def bwd(g):
         full = np.zeros_like(a.value)
-        full[..., start:stop] = g
+        np.add.at(full, (slice(None), cols), g)
         _accum(a, full)
 
     return _make(out, (a,), bwd)
-
-
-def concat(parts: list[Tensor]) -> Tensor:
-    out = np.concatenate([p.value for p in parts], axis=-1)
-    offsets = np.cumsum([0] + [p.value.shape[-1] for p in parts])
-
-    def bwd(g):
-        for p, s, e in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(p, g[..., s:e])
-
-    return _make(out, tuple(parts), bwd)
 
 
 def sum_(a: Tensor, axis=None, keepdims=False) -> Tensor:

@@ -99,7 +99,8 @@ def _layout(space: MixedSpace, width: int) -> tuple:
     """Factors grouped by (slice width, curvature sign), built once per
     (space, feature width): per group its sign, feature columns, pool
     indices and curvature magnitudes, as read-only arrays. The columns of a
-    group's factors are laid out factor after factor."""
+    group's factors are laid out factor after factor. This is where a
+    factor past the feature width is rejected."""
     groups: dict[tuple[int, float], list[FactorSpec]] = {}
     for f in space.factors:
         if f.slice_end > width:
@@ -109,7 +110,7 @@ def _layout(space: MixedSpace, width: int) -> tuple:
         groups.setdefault((f.dim, float(np.sign(f.curvature))), []).append(f)
     layout = []
     for (_, sign), members in groups.items():
-        arrays = (np.concatenate([np.arange(f.slice_start - 1, f.slice_end) for f in members]),
+        arrays = (np.concatenate([f.columns for f in members]),
                   np.array([f.pool_index for f in members]),
                   np.array([abs(f.curvature) for f in members]))
         for a in arrays:

@@ -1,9 +1,14 @@
-"""Geometry incremental search: submanifold pool (its factors hold the live
-curvatures), weight-sum selection, thresholded factor choice, space expansion."""
+"""Geometry incremental search: the submanifold pool, weight-sum selection,
+thresholded factor choice, space expansion.
+
+The pool is a ``MixedSpace`` over every candidate factor; its slices and
+curvature signs never change. Its factors hold the live curvatures: the
+search returns a re-curved pool, which the caller keeps. Selection weights
+live only inside each step's search phase."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -14,22 +19,7 @@ from .geometry import CURVATURE_FLOOR
 from .product import FactorSpec, MixedSpace
 
 
-@dataclass
-class SubmanifoldPool:
-    """Fixed set of candidate factors; slices and curvature signs never change.
-
-    Each factor holds its live curvature, which the search writes back;
-    selection weights live only inside each step's search phase.
-    """
-
-    factors: tuple[FactorSpec, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.factors)
-
-
-def build_pool(feature_dim: int, sizes, mode: str = "mixed") -> SubmanifoldPool:
+def build_pool(feature_dim: int, sizes, mode: str = "mixed") -> MixedSpace:
     """Tile the feature coordinates with contiguous slices of each size.
 
     ``mixed`` assigns curvature -1 to the first half of the pool and +1 to
@@ -38,7 +28,7 @@ def build_pool(feature_dim: int, sizes, mode: str = "mixed") -> SubmanifoldPool:
     """
     if mode == "euclidean":
         f = FactorSpec(pool_index=0, slice_start=1, slice_end=feature_dim, curvature=0.0)
-        return SubmanifoldPool(factors=(f,))
+        return MixedSpace((f,))
     if mode != "mixed":
         raise ConfigurationError(f"unknown pool mode '{mode}'")
     slices = []
@@ -47,13 +37,13 @@ def build_pool(feature_dim: int, sizes, mode: str = "mixed") -> SubmanifoldPool:
             raise ConfigurationError(f"factor size {size} does not divide feature dim {feature_dim}")
         slices += [(tile * size + 1, (tile + 1) * size) for tile in range(feature_dim // size)]
     half = len(slices) // 2
-    return SubmanifoldPool(factors=tuple(
+    return MixedSpace(tuple(
         FactorSpec(pool_index=i, slice_start=start, slice_end=end,
                    curvature=-1.0 if i < half else 1.0)
         for i, (start, end) in enumerate(slices)))
 
 
-def classifier_warmup(pool: SubmanifoldPool, feats: np.ndarray, labels: np.ndarray,
+def classifier_warmup(pool: MixedSpace, feats: np.ndarray, labels: np.ndarray,
                       classifier: np.ndarray, lr: float, batch_size: int,
                       rng: np.random.Generator) -> np.ndarray:
     """One epoch of prototype-only training under uniform factor weights.
@@ -62,48 +52,45 @@ def classifier_warmup(pool: SubmanifoldPool, feats: np.ndarray, labels: np.ndarr
     newly appended (randomly initialized) class rows from corrupting the
     weight search that follows.
     """
-    space = MixedSpace(pool.factors)
     uniform = np.full(pool.size, 1.0 / pool.size)
     w = classifier.copy()
     for batch in batches(len(labels), batch_size, rng):
         wt = Tensor(w, requires_grad=True)
-        loss = mdl.ce_loss_t(Tensor(feats[batch]), wt, labels[batch], space,
+        loss = mdl.ce_loss_t(Tensor(feats[batch]), wt, labels[batch], pool,
                              weights=Tensor(uniform))
         loss.backward()
         w = w - lr * wt.grad
     return w
 
 
-def gis_optimize(pool: SubmanifoldPool, feats: np.ndarray, labels: np.ndarray,
+def gis_optimize(pool: MixedSpace, feats: np.ndarray, labels: np.ndarray,
                  classifier: np.ndarray, n_classes: int, epochs: int, lr: float,
-                 batch_size: int, rng: np.random.Generator) -> np.ndarray:
+                 batch_size: int, rng: np.random.Generator) -> tuple[np.ndarray, MixedSpace]:
     """Gradient descent on the weight-sum classification loss.
 
     Only the selection weights and curvature magnitudes move; backbone
     features and classifier are frozen for the whole phase. Weights start
     at 1/n (n = total classes); magnitudes start from the pool's factors.
-    Writes the new curvatures back into the pool's factors and returns the
-    weights.
+    Returns the weights and the pool with the new curvatures; the input
+    pool is left as it was.
     """
     weights = np.full(pool.size, 1.0 / n_classes)
     curvatures = np.array([f.curvature for f in pool.factors])
     signs, mags = np.sign(curvatures), np.abs(curvatures)
-    # The kernel reads magnitudes from ``kt``; the space gives slices and signs.
-    space = MixedSpace(pool.factors)
+    # The kernel reads magnitudes from ``kt``; the pool gives slices and signs.
     for _ in range(epochs):
         for batch in batches(len(labels), batch_size, rng):
             wt = Tensor(weights, requires_grad=True)
             kt = Tensor(mags, requires_grad=True)
             loss = mdl.ce_loss_t(Tensor(feats[batch]), Tensor(classifier),
-                                 labels[batch], space, kmag=kt, weights=wt)
+                                 labels[batch], pool, kmag=kt, weights=wt)
             if not np.isfinite(loss.value):
                 raise NumericalDomainError("weight-sum loss diverged (NaN/Inf)")
             loss.backward()
             weights = np.maximum(weights - lr * wt.grad, 0.0)
             mags = np.where(signs != 0, np.maximum(mags - lr * kt.grad, CURVATURE_FLOOR), mags)
-    pool.factors = tuple(replace(f, curvature=float(s * m))
-                         for f, s, m in zip(pool.factors, signs, mags))
-    return weights
+    return weights, MixedSpace(tuple(replace(f, curvature=float(s * m))
+                                     for f, s, m in zip(pool.factors, signs, mags)))
 
 
 def select(weights: np.ndarray, tau1: float, step: int) -> frozenset:
@@ -118,12 +105,12 @@ def select(weights: np.ndarray, tau1: float, step: int) -> frozenset:
     return chosen
 
 
-def expand(selected: frozenset, pool: SubmanifoldPool) -> MixedSpace:
+def expand(selected: frozenset, pool: MixedSpace) -> MixedSpace:
     """Product over the selected pool indices, with live pool curvatures."""
     return MixedSpace(tuple(pool.factors[i] for i in sorted(selected)))
 
 
-def trace_record(step: int, pool: SubmanifoldPool, weights: np.ndarray,
+def trace_record(step: int, pool: MixedSpace, weights: np.ndarray,
                  chosen: frozenset, selected: frozenset) -> dict:
     """JSON-serializable per-step search trace (``selected``: the union so far)."""
     return {

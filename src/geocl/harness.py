@@ -14,7 +14,6 @@ from . import gis as gis_mod
 from . import model as mdl
 from .autodiff import Tensor
 from .errors import ConfigurationError, ContractViolation, NumericalDomainError
-from .gis import SubmanifoldPool
 from .product import MixedSpace
 
 # Stable per-phase stream ids so every phase draws from its own rng and
@@ -214,7 +213,7 @@ class MemoryBuffer:
 class EngineState:
     params: dict[str, np.ndarray]
     classifier: np.ndarray                  # (n_seen, feature_dim)
-    pool: SubmanifoldPool
+    pool: MixedSpace                        # every candidate; each search re-curves it
     selected: frozenset = frozenset()       # union of every step's chosen factors
     space: MixedSpace | None = None
     buffer: MemoryBuffer = field(default_factory=MemoryBuffer)
@@ -222,7 +221,7 @@ class EngineState:
     gis_trace: list[dict] = field(default_factory=list)
 
 
-def init_state(backbone: mdl.Backbone, pool: SubmanifoldPool, seed: int) -> EngineState:
+def init_state(backbone: mdl.Backbone, pool: MixedSpace, seed: int) -> EngineState:
     params = backbone.init_params(phase_rng(seed, 0, "init"))
     return EngineState(params=params, classifier=np.zeros((0, backbone.feature_dim)), pool=pool)
 
@@ -266,7 +265,7 @@ def run_step(state: EngineState, task: StreamTask, cfg: dict, seed: int) -> Engi
         state.pool, feats, y_train, state.classifier,
         lr=cfg["lr_gis"], batch_size=cfg["batch_size"],
         rng=phase_rng(seed, t, "warmup"))
-    weights = gis_mod.gis_optimize(
+    weights, state.pool = gis_mod.gis_optimize(
         state.pool, feats, y_train, state.classifier, n_classes,
         epochs=cfg["epochs_gis"], lr=cfg["lr_gis"], batch_size=cfg["batch_size"],
         rng=phase_rng(seed, t, "gis"))
@@ -431,7 +430,7 @@ def summary_metrics(record: MetricsRecord) -> dict:
 
 
 def run_stream(tasks: list[StreamTask], cfg: dict, seed: int,
-               backbone: mdl.Backbone, pool: SubmanifoldPool) -> tuple[EngineState, MetricsRecord]:
+               backbone: mdl.Backbone, pool: MixedSpace) -> tuple[EngineState, MetricsRecord]:
     """Execute the whole stream and collect the accuracy matrix."""
     state = init_state(backbone, pool, seed)
     record = MetricsRecord()

@@ -65,11 +65,9 @@ def features_t(params: dict[str, Tensor], x: np.ndarray) -> Tensor:
 
 # -- distance logits ----------------------------------------------------
 
-def sq_dist_matrix_np(feats: np.ndarray, protos: np.ndarray, space: MixedSpace,
-                      weights: np.ndarray | None = None) -> np.ndarray:
-    """(batch, n_proto) matrix of (optionally weighted) squared product distances."""
-    return diffgeo.sq_dist_matrix(np.atleast_2d(feats), np.atleast_2d(protos), space,
-                                  weights=weights).value
+def sq_dist_matrix_np(feats: np.ndarray, protos: np.ndarray, space: MixedSpace) -> np.ndarray:
+    """(batch, n_proto) matrix of squared product distances."""
+    return diffgeo.sq_dist_matrix(np.atleast_2d(feats), np.atleast_2d(protos), space).value
 
 
 def class_probs_np(feats: np.ndarray, protos: np.ndarray, space: MixedSpace) -> np.ndarray:
@@ -109,10 +107,11 @@ def tangent_concat_t(feats: Tensor, space: MixedSpace) -> Tensor:
     """Concatenated origin-tangent coordinates of the lifted representation.
 
     Inside the injectivity radius log0(exp0(v)) is exactly v, so the
-    tangent is the concatenation of the factor slices of the raw feature;
-    computing it this way keeps the result exactly curvature-free.
+    tangent is the concatenation of the factor slices of the raw feature,
+    one gather of the space's columns; computing it this way keeps the
+    result exactly curvature-free.
     """
-    return ad.concat([ad.cols(feats, f.slice_start - 1, f.slice_end) for f in space.factors])
+    return ad.take_cols(feats, space.columns)
 
 
 def tangent_concat_np(feats: np.ndarray, space: MixedSpace) -> np.ndarray:

@@ -1,15 +1,19 @@
 """Product of constant-curvature factors over slices of a feature vector.
 
 A factor owns a contiguous (possibly overlapping with other factors) slice
-of the backbone feature vector plus a curvature.
+of the backbone feature vector plus a curvature; its ``columns`` are the
+one map from a factor to feature columns. A ``MixedSpace`` is an ordered
+product of factors; the geometry search's candidate pool is one too.
 The squared product distance, the sum of per-factor squared distances, is
 computed by :func:`geocl.diffgeo.sq_dist_matrix`; the product angle is the
-plain Euclidean cosine of the concatenated tangents (``geocl.model``).
+plain Euclidean cosine of the concatenated tangents (``geocl.model``), the
+feature gathered at ``MixedSpace.columns``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,15 +40,10 @@ class FactorSpec:
     def dim(self) -> int:
         return self.slice_end - self.slice_start + 1
 
-    def take(self, feature: np.ndarray) -> np.ndarray:
-        """Slice this factor's coordinates out of a feature array."""
-        d = np.asarray(feature).shape[-1]
-        if self.slice_end > d:
-            raise ConfigurationError(
-                f"factor {self.pool_index} slice [{self.slice_start}, {self.slice_end}] "
-                f"exceeds feature dim {d}"
-            )
-        return np.asarray(feature, dtype=float)[..., self.slice_start - 1 : self.slice_end]
+    @property
+    def columns(self) -> np.ndarray:
+        """This factor's 0-based feature columns."""
+        return np.arange(self.slice_start - 1, self.slice_end)
 
 
 @dataclass(frozen=True)
@@ -60,5 +59,13 @@ class MixedSpace:
         if list(idx) != sorted(idx):
             object.__setattr__(self, "factors", tuple(sorted(self.factors, key=lambda f: f.pool_index)))
 
-    def __len__(self):
+    @property
+    def size(self) -> int:
         return len(self.factors)
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """Every factor's feature columns, factor after factor (read-only)."""
+        cols = np.concatenate([f.columns for f in self.factors])
+        cols.flags.writeable = False
+        return cols

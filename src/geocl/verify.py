@@ -94,7 +94,7 @@ def check_angle_conformality(tolerance=1e-12, seed=3) -> CheckResult:
         space = MixedSpace(tuple(FactorSpec(i, a, b, K) for i, (a, b)
                                  in enumerate(((1, 4), (3, 6), (5, 8), (2, 7), (1, 8)))))
         cos, _ = model.cosine_matrix_np(model.tangent_concat_np(v, space))
-        q = np.concatenate([geometry.log_map(zero, geometry.exp_map(zero, f.take(v), K), K)
+        q = np.concatenate([geometry.log_map(zero, geometry.exp_map(zero, v[:, f.columns], K), K)
                             for f in space.factors], axis=-1)
         ref = geometry.cosine_at_origin(q[:, None, :], q[None, :, :])
         worst = max(worst, float(np.abs(cos - ref).max()))

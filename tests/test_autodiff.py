@@ -3,6 +3,7 @@ import pytest
 
 from geocl import autodiff as ad
 from geocl.errors import ContractViolation
+from geocl.gis import build_pool
 
 
 def scalar(x):
@@ -41,9 +42,31 @@ class TestBasics:
         rng = np.random.default_rng(0)
         a = ad.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         b = ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-        ad.sum_(a @ b).backward()
+        ad.sum_(ad.matmul(a, b)).backward()
         np.testing.assert_allclose(a.grad, np.ones((2, 2)) @ b.value.T, atol=1e-12)
         np.testing.assert_allclose(b.grad, a.value.T @ np.ones((2, 2)), atol=1e-12)
+
+
+class TestTakeCols:
+    # The default pool's 14 factors cover every one of 32 columns three times.
+    COLS = build_pool(32, [4, 8, 16]).columns
+
+    def test_equals_concatenated_slices_in_c_order(self):
+        x = np.random.default_rng(0).normal(size=(5, 32))
+        out = ad.take_cols(ad.Tensor(x), self.COLS).value
+        want = np.concatenate([x[:, f.slice_start - 1:f.slice_end]
+                               for f in build_pool(32, [4, 8, 16]).factors], axis=1)
+        assert out.flags.c_contiguous
+        np.testing.assert_array_equal(out, want)
+
+    def test_gradcheck(self):
+        scale = ad.Tensor(np.random.default_rng(1).normal(size=(3, len(self.COLS))))
+
+        def build(t):
+            return ad.sum_(ad.square(ad.take_cols(t["x"], self.COLS)) * scale)
+
+        err = ad.gradcheck(build, lambda rng: {"x": rng.normal(size=(3, 32))}, rng=2)
+        assert err <= 1e-6
 
 
 class TestElementwiseGradients:

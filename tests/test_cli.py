@@ -172,7 +172,7 @@ class TestVerify:
         # must change the engine's cosines and fail the check.
         def lifted(feats, space):
             zero = np.zeros((len(feats), 1))
-            return np.concatenate([geometry.exp_map(zero, f.take(feats), f.curvature)
+            return np.concatenate([geometry.exp_map(zero, feats[:, f.columns], f.curvature)
                                    for f in space.factors], axis=-1)
 
         assert verify.check_angle_conformality().passed

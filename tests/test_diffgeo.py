@@ -31,8 +31,8 @@ def oracle(feats, protos, space, weights=None):
     """Sum over factors of squared `geometry.distance` between exp0 lifts."""
     total = np.zeros((len(feats), len(protos)))
     for j, f in enumerate(space.factors):
-        u = f.take(feats)[:, None, :]
-        v = f.take(protos)[None, :, :]
+        u = feats[:, None, f.columns]
+        v = protos[None, :, f.columns]
         x = geometry.exp_map(np.zeros_like(u), u, f.curvature)
         y = geometry.exp_map(np.zeros_like(v), v, f.curvature)
         d = geometry.distance(x, y, f.curvature)
@@ -51,7 +51,7 @@ class TestForward:
         rng = np.random.default_rng(0)
         feats = rng.normal(0.0, 0.4, (7, 6))
         protos = rng.normal(0.0, 0.4, (5, 6))
-        weights = rng.uniform(0.2, 1.5, len(MIXED)) if weighted else None
+        weights = rng.uniform(0.2, 1.5, MIXED.size) if weighted else None
         got = diffgeo.sq_dist_matrix(feats, protos, MIXED, weights=weights).value
         np.testing.assert_allclose(got, oracle(feats, protos, MIXED, weights),
                                    rtol=0, atol=1e-10)
@@ -61,7 +61,7 @@ class TestForward:
         rng = np.random.default_rng(1)
         feats = rng.normal(0.0, 0.4, (4, 6))
         protos = rng.normal(0.0, 0.4, (3, 6))
-        kmag = rng.uniform(0.3, 2.0, len(MIXED))
+        kmag = rng.uniform(0.3, 2.0, MIXED.size)
         got = diffgeo.sq_dist_matrix(feats, protos, MIXED, kmag=kmag).value
         live = with_curvatures(MIXED, [np.sign(f.curvature) * kmag[f.pool_index]
                                        for f in MIXED.factors])
@@ -88,7 +88,7 @@ class TestForward:
         # Forward-only calls run over blocks of rows; recording runs once.
         rng = np.random.default_rng(13)
         feats = rng.normal(0.0, 0.4, (500, 6))
-        kmag, weights = rng.uniform(0.3, 2.0, (2, len(MIXED)))
+        kmag, weights = rng.uniform(0.3, 2.0, (2, MIXED.size))
         blocked = diffgeo.sq_dist_matrix(feats, feats, MIXED, kmag, weights).value
         whole = diffgeo.sq_dist_matrix(Tensor(feats, requires_grad=True), feats, MIXED,
                                        kmag, weights).value
@@ -113,7 +113,7 @@ class TestTiles:
     def test_self_distance_tiles_equal_rectangular_call(self, b):
         rng = np.random.default_rng(b)
         feats = rng.normal(0.0, 0.6, (b, 6))
-        kmag, weights = rng.uniform(0.3, 2.0, (2, len(MIXED)))
+        kmag, weights = rng.uniform(0.3, 2.0, (2, MIXED.size))
         d = diffgeo.sq_dist_matrix(feats, feats, MIXED, kmag, weights).value
         rect = diffgeo.sq_dist_matrix(feats, feats.copy(), MIXED, kmag, weights).value
         both = Tensor(feats, requires_grad=True)
@@ -129,7 +129,7 @@ class TestTiles:
         within ``bound`` (rows x 20) float matrices (about 79 and 17). One
         that kept every group's intermediates peaked near 139 at 200 rows,
         and one without row blocks near 76 at 1000 rows."""
-        space = MixedSpace(build_pool(32, [4, 8, 16]).factors)
+        space = build_pool(32, [4, 8, 16])
         rng = np.random.default_rng(0)
         feats, protos = rng.normal(0.0, 1.0, (rows, 32)), rng.normal(0.0, 1.0, (20, 32))
         diffgeo.sq_dist_matrix(feats, protos, space)
@@ -269,8 +269,8 @@ class TestBackward:
         def sampler(rng):
             return {"feats": rng.normal(0.0, scale, (4, 6)),
                     "protos": rng.normal(0.0, scale, (3, 6)),
-                    "kmag": rng.uniform(0.3, 2.0, len(MIXED)),
-                    "weights": rng.uniform(0.2, 1.0, len(MIXED))}
+                    "kmag": rng.uniform(0.3, 2.0, MIXED.size),
+                    "weights": rng.uniform(0.2, 1.0, MIXED.size)}
 
         assert ad.gradcheck(_loss(MIXED, g), sampler, trials=5, rng=6) <= 1e-4
 
@@ -280,7 +280,7 @@ class TestBackward:
 
         def sampler(rng):
             return {"feats": rng.normal(0.0, 0.5, (5, 6)),
-                    "kmag": rng.uniform(0.3, 2.0, len(MIXED))}
+                    "kmag": rng.uniform(0.3, 2.0, MIXED.size)}
 
         assert ad.gradcheck(_loss(MIXED, g, same=True), sampler, trials=5, rng=8) <= 1e-4
 

@@ -73,8 +73,8 @@ class TestExpand:
 
     def test_expand_reads_live_curvature(self):
         pool = gis.build_pool(32, [4, 8, 16])
-        pool.factors = tuple(replace(f, curvature=-0.5) if f.pool_index == 2 else f
-                             for f in pool.factors)
+        pool = MixedSpace(tuple(replace(f, curvature=-0.5) if f.pool_index == 2 else f
+                                for f in pool.factors))
         space = gis.expand(frozenset({2}), pool)
         assert space.factors[0].curvature == -0.5
 
@@ -82,8 +82,8 @@ class TestExpand:
         rng = np.random.default_rng(13)
         feats, labels, protos = _curved_problem(rng)
         pool = gis.build_pool(8, [2, 4])
-        gis.gis_optimize(pool, feats, labels, protos, n_classes=2, epochs=1,
-                         lr=1.0, batch_size=32, rng=np.random.default_rng(14))
+        _, pool = gis.gis_optimize(pool, feats, labels, protos, n_classes=2, epochs=1,
+                                   lr=1.0, batch_size=32, rng=np.random.default_rng(14))
         space = gis.expand(frozenset(range(pool.size)), pool)
         assert space.factors == pool.factors
         assert [f.curvature for f in space.factors] != [-1.0] * 3 + [1.0] * 3
@@ -114,11 +114,9 @@ class TestGisOptimize:
         rng = np.random.default_rng(0)
         feats, labels, protos = _toy_problem(rng)
         pool = gis.build_pool(8, [4])
-        space = MixedSpace(pool.factors)
-        from geocl import autodiff as ad
         from geocl.autodiff import Tensor
-        plain = model.ce_loss_t(Tensor(feats), Tensor(protos), labels, space)
-        weighted = model.ce_loss_t(Tensor(feats), Tensor(protos), labels, space,
+        plain = model.ce_loss_t(Tensor(feats), Tensor(protos), labels, pool)
+        weighted = model.ce_loss_t(Tensor(feats), Tensor(protos), labels, pool,
                                    weights=Tensor(np.ones(pool.size)))
         assert float(plain.value) == pytest.approx(float(weighted.value), abs=1e-12)
 
@@ -128,9 +126,9 @@ class TestGisOptimize:
         rng = np.random.default_rng(1)
         feats, labels, protos = _toy_problem(rng)
         pool = gis.build_pool(8, [4])
-        w = gis.gis_optimize(pool, feats, labels, protos, n_classes=2,
-                             epochs=5, lr=0.05, batch_size=32,
-                             rng=np.random.default_rng(2))
+        w, _ = gis.gis_optimize(pool, feats, labels, protos, n_classes=2,
+                                epochs=5, lr=0.05, batch_size=32,
+                                rng=np.random.default_rng(2))
         assert w.shape == (pool.size,)
         assert int(np.argmax(w)) == 0
         assert w[0] > w[1]
@@ -139,9 +137,9 @@ class TestGisOptimize:
         rng = np.random.default_rng(3)
         feats, labels, protos = _toy_problem(rng)
         pool = gis.build_pool(8, [2, 4])
-        w = gis.gis_optimize(pool, feats, labels, protos, n_classes=2,
-                             epochs=3, lr=0.5, batch_size=32,
-                             rng=np.random.default_rng(4))
+        w, pool = gis.gis_optimize(pool, feats, labels, protos, n_classes=2,
+                                   epochs=3, lr=0.5, batch_size=32,
+                                   rng=np.random.default_rng(4))
         assert w.shape == (pool.size,)
         assert (w >= 0).all()
         assert all(abs(f.curvature) >= gis.CURVATURE_FLOOR for f in pool.factors)
@@ -153,8 +151,8 @@ class TestGisOptimize:
         feats, labels, protos = _curved_problem(rng)
         pool = gis.build_pool(8, [2, 4])
         signs = [np.sign(f.curvature) for f in pool.factors]
-        gis.gis_optimize(pool, feats, labels, protos, n_classes=2, epochs=3,
-                         lr=10.0, batch_size=32, rng=np.random.default_rng(4))
+        _, pool = gis.gis_optimize(pool, feats, labels, protos, n_classes=2, epochs=3,
+                                   lr=10.0, batch_size=32, rng=np.random.default_rng(4))
         assert [np.sign(f.curvature) for f in pool.factors] == signs
         magnitudes = [abs(f.curvature) for f in pool.factors]
         assert min(magnitudes) == gis.CURVATURE_FLOOR
@@ -164,9 +162,23 @@ class TestGisOptimize:
         rng = np.random.default_rng(3)
         feats, labels, protos = _curved_problem(rng)
         pool = gis.build_pool(8, [4], mode="euclidean")
-        gis.gis_optimize(pool, feats, labels, protos, n_classes=2, epochs=2,
-                         lr=10.0, batch_size=32, rng=np.random.default_rng(4))
+        _, pool = gis.gis_optimize(pool, feats, labels, protos, n_classes=2, epochs=2,
+                                   lr=10.0, batch_size=32, rng=np.random.default_rng(4))
         assert pool.factors[0].curvature == 0.0
+
+    def test_input_pool_untouched(self):
+        # the search returns a re-curved pool and leaves the one it was given
+        rng = np.random.default_rng(3)
+        feats, labels, protos = _curved_problem(rng)
+        pool = gis.build_pool(8, [2, 4])
+        before = pool.factors
+        _, searched = gis.gis_optimize(pool, feats, labels, protos, n_classes=2, epochs=1,
+                                       lr=1.0, batch_size=32, rng=np.random.default_rng(4))
+        assert pool.factors == before
+        assert [f.curvature for f in pool.factors] == [-1.0] * 3 + [1.0] * 3
+        assert [(f.pool_index, f.dim, np.sign(f.curvature)) for f in searched.factors] == \
+            [(f.pool_index, f.dim, np.sign(f.curvature)) for f in before]
+        assert [f.curvature for f in searched.factors] != [f.curvature for f in before]
 
     def test_classifier_and_features_frozen(self):
         rng = np.random.default_rng(5)
@@ -184,11 +196,11 @@ class TestGisOptimize:
         feats, labels, protos = _toy_problem(rng)
         pool = gis.build_pool(8, [4])
         # a trained search must not leak its weights into the next one
-        gis.gis_optimize(pool, feats, labels, protos, n_classes=2, epochs=3,
-                         lr=0.5, batch_size=32, rng=np.random.default_rng(8))
-        w = gis.gis_optimize(pool, feats, labels, protos, n_classes=2,
-                             epochs=0, lr=0.05, batch_size=32,
-                             rng=np.random.default_rng(8))
+        _, pool = gis.gis_optimize(pool, feats, labels, protos, n_classes=2, epochs=3,
+                                   lr=0.5, batch_size=32, rng=np.random.default_rng(8))
+        w, _ = gis.gis_optimize(pool, feats, labels, protos, n_classes=2,
+                                epochs=0, lr=0.05, batch_size=32,
+                                rng=np.random.default_rng(8))
         assert w.shape == (pool.size,)
         np.testing.assert_allclose(w, 0.5)
 
@@ -197,10 +209,9 @@ class TestGisOptimize:
         feats, labels, protos = _toy_problem(rng)
         outs = []
         for _ in range(2):
-            pool = gis.build_pool(8, [2, 4])
-            w = gis.gis_optimize(pool, feats, labels, protos, n_classes=2,
-                                 epochs=2, lr=0.05, batch_size=32,
-                                 rng=np.random.default_rng(10))
+            w, pool = gis.gis_optimize(gis.build_pool(8, [2, 4]), feats, labels, protos,
+                                       n_classes=2, epochs=2, lr=0.05, batch_size=32,
+                                       rng=np.random.default_rng(10))
             outs.append((w, pool.factors))
         assert outs[0][0].shape == (6,)
         np.testing.assert_array_equal(outs[0][0], outs[1][0])
@@ -213,11 +224,10 @@ class TestWarmup:
         feats, labels, _ = _toy_problem(rng)
         pool = gis.build_pool(8, [4])
         w0 = rng.normal(0.0, 0.01, (2, 8))
-        space = MixedSpace(pool.factors)
-        before = (model.class_probs_np(feats, w0, space).argmax(1) == labels).mean()
+        before = (model.class_probs_np(feats, w0, pool).argmax(1) == labels).mean()
         w1 = gis.classifier_warmup(pool, feats, labels, w0, lr=0.1, batch_size=32,
                                    rng=np.random.default_rng(12))
-        after = (model.class_probs_np(feats, w1, space).argmax(1) == labels).mean()
+        after = (model.class_probs_np(feats, w1, pool).argmax(1) == labels).mean()
         assert after >= before
         assert after >= 0.9
 

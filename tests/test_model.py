@@ -92,7 +92,7 @@ class TestDistanceLogits:
         f = rng.normal(0.0, 0.3, (2, 4))
         w = rng.normal(0.0, 0.3, (2, 4))
         wts = np.array([2.0, 0.5])
-        got = model.sq_dist_matrix_np(f, w, space, weights=wts)
+        got = model.sq_dist_matrix_t(Tensor(f), Tensor(w), space, weights=Tensor(wts)).value
         per = [model.sq_dist_matrix_np(f, w, MixedSpace((fac,))) for fac in space.factors]
         np.testing.assert_allclose(got, 2.0 * per[0] + 0.5 * per[1], atol=1e-10)
 
@@ -217,7 +217,7 @@ class TestNeighborPairs:
     @pytest.mark.parametrize("b", [2, 9, 40])
     def test_equals_dense_form(self, pool, capped, b):
         rng = np.random.default_rng(b)
-        space = (MixedSpace(gis.build_pool(32, [4, 8, 16]).factors) if pool == "mixed"
+        space = (gis.build_pool(32, [4, 8, 16]) if pool == "mixed"
                  else euclidean_space(32))
         assert pool == "euclidean" or {np.sign(f.curvature) for f in space.factors} == {-1, 1}
         feats = rng.normal(0.0, 0.5, (b, 32))
@@ -237,7 +237,7 @@ class TestNeighborPairs:
         assert np.abs(gf).max() > 0.0
 
     def test_all_zero_affinity(self):
-        space = MixedSpace(gis.build_pool(8, [2, 4]).factors)
+        space = gis.build_pool(8, [2, 4])
         feats = np.random.default_rng(3).normal(0.0, 0.5, (6, 8))
         (loss, gf, gk), _ = self.both(feats, space, np.zeros((6, 6)), np.ones(6), 1.0)
         assert float(loss) == 0.0
@@ -251,7 +251,7 @@ class TestCallerGradients:
     training the features and prototypes); the gradients it reads are bit
     for bit those of the same loss with every input trainable."""
 
-    SPACE = MixedSpace(gis.build_pool(32, [4, 8, 16]).factors)
+    SPACE = gis.build_pool(32, [4, 8, 16])
 
     @classmethod
     def ce_grads(cls, values, labels, trained, kmag, weights):
@@ -297,7 +297,7 @@ class TestOverlappingSlices:
     coordinate belongs to several factors."""
 
     def setup_method(self):
-        self.space = MixedSpace(gis.build_pool(8, [2, 4]).factors)
+        self.space = gis.build_pool(8, [2, 4])
         rng = np.random.default_rng(7)
         prev = rng.normal(0.0, 0.4, (5, 8))
         self.prev_cos, self.prev_valid = model.cosine_matrix_np(

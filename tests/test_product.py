@@ -19,10 +19,9 @@ class TestFactorSpec:
         f = prod.FactorSpec(0, 3, 6, -1.0)
         assert f.dim == 4
 
-    def test_take_one_based(self):
+    def test_columns_zero_based(self):
         f = prod.FactorSpec(0, 2, 3, -1.0)
-        out = f.take(np.array([10.0, 20.0, 30.0, 40.0]))
-        np.testing.assert_array_equal(out, [20.0, 30.0])
+        np.testing.assert_array_equal(f.columns, [1, 2])
 
     def test_bad_slice_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -30,16 +29,13 @@ class TestFactorSpec:
         with pytest.raises(ConfigurationError):
             prod.FactorSpec(0, 3, 3, -1.0)
 
-    def test_take_beyond_feature_rejected(self):
-        f = prod.FactorSpec(0, 1, 8, -1.0)
-        with pytest.raises(ConfigurationError):
-            f.take(np.zeros(4))
-
 
 class TestMixedSpace:
     def test_sorted_by_pool_index(self):
         s = prod.MixedSpace((prod.FactorSpec(3, 1, 2, 1.0), prod.FactorSpec(1, 3, 4, -1.0)))
         assert [f.pool_index for f in s.factors] == [1, 3]
+        assert s.size == 2
+        np.testing.assert_array_equal(s.columns, [2, 3, 0, 1])
 
     def test_duplicate_index_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -62,7 +58,7 @@ class TestLift:
         # The tangent the angular loss reads is log0 of the lift, per factor.
         space = two_factor_space()
         feat = np.random.default_rng(7).normal(0.0, 0.3, (1, 4))
-        parts = [geo.log_map(np.zeros(f.dim), geo.exp_map(np.zeros(f.dim), f.take(feat[0]),
+        parts = [geo.log_map(np.zeros(f.dim), geo.exp_map(np.zeros(f.dim), feat[0, f.columns],
                                                           f.curvature), f.curvature)
                  for f in space.factors]
         np.testing.assert_allclose(model.tangent_concat_np(feat, space)[0],
@@ -84,9 +80,11 @@ class TestSqDistance:
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_feature_width_checked(self):
-        space = two_factor_space()
-        with pytest.raises(ConfigurationError):
-            diffgeo.sq_dist_matrix(np.zeros((1, 3)), np.zeros((1, 3)), space)
+        # A factor past the feature width is rejected, alone or beside one that fits.
+        for space, width in [(two_factor_space(), 3),
+                             (prod.MixedSpace((prod.FactorSpec(0, 1, 8, -1.0),)), 4)]:
+            with pytest.raises(ConfigurationError):
+                diffgeo.sq_dist_matrix(np.zeros((1, width)), np.zeros((1, width)), space)
 
 
 class TestProductAngle:
@@ -111,7 +109,7 @@ class TestProductAngle:
                 prod.FactorSpec(1, 3, 4, kb),
             ))
             tangents = np.stack([np.concatenate([
-                geo.log_map(np.zeros(f.dim), geo.exp_map(np.zeros(f.dim), f.take(row),
+                geo.log_map(np.zeros(f.dim), geo.exp_map(np.zeros(f.dim), row[f.columns],
                                                          f.curvature), f.curvature)
                 for f in space.factors]) for row in feats])
             cosines.append(model.cosine_matrix_np(tangents)[0][0, 1])
