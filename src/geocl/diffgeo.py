@@ -78,7 +78,6 @@ import numpy as np
 from . import autodiff as ad
 from . import geometry
 from .autodiff import Tensor
-from .errors import ConfigurationError
 from .product import FactorSpec, MixedSpace
 
 # tanh(arg) <= 1 - BALL_EPS, i.e. the lift respects the ball margin.
@@ -99,14 +98,11 @@ def _layout(space: MixedSpace, width: int) -> tuple:
     """Factors grouped by (slice width, curvature sign), built once per
     (space, feature width): per group its sign, feature columns, pool
     indices and curvature magnitudes, as read-only arrays. The columns of a
-    group's factors are laid out factor after factor. This is where a
-    factor past the feature width is rejected."""
+    group's factors are laid out factor after factor. A factor past the
+    feature width is rejected."""
+    space.check_width(width)
     groups: dict[tuple[int, float], list[FactorSpec]] = {}
     for f in space.factors:
-        if f.slice_end > width:
-            raise ConfigurationError(
-                f"factor {f.pool_index} slice [{f.slice_start}, {f.slice_end}] "
-                f"exceeds feature dim {width}")
         groups.setdefault((f.dim, float(np.sign(f.curvature))), []).append(f)
     layout = []
     for (_, sign), members in groups.items():

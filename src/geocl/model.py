@@ -111,6 +111,7 @@ def tangent_concat_t(feats: Tensor, space: MixedSpace) -> Tensor:
     one gather of the space's columns; computing it this way keeps the
     result exactly curvature-free.
     """
+    space.check_width(feats.value.shape[-1])
     return ad.take_cols(feats, space.columns)
 
 

@@ -63,6 +63,14 @@ class MixedSpace:
     def size(self) -> int:
         return len(self.factors)
 
+    def check_width(self, width: int) -> None:
+        """Reject a factor whose slice runs past a feature of ``width`` columns."""
+        for f in self.factors:
+            if f.slice_end > width:
+                raise ConfigurationError(
+                    f"factor {f.pool_index} slice [{f.slice_start}, {f.slice_end}] "
+                    f"exceeds feature dim {width}")
+
     @cached_property
     def columns(self) -> np.ndarray:
         """Every factor's feature columns, factor after factor (read-only)."""
