@@ -23,26 +23,23 @@ Three pieces make up the kernel: ``_lift``; one elementwise core over
 broadcastable (Gram, |x|^2, |y|^2) arrays with its elementwise backward; and
 one reduction of the core's backward terms in the (m, B, N) layout of a
 group's m factors, which ends in the Gram-backward products and the lift
-backward. One routine, ``_measure``, runs them: per group it lifts both
-operands, takes one Gram product, runs the core on every entry or on listed
-entries only, and, when an input requires gradients, keeps the group's
-backward for the autodiff node. Three paths call it:
+backward. One routine, ``_measure``, runs them in the kernel's one walk: it
+lifts every group once, then per tile each group takes one Gram product and
+runs the core on every entry or on the listed entries only. Every op is one
+call of it:
 
 - ``sq_dist_matrix`` recording for autodiff (the classification and search
-  losses) runs it on the whole (B, N) matrix;
-- ``pair_sq_dist`` recording for autodiff (the neighbor loss) runs it on
-  the listed pairs of one batch only; the backward scatters the per-pair
+  losses) is one tile, the whole (B, N) matrix;
+- ``pair_sq_dist`` recording for autodiff (the neighbor loss) is one tile
+  with the listed pairs of one batch; the backward scatters the per-pair
   terms into the (m, B, B) layout before the reduction, so its gradients
   are those of the matrix form;
-- ``sq_dist_matrix`` without an input requiring gradients (evaluation)
-  runs it forward only over blocks of rows.
+- either op without an input requiring gradients (evaluation, and the
+  previous-step model's distances on the pairs the structure losses read)
+  keeps no backward and walks tiles small enough that a group's
+  intermediates stay in cache, skipping those that hold no listed pair.
 
-One tile walk, ``_tiled_pairs``, serves ``pair_sq_dist`` without an input
-requiring gradients: the previous-step model's distances on the pairs the
-structure losses read, on up to B = 400 buffer rows with a fifth to all of
-the upper triangle listed. It lifts the rows once, visits only the tiles
-that hold a listed pair, and runs the core on the listed entries only, so
-its values are the matrix's entries bit for bit.
+Every path and tiling gives the same values bit for bit.
 
 A recorded node decides when it is built which backward pieces run, from
 which of feats (u), protos (v), kmag (k) and weights require gradients:
@@ -71,6 +68,7 @@ metric; ``geometry`` stays the independent oracle.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -86,10 +84,9 @@ _BALL_ARG_CAP = float(np.arctanh(1.0 - geometry.BALL_EPS))
 _NORM_EPS = 1e-30
 # artanh arguments are clipped short of the branch point.
 _ATANH_CLIP = 1.0 - 1e-15
-# The forward-only pair op's tiles are _TILE x _TILE; the forward-only matrix
-# runs over blocks of as many rows (at least _TILE) as keep a block within
-# _TILE^2 entries, so that a group's (m, rows, columns) intermediates stay in
-# cache.
+# A forward-only walk's tiles are _TILE columns wide and as many rows tall (at
+# least _TILE) as keep a tile of a narrower matrix within _TILE^2 entries, so
+# that a group's (m, rows, columns) intermediates stay in cache.
 _TILE = 64
 
 
@@ -113,14 +110,6 @@ def _layout(space: MixedSpace, width: int) -> tuple:
             a.flags.writeable = False
         layout.append((sign, *arrays))
     return tuple(layout)
-
-
-def _groups(space: MixedSpace, width: int, kmag: np.ndarray | None):
-    """Yields (sign, feature columns, pool indices, curvature magnitudes) per
-    group of :func:`_layout`; ``kmag``, indexed by pool index, overrides the
-    factors' magnitudes."""
-    for sign, cols, pool, k in _layout(space, width):
-        yield sign, cols, pool, k if kmag is None else kmag[pool]
 
 
 def _lift(u, k, sign):
@@ -300,37 +289,64 @@ def _node(out, feats, protos, kmag, weights, groups) -> Tensor:
     return ad._make(out, parents, bwd)
 
 
-def _measure(fv, pv, space: MixedSpace, kmag, weights, flat=None, record=False):
-    """The distance routine: squared product distances between the lifts of
-    the rows of ``fv`` (R, D) and ``pv`` (N, D), as the (R, N) matrix, or
-    with ``flat`` (indices into that matrix) as its listed entries only.
+def _measure(fv, pv, space: MixedSpace, kmag, weights, pairs=None, record=False):
+    """The distance routine and the kernel's one walk: the (R, N) squared
+    product distances between the lifts of the rows of ``fv`` (R, D) and
+    ``pv`` (N, D), weighted per factor by ``weights`` (matrix form only), or
+    with the boolean (R, N) mask ``pairs`` the listed entries only, zero
+    elsewhere.
 
-    Per group it lifts both operands (the rows once when ``pv`` is ``fv``,
-    with :func:`_self_operand` as the right operand), takes one Gram
-    product, runs the core on every entry or on the listed ones, and adds
-    the group's sum, weighted by ``weights`` (matrix form only), into the
-    output. With ``record`` it also returns the groups :func:`_node` needs;
-    without, each group's intermediates are freed before the next group.
+    Every group is lifted once, before the walk: both operands, or the rows
+    once when ``pv`` is ``fv``, with :func:`_self_operand` as the right
+    operand. A recorded call (``record``) is one tile and also returns the
+    groups :func:`_node` needs. A forward-only call walks tiles of
+    max(_TILE, _TILE^2 / N) rows by _TILE columns and skips a tile with no
+    listed pair. In each tile each group takes one Gram product and runs the
+    core on every entry or on the listed ones; a group's sum is added to the
+    tile in group order, so every tiling gives the same values bit for bit.
     """
-    out = np.zeros((len(fv), len(pv)) if flat is None else len(flat))
-    if flat is not None:
-        i, j = np.divmod(flat, len(pv))
-    groups = []
-    for sign, cols, pool, k in _groups(space, fv.shape[1], kmag):
-        x, x2, lift_back_x = _lifted(fv, cols, k, sign)
-        y, y2, lift_back_y = ((_self_operand(x), x2, lift_back_x) if pv is fv
-                              else _lifted(pv, cols, k, sign))
-        gram = x @ y.transpose(0, 2, 1)
-        if flat is None:
-            dist2, core_backward = _core(gram, x2[:, :, None], y2[:, None, :], k, sign)
-        else:
-            dist2, core_backward = _core(gram.reshape(len(k), -1)[:, flat], x2[:, i], y2[:, j],
-                                         k, sign)
+    lifts = []
+    for sign, cols, pool, k in _layout(space, fv.shape[1]):
+        k = k if kmag is None else kmag[pool]
+        x, x2, back_x = _lifted(fv, cols, k, sign)
+        y, y2, back_y = (_self_operand(x), x2, back_x) if pv is fv else _lifted(pv, cols, k, sign)
         w = None if weights is None else weights[pool]
-        out += (dist2 if w is None else w[:, None, None] * dist2).sum(axis=0)
-        if record:
-            groups.append((sign, cols, pool, w, None if w is None else dist2, _group_backward(
-                core_backward, k, sign, x, y, lift_back_x, lift_back_y, flat)))
+        # A lift's backward holds its slices; only a recorded call keeps it.
+        lifts.append((sign, cols, pool, k, w, x, x2, y, y2, (back_x, back_y) if record else ()))
+    out = np.zeros((len(fv), len(pv)))
+    if record:
+        row_tiles, col_tiles = [(0, len(fv))], [(0, len(pv))]
+    else:
+        row_tiles = _tiles(len(fv), max(_TILE, _TILE * _TILE // max(len(pv), 1)))
+        col_tiles = _tiles(len(pv), _TILE)
+    groups = []
+    for (r0, r1), (c0, c1) in itertools.product(row_tiles, col_tiles):
+        if pairs is None:
+            acc, flat = out[r0:r1, c0:c1], None
+        else:
+            # Flat indices, taken once per tile: a boolean mask would be
+            # searched again by every group's gathers and scatters.
+            flat = np.flatnonzero(pairs[r0:r1, c0:c1])
+            if not len(flat):
+                continue
+            i, j = np.divmod(flat, c1 - c0)
+            i += r0
+            j += c0
+            acc = np.zeros(len(flat))
+        for sign, cols, pool, k, w, x, x2, y, y2, lift_backs in lifts:
+            gram = x[:, r0:r1] @ y[:, c0:c1].transpose(0, 2, 1)
+            if pairs is None:
+                dist2, core_backward = _core(gram, x2[:, r0:r1, None], y2[:, None, c0:c1],
+                                             k, sign)
+            else:
+                dist2, core_backward = _core(gram.reshape(len(k), -1)[:, flat], x2[:, i], y2[:, j],
+                                             k, sign)
+            acc += (dist2 if w is None else w[:, None, None] * dist2).sum(axis=0)
+            if record:
+                groups.append((sign, cols, pool, w, None if w is None else dist2, _group_backward(
+                    core_backward, k, sign, x, y, *lift_backs, flat)))
+        if pairs is not None:
+            out[i, j] = acc
     return out, groups
 
 
@@ -341,24 +357,18 @@ def sq_dist_matrix(feats, protos, space: MixedSpace, kmag=None, weights=None) ->
     ``kmag`` optionally supplies the curvature magnitudes, indexed by pool
     index (otherwise |curvature| of each factor is used); ``weights``
     optionally supplies per-factor weights with the same indexing. Without
-    an input that requires gradients no graph is built, and the routine runs
-    over blocks of max(_TILE, _TILE^2 / N) rows, so that a group's (m, rows,
-    N) intermediates stay in cache. In a run these calls are evaluation, on
-    up to 200 test rows x 20 classes or 52 x 40: one block each.
+    an input that requires gradients no graph is built, and the routine
+    walks tiles (see :func:`_measure`). In a run these calls are evaluation,
+    on up to 200 test rows x 20 classes or 52 x 40: one tile each.
     """
     feats, protos = ad.as_tensor(feats), ad.as_tensor(protos)
     kmag = None if kmag is None else ad.as_tensor(kmag)
     weights = None if weights is None else ad.as_tensor(weights)
-    fv, pv = feats.value, protos.value
-    kv = None if kmag is None else kmag.value
-    wv = None if weights is None else weights.value
-    if any(t is not None and t.requires_grad for t in (feats, protos, kmag, weights)):
-        out, groups = _measure(fv, pv, space, kv, wv, record=True)
-        return _node(out, feats, protos, kmag, weights, groups)
-    out = np.empty((len(fv), len(pv)))
-    for r0, r1 in _tiles(len(fv), max(_TILE, _TILE * _TILE // max(len(pv), 1))):
-        out[r0:r1] = _measure(fv[r0:r1], pv, space, kv, wv)[0]
-    return Tensor(out)
+    record = any(t is not None and t.requires_grad for t in (feats, protos, kmag, weights))
+    out, groups = _measure(feats.value, protos.value, space,
+                           None if kmag is None else kmag.value,
+                           None if weights is None else weights.value, record=record)
+    return _node(out, feats, protos, kmag, weights, groups) if record else Tensor(out)
 
 
 def pair_sq_dist(feats, pairs: np.ndarray, space: MixedSpace, kmag=None) -> Tensor:
@@ -368,21 +378,19 @@ def pair_sq_dist(feats, pairs: np.ndarray, space: MixedSpace, kmag=None) -> Tens
 
     Only the listed pairs go through the distance formula and its backward;
     values and gradients equal those of ``sq_dist_matrix(feats, feats, ...)``
-    on the listed pairs. ``kmag`` is as in :func:`sq_dist_matrix`. Recording
-    runs the routine once on the listed pairs; without an input that
-    requires gradients no graph is built, and the pairs are measured in
-    tiles (see :func:`_tiled_pairs`).
+    on the listed pairs. ``kmag`` is as in :func:`sq_dist_matrix`. Without
+    an input that requires gradients no graph is built, and only the tiles
+    that hold a listed pair are visited (see :func:`_measure`): the
+    previous-step model's context lists a fifth to all of the upper triangle
+    of up to B = 400 rows in a run.
     """
     feats = ad.as_tensor(feats)
     kmag = None if kmag is None else ad.as_tensor(kmag)
-    fv, kv = feats.value, None if kmag is None else kmag.value
-    if not (feats.requires_grad or kmag is not None and kmag.requires_grad):
-        return Tensor(_tiled_pairs(fv, pairs, space, kv))
-    flat = np.flatnonzero(pairs)
-    values, groups = _measure(fv, fv, space, kv, None, flat, record=True)
-    out = np.zeros(pairs.shape)
-    out.flat[flat] = values
-    return _node(out, feats, feats, kmag, None, groups)
+    record = feats.requires_grad or kmag is not None and kmag.requires_grad
+    fv = feats.value
+    out, groups = _measure(fv, fv, space, None if kmag is None else kmag.value, None, pairs,
+                           record)
+    return _node(out, feats, feats, kmag, None, groups) if record else Tensor(out)
 
 
 def _tiles(n: int, size: int) -> list[tuple[int, int]]:
@@ -406,37 +414,6 @@ def _self_operand(x: np.ndarray) -> np.ndarray:
     copy keeps the lift's memory layout, so BLAS reads both operands as it
     reads two lifts."""
     return x.copy(order="K")
-
-
-def _tiled_pairs(fv, pairs: np.ndarray, space: MixedSpace, kmag) -> np.ndarray:
-    """Forward-only :func:`pair_sq_dist` on arrays, the kernel's one tile
-    walk. Its caller, the previous-step model's context, lists a fifth to
-    all of the upper triangle of up to B = 400 rows in a run, where a whole
-    (m, B, B) Gram per group would leave the cache. So the rows are lifted
-    once, and only the _TILE x _TILE tiles that hold a listed pair run the
-    core, on their listed entries only: the values are the recorded op's
-    and the forward-only matrix's, bit for bit."""
-    lifted = []
-    for sign, cols, _, k in _groups(space, fv.shape[1], kmag):
-        x, x2, _ = _lifted(fv, cols, k, sign)
-        lifted.append((sign, k, x, x2, _self_operand(x)))
-    out = np.zeros(pairs.shape)
-    tiles = _tiles(len(fv), _TILE)
-    for r0, r1 in tiles:
-        for c0, c1 in tiles:
-            flat = np.flatnonzero(pairs[r0:r1, c0:c1])
-            if not len(flat):
-                continue
-            i, j = np.divmod(flat, c1 - c0)
-            i += r0
-            j += c0
-            values = np.zeros(len(flat))
-            for sign, k, x, x2, y in lifted:
-                gram = (x[:, r0:r1] @ y[:, c0:c1].transpose(0, 2, 1)).reshape(len(k), -1)
-                dist2, _ = _core(gram[:, flat], x2[:, i], x2[:, j], k, sign)
-                values += dist2.sum(axis=0)
-            out[i, j] = values
-    return out
 
 
 def lifted_sq_distance(u: Tensor, v: Tensor, kmag: Tensor, sign: float) -> Tensor:

@@ -10,9 +10,9 @@ records its routine for autodiff, ``sq_dist_matrix_np`` runs the routine
 forward only, and the neighbor loss measures only the pairs it weights, the
 within- and between-class neighbors, with ``diffgeo.pair_sq_dist``. The
 previous-step model's distances also come from ``diffgeo.pair_sq_dist``,
-forward only, in the kernel's one tile walk: a step draws main training's
-batches and buffer rows before it measures that model, so only the
-same-class pairs and the pairs within a batch's rows are measured (see
+forward only, on the tiles that hold a listed pair: a step draws main
+training's batches and buffer rows before it measures that model, so only
+the same-class pairs and the pairs within a batch's rows are measured (see
 ``harness._structure_context``).
 """
 

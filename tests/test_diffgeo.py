@@ -85,7 +85,7 @@ class TestForward:
         np.testing.assert_allclose(d, d.T, rtol=0, atol=1e-12)
 
     def test_row_blocks_match_one_pass(self):
-        # Forward-only calls run over blocks of rows; recording runs once.
+        # Forward-only calls walk tiles; a recorded call is one tile.
         rng = np.random.default_rng(13)
         feats = rng.normal(0.0, 0.4, (500, 6))
         kmag, weights = rng.uniform(0.3, 2.0, (2, MIXED.size))
@@ -124,11 +124,11 @@ class TestTiles:
 
     @pytest.mark.parametrize("rows, bound", [(200, 100), (1000, 40)])
     def test_forward_only_matrix_peak_memory(self, rows, bound):
-        """On the default 14-factor pool a forward-only call holds one
-        group's intermediates for one block of rows at a time: it peaks
-        within ``bound`` (rows x 20) float matrices (about 79 and 17). One
-        that kept every group's intermediates peaked near 139 at 200 rows,
-        and one without row blocks near 76 at 1000 rows."""
+        """On the default 14-factor pool a forward-only call holds every
+        group's lifts and one group's intermediates for one tile at a time:
+        it peaks within ``bound`` (rows x 20) float matrices (about 82 and
+        27). One that kept every group's intermediates peaked near 139 at
+        200 rows, and one without row tiles near 76 at 1000 rows."""
         space = build_pool(32, [4, 8, 16])
         rng = np.random.default_rng(0)
         feats, protos = rng.normal(0.0, 1.0, (rows, 32)), rng.normal(0.0, 1.0, (20, 32))
@@ -141,6 +141,25 @@ class TestTiles:
         finally:
             tracemalloc.stop()
         assert peak <= bound * rows * 20 * 8
+
+    def test_forward_only_matrix_lifts_each_operand_once(self, monkeypatch):
+        """200 rows against 40 prototypes span two row tiles; each group
+        still lifts the rows once and the prototypes once."""
+        calls = []
+        lifted = diffgeo._lifted
+
+        def counted(a, *args):
+            calls.append(len(a))
+            return lifted(a, *args)
+
+        monkeypatch.setattr(diffgeo, "_lifted", counted)
+        space = build_pool(32, [4, 8, 16])
+        rng = np.random.default_rng(0)
+        assert len(diffgeo._tiles(200, diffgeo._TILE * diffgeo._TILE // 40)) == 2
+        diffgeo.sq_dist_matrix(rng.normal(0.0, 1.0, (200, 32)), rng.normal(0.0, 1.0, (40, 32)),
+                               space)
+        n_groups = len(diffgeo._layout(space, 32))
+        assert sorted(calls) == [40] * n_groups + [200] * n_groups
 
     @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 66, 128, 129, 400])
     def test_tiles_cover_rows_without_lone_row(self, n):
@@ -189,9 +208,10 @@ def _masks(b, rng):
 
 
 class TestForwardPairs:
-    """Forward-only pairs, measured in tiles, are the listed entries of the
-    forward-only matrix, measured in blocks of rows, and of the recorded
-    pair op, measured in one pass."""
+    """Forward-only pairs, measured on their listed entries in the tiles
+    that hold one, are the entries of the forward-only matrix, measured on
+    every entry of every tile, and of the recorded pair op, measured in one
+    tile."""
 
     @pytest.mark.parametrize("space", [MIXED, EUCLID], ids=["mixed", "euclidean"])
     @pytest.mark.parametrize("b", [2, 40, 63, 64, 65, 129, 400])
@@ -229,6 +249,30 @@ class TestForwardPairs:
         assert sorted(shape[-1] for shape in calls) == [1] * n_groups + [2] * n_groups
 
 
+    @pytest.mark.parametrize("share, bound", [(0.22, 4), (1.0, 9)])
+    def test_peak_memory(self, share, bound):
+        """On the default 14-factor pool with B = 400 rows and a share of
+        the upper triangle listed, the op holds the lifts, the output and one
+        group's intermediates for one _TILE x _TILE tile at a time: it peaks
+        within ``bound`` B x B float matrices (about 2.5 and 4.6). A walk
+        over whole-row blocks without column tiles peaked near 5.8 and
+        16.5."""
+        space = build_pool(32, [4, 8, 16])
+        rng = np.random.default_rng(0)
+        b = 400
+        feats = rng.normal(0.0, 1.0, (b, 32))
+        pairs = np.triu(rng.random((b, b)) < share, k=1)
+        diffgeo.pair_sq_dist(feats, pairs, space)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            diffgeo.pair_sq_dist(feats, pairs, space)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * b * b * 8
+
+
 class TestSharedLift:
     """A product of rows with themselves lifts them once; the right operand
     is a copy of the lift, whose Gram products equal those of a second lift
@@ -241,7 +285,7 @@ class TestSharedLift:
     def test_gram_products_equal_two_lifts(self, space, b):
         feats = np.random.default_rng(b).normal(0.0, 0.6, (b, 6))
         tiles = diffgeo._tiles(b, diffgeo._TILE)
-        for sign, cols, _, k in diffgeo._groups(space, 6, None):
+        for sign, cols, _, k in diffgeo._layout(space, 6):
             x = diffgeo._lifted(feats, cols, k, sign)[0]
             y = diffgeo._lifted(feats, cols, k, sign)[0]
             shared = diffgeo._self_operand(x)
