@@ -16,50 +16,63 @@ lifts:
 
 A zero-curvature factor gives 4 |u - v|^2. The cap keeps spherical lifts
 inside the injectivity radius (``geometry.TAN_CAP``) and hyperbolic lifts
-inside the ball margin. Factors are evaluated in groups of equal slice width
-and curvature sign, one batched Gram product per group.
+inside the ball margin.
+
+A space's factors form one block per curvature sign, and a block one part
+per slice width. A part is lifted as one (m, R, d) array and takes one
+batched Gram product, written into its rows of the block's (m, R, N) Gram
+array; the elementwise core then runs once per block, over every factor of
+that sign. The sums over factors are added, and the gradients of
+overlapping slices scattered, part by part in the order in which the
+(width, sign) groups first occur in the space, so a space's values do not
+depend on how its signs interleave.
 
 Three pieces make up the kernel: ``_lift``; one elementwise core over
 broadcastable (Gram, |x|^2, |y|^2) arrays with its elementwise backward; and
 one reduction of the core's backward terms in the (m, B, N) layout of a
-group's m factors, which ends in the Gram-backward products and the lift
-backward. One routine, ``_measure``, runs them in the kernel's one walk: it
-lifts every group once, then per tile each group takes one Gram product and
-runs the core on every entry or on the listed entries only. Every op is one
-call of it:
+block's m factors, which ends in each part's Gram-backward products and
+lift backward. One routine, ``_measure``, runs them in the kernel's one
+walk: it lifts every part once, then per tile takes every part's Gram
+product and runs the core once per block, on every entry or on the listed
+entries only. Every op is one call of it:
 
 - ``sq_dist_matrix`` recording for autodiff (the classification and search
   losses) is one tile, the whole (B, N) matrix;
 - ``pair_sq_dist`` recording for autodiff (the neighbor loss) is one tile
   with the listed pairs of one batch; the backward scatters the per-pair
-  terms into the (m, B, B) layout before the reduction, so its gradients
-  are those of the matrix form;
+  terms into the (m, B, B) layout one at a time before the reduction, so
+  its gradients are those of the matrix form;
 - either op without an input requiring gradients (evaluation, and the
   previous-step model's distances on the pairs the structure losses read)
-  keeps no backward and walks tiles small enough that a group's
-  intermediates stay in cache, skipping those that hold no listed pair.
+  keeps no backward and walks tiles small enough that a block's
+  intermediates stay in cache, skipping those that hold no listed pair and
+  measuring every entry of those that are mostly listed.
 
 Every path and tiling gives the same values bit for bit.
 
-A recorded node decides when it is built which backward pieces run, from
-which of feats (u), protos (v), kmag (k) and weights require gradients:
+The core computes in place, and a recorded core keeps only what its
+backward reads: the mask of positive numerators, the denominator, the
+ratio, its root and the angle, and the Gram entries and |x|^2 |y|^2 only
+when the curvature trains. A recorded node decides when it is built which
+backward pieces run, from which of feats (u), protos (v), kmag (k) and
+weights require gradients:
 
-- dL/dw needs only the forward distances, and no group backward;
+- dL/dw needs only the forward distances, and no block backward;
 - a frozen k (main training, the warm-up, the neighbor loss) skips the
   core's three dL/dk terms, their scatter on the pair path and the lifts'
   dL/dk sums;
 - an operand that is frozen while k is too (the features in the warm-up)
-  skips its whole side: its core term, |x|^2 sums, Gram-backward product
+  skips its whole side: its core term, |x|^2 sums, Gram-backward products
   and lift backward;
 - a trainable k with both operands frozen (the search) runs both sides up
   to the lifts' dL/dk, but assembles no dL/du or dL/dv;
-- a Euclidean group has no curvature, so it runs as if k were frozen: in
+- a Euclidean block has no curvature, so it runs as if k were frozen: in
   the search on the one-factor Euclidean pool it runs no backward at all.
 
 The pieces that run are the same operations in the same order, so every
 gradient that is read is bit for bit the one of a call where every input
-requires gradients. The grouping of a space's factors is built once per
-(space, feature width).
+requires gradients. The blocks of a space are built once per (space,
+feature width).
 
 Training, evaluation and the previous-step model thus measure with one
 metric; ``geometry`` stays the independent oracle.
@@ -86,30 +99,73 @@ _NORM_EPS = 1e-30
 _ATANH_CLIP = 1.0 - 1e-15
 # A forward-only walk's tiles are _TILE columns wide and as many rows tall (at
 # least _TILE) as keep a tile of a narrower matrix within _TILE^2 entries, so
-# that a group's (m, rows, columns) intermediates stay in cache.
+# that a block's (m, rows, columns) intermediates stay in cache.
 _TILE = 64
+# A forward-only tile with at least this share of its entries listed runs the
+# core on every entry: gathering the listed ones costs more than the core
+# saves on them.
+_DENSE_SHARE = 0.5
+
+
+class _Part(NamedTuple):
+    """A block's factors of one slice width: the position of its (width,
+    sign) group in the space's order of first occurrence, its rows
+    ``span`` of the block's factor axis, and its feature columns (factor
+    after factor), pool indices and curvature magnitudes."""
+
+    group: int
+    span: slice
+    cols: np.ndarray
+    pool: np.ndarray
+    k: np.ndarray
+
+
+class _Block(NamedTuple):
+    """A space's factors of one curvature sign: its parts, and the pool
+    indices and curvature magnitudes of their factors, part after part."""
+
+    sign: float
+    parts: tuple[_Part, ...]
+    pool: np.ndarray
+    k: np.ndarray
 
 
 @functools.lru_cache(maxsize=64)
-def _layout(space: MixedSpace, width: int) -> tuple:
-    """Factors grouped by (slice width, curvature sign), built once per
-    (space, feature width): per group its sign, feature columns, pool
-    indices and curvature magnitudes, as read-only arrays. The columns of a
-    group's factors are laid out factor after factor. A factor past the
-    feature width is rejected."""
+def _layout(space: MixedSpace, width: int) -> tuple[_Block, ...]:
+    """The blocks of ``space``, one per curvature sign in order of first
+    occurrence, built once per (space, feature width), with read-only
+    arrays. A factor past the feature width is rejected."""
     space.check_width(width)
-    groups: dict[tuple[int, float], list[FactorSpec]] = {}
+    groups: dict[tuple[float, int], list[FactorSpec]] = {}
     for f in space.factors:
-        groups.setdefault((f.dim, float(np.sign(f.curvature))), []).append(f)
+        groups.setdefault((float(np.sign(f.curvature)), f.dim), []).append(f)
+    by_sign: dict[float, list[tuple[int, list[FactorSpec]]]] = {}
+    for group, ((sign, _), members) in enumerate(groups.items()):
+        by_sign.setdefault(sign, []).append((group, members))
     layout = []
-    for (_, sign), members in groups.items():
-        arrays = (np.concatenate([f.columns for f in members]),
-                  np.array([f.pool_index for f in members]),
-                  np.array([abs(f.curvature) for f in members]))
-        for a in arrays:
-            a.flags.writeable = False
-        layout.append((sign, *arrays))
+    for sign, members in by_sign.items():
+        factors = [f for _, fs in members for f in fs]
+        pool = np.array([f.pool_index for f in factors])
+        k = np.array([abs(f.curvature) for f in factors])
+        pool.flags.writeable = k.flags.writeable = False
+        parts, start = [], 0
+        for group, fs in members:
+            span = slice(start, start + len(fs))
+            start = span.stop
+            cols = np.concatenate([f.columns for f in fs])
+            cols.flags.writeable = False
+            parts.append(_Part(group, span, cols, pool[span], k[span]))
+        layout.append(_Block(sign, tuple(parts), pool, k))
     return tuple(layout)
+
+
+@functools.lru_cache(maxsize=64)
+def _group_order(space: MixedSpace, width: int) -> tuple[tuple[int, slice], ...]:
+    """Every part of the layout of ``space`` as (block index, span), in the
+    order of its (width, sign) group."""
+    parts = [(part.group, i, part.span)
+             for i, block in enumerate(_layout(space, width)) for part in block.parts]
+    return tuple((i, span) for _, i, span in sorted(parts))
 
 
 def _lift(u, k, sign):
@@ -136,67 +192,131 @@ def _lift(u, k, sign):
 
 
 def _lifted(a, cols, k, sign):
-    """Lift of a group's slices of the rows of ``a`` (R, D): the lift x
+    """Lift of a part's slices of the rows of ``a`` (R, D): the lift x
     (m, R, d), its squared norms (m, R) and the lift's backward."""
     u = a[:, cols].reshape(len(a), len(k), -1).transpose(1, 0, 2)
     x, backward = _lift(u, k, sign)
     return x, np.einsum("mrd,mrd->mr", x, x), backward
 
 
-def _core(gram, x2, y2, k, sign):
-    """Squared distances of one group, elementwise from the Gram form, and
+def _core(gram, x2, y2, k, sign, keep_k=None):
+    """Squared distances of one block, elementwise from the Gram form, and
     the elementwise backward.
 
     ``gram``, ``x2`` = |x|^2 and ``y2`` = |y|^2 broadcast together; axis 0
-    runs over the group's factors, of curvature magnitudes ``k``. The
-    backward maps dL/d(dist2) and a :class:`_Wanted` to the terms that
-    :func:`_group_backward` reduces: those of dL/d|x|^2 and dL/d|y|^2 (None
+    runs over the block's factors, of curvature magnitudes ``k``. The core
+    works in place and overwrites ``gram``, unless ``keep_k`` is set: the
+    curvature trains, and the backward reads the Gram entries and
+    |x|^2 |y|^2 for the terms of dL/dk. With ``keep_k`` None the call is
+    forward only: it keeps nothing and returns no backward.
+
+    The backward maps dL/d(dist2) and a :class:`_Wanted` to the terms that
+    :func:`_block_backward` reduces: those of dL/d|x|^2 and dL/d|y|^2 (None
     for a side that is not wanted), of dL/d<x,y>, and the three terms of
-    dL/dk (none for a Euclidean group, or when the curvature is frozen).
+    dL/dk (none for a Euclidean block, or when the curvature is frozen).
+    Each term is the one of the plain formula bit for bit; twice a product
+    is formed as the product with the doubled factor, which rounds alike.
     """
-    num = x2 + y2 - 2.0 * gram
+    two_gram = np.multiply(gram, 2.0, out=None if keep_k else gram)
+    num = x2 + y2
+    num -= two_gram
+    # The sign of the numerator, which only a backward reads.
+    mask = None if keep_k is None else num > 0.0
     if sign == 0:
+        dist2 = np.maximum(num, 0.0, out=num)
+        dist2 *= 4.0
+        if keep_k is None:
+            return dist2, None
+
         def euclidean_backward(gd, want):
-            gnum = 4.0 * gd * (num > 0.0)
+            gnum = 4.0 * gd * mask
             return (gnum if want.x else None, gnum if want.y else None, -2.0 * gnum, ())
 
-        return 4.0 * np.maximum(num, 0.0), euclidean_backward
+        return dist2, euclidean_backward
     kk = k.reshape((-1,) + (1,) * (gram.ndim - 1))
     sk = np.sqrt(kk)
     curv = sign * kk
+    # den = 1 + 2K<x,y> + K^2 |x|^2 |y|^2, in the buffer of 2<x,y>.
+    den = two_gram
+    den *= curv
+    den += 1.0
     x2y2 = x2 * y2
-    den = 1.0 + 2.0 * curv * gram + curv * curv * x2y2
-    ratio = np.maximum(num, 0.0) / den
-    n = np.sqrt(ratio + _NORM_EPS)
-    z = sk * n
+    scratch = np.multiply(x2y2, curv * curv, out=None if keep_k else x2y2)
+    den += scratch
+    ratio = np.maximum(num, 0.0, out=num)
+    ratio /= den
+    n = np.add(ratio, _NORM_EPS, out=scratch)
+    np.sqrt(n, out=n)
+    ang = _clipped_z(n, sk, sign)
     if sign < 0:
-        # z = sqrt(k) sqrt(ratio + eps) > 0: only the upper clip can bind.
-        z = np.minimum(z, _ATANH_CLIP)
-        ang = np.arctanh(z)
+        np.arctanh(ang, out=ang)
     else:
-        ang = np.arctan(z)
+        np.arctan(ang, out=ang)
+    dist2 = ang * 4.0
+    dist2 *= ang
+    dist2 /= kk
+    if keep_k is None:
+        return dist2, None
 
     def backward(gd, want):
         # dist2 = 4 ang^2 / k, ang = arctan_K(z), z = sqrt(k) n, n^2 = ratio.
-        dang = 1.0 / (1.0 - z * z) if sign < 0 else 1.0 / (1.0 + z * z)
-        gz = gd * (8.0 * ang / kk) * dang
-        gratio = gz * (num > 0.0) * sk / (2.0 * n)
-        gnum = gratio / den
-        gden = -gratio * ratio / den
-        return (gnum + curv * curv * gden * y2 if want.x else None,
-                gnum + curv * curv * gden * x2 if want.y else None,
-                2.0 * curv * gden - 2.0 * gnum,
-                (gz * n, gd * ang * ang, gden * (2.0 * gram + 2.0 * curv * x2y2))
-                if want.k else ())
+        dang = _clipped_z(n, sk, sign)
+        dang *= dang
+        if sign < 0:
+            np.subtract(1.0, dang, out=dang)
+        else:
+            dang += 1.0
+        np.divide(1.0, dang, out=dang)
+        gz = ang * 8.0
+        gz /= kk
+        np.multiply(gd, gz, out=gz)
+        gz *= dang
+        k_terms = (gz * n, gd * ang * ang) if want.k else ()
+        # dL/dratio = gz [num > 0] sqrt(k) / (2 n), in the buffer of dL/dz.
+        gratio = gz
+        gratio *= mask
+        gratio *= sk
+        gratio /= np.multiply(n, 2.0, out=dang)
+        gden = np.negative(gratio, out=dang)
+        gden *= ratio
+        gden /= den
+        gnum = gratio
+        gnum /= den
+        if want.k:
+            q = gram * 2.0
+            q += x2y2 * (2.0 * curv)
+            q *= gden
+            k_terms += (q,)
+        cc_gden = gden * (curv * curv)
+        gx2 = gy2 = None
+        if want.x:
+            gx2 = cc_gden * y2 if want.y else np.multiply(cc_gden, y2, out=cc_gden)
+            gx2 += gnum
+        if want.y:
+            gy2 = np.multiply(cc_gden, x2, out=cc_gden)
+            gy2 += gnum
+        ggram = gden
+        ggram *= 2.0 * curv
+        gnum *= 2.0
+        ggram -= gnum
+        return gx2, gy2, ggram, k_terms
 
-    return 4.0 * ang * ang / kk, backward
+    return dist2, backward
+
+
+def _clipped_z(n, sk, sign):
+    """z = sqrt(k) n of the core, as a new array, clipped short of artanh's
+    branch point on a hyperbolic block (z > 0: only the upper clip can
+    bind)."""
+    z = n * sk
+    return np.minimum(z, _ATANH_CLIP, out=z) if sign < 0 else z
 
 
 class _Wanted(NamedTuple):
     """Which gradients a distance node's backward computes, decided when the
     node is built from which inputs require gradients: those of the left
     operand (``u``), the right operand (``v``) and the curvature magnitudes
-    (``k``). The weights' gradient needs no group backward at all."""
+    (``k``). The weights' gradient needs no block backward at all."""
 
     u: bool
     v: bool
@@ -213,75 +333,95 @@ class _Wanted(NamedTuple):
         return self.v or self.k
 
 
-def _group_backward(core_backward, k, sign, x, y, lift_back_x, lift_back_y, pairs=None):
-    """The backward of one group, from dL/d(dist2) to the gradients of its
-    slices of both operands and of ``k`` that a :class:`_Wanted` asks for
-    (None for the others): the core's terms are reduced in the (m, B, N)
-    layout, then pass through the Gram product and the lifts. A side whose
-    dL/dx or dL/dy is not wanted skips its core term, sums, Gram product and
-    lift backward; a frozen ``k`` skips the core's and the lifts' dL/dk.
+def _wanted(feats, protos, kmag, weights) -> _Wanted | None:
+    """The :class:`_Wanted` of a distance op's node, or None when no input
+    requires gradients and the op builds no node."""
+    if not any(t is not None and t.requires_grad for t in (feats, protos, kmag, weights)):
+        return None
+    return _Wanted(feats.requires_grad, protos.requires_grad,
+                   kmag is not None and kmag.requires_grad)
+
+
+def _block_backward(core_backward, block, k, lifts, shape, pairs=None):
+    """The backward of one block, from dL/d(dist2) to the gradients of each
+    part's slices of both operands and of ``k`` that a :class:`_Wanted`
+    asks for (None for the others), as (group, part, dL/du, dL/dv, dL/dk)
+    per part: the core's terms are reduced in the (m, B, N) layout, then pass
+    through each part's Gram products and lifts. A side whose dL/dx or dL/dy
+    is not wanted skips its core term, sums, Gram products and lift
+    backward; a frozen ``k`` skips the core's and the lifts' dL/dk.
 
     With ``pairs`` (flat indices into the (B, B) layout) the core covered
     those pairs only: their upstream gradients are gathered from the (B, B)
-    gradient, and their terms are scattered back into zeros before the same
-    reduction, so every sum runs in the matrix form's order.
+    gradient, and their terms are scattered back into zeros, one term at a
+    time, before the same reduction, so every sum runs in the matrix form's
+    order.
     """
-    def scatter(term):
-        if term is None:
-            return None
-        full = np.zeros((len(k), x.shape[1] * y.shape[1]))
-        full[:, pairs] = term
-        return full.reshape(len(k), x.shape[1], y.shape[1])
+    def full(term):
+        if pairs is None:
+            return term
+        out = np.zeros((len(k), shape[0] * shape[1]))
+        out[:, pairs] = term
+        return out.reshape(len(k), *shape)
 
     def backward(g, want):
-        if pairs is None:
-            gx2, gy2, ggram, gk_terms = core_backward(g, want)
-        else:
-            gx2, gy2, ggram, gk_terms = core_backward(g.reshape(-1)[pairs], want)
-            gx2, gy2, ggram = scatter(gx2), scatter(gy2), scatter(ggram)
-            gk_terms = tuple(scatter(t) for t in gk_terms)
-        gk, gu, gku, gv, gkv = 0.0, None, None, None, None
+        gx2, gy2, ggram, gk_terms = core_backward(g if pairs is None else g.reshape(-1)[pairs],
+                                                  want)
+        sx2 = None if gx2 is None else full(gx2).sum(axis=2)
+        sy2 = None if gy2 is None else full(gy2).sum(axis=1)
+        gk = None
         if gk_terms:
-            g_n, g_ang, g_den = (t.sum(axis=(1, 2)) for t in gk_terms)
-            gk = g_n / (2.0 * np.sqrt(k)) - 4.0 * g_ang / (k * k) + sign * g_den
-        if want.x:
-            gu, gku = lift_back_x(ggram @ y + 2.0 * gx2.sum(axis=2)[:, :, None] * x,
-                                  want.u, want.k)
-        if want.y:
-            gv, gkv = lift_back_y(ggram.transpose(0, 2, 1) @ x
-                                  + 2.0 * gy2.sum(axis=1)[:, :, None] * y, want.v, want.k)
-        return gu, gv, gk + gku + gkv if want.k else None
+            g_n, g_ang, g_den = (full(t).sum(axis=(1, 2)) for t in gk_terms)
+            gk = g_n / (2.0 * np.sqrt(k)) - 4.0 * g_ang / (k * k) + block.sign * g_den
+        gx2 = gy2 = gk_terms = None
+        ggram = full(ggram)
+        grads = []
+        for part, (x, y, back_x, back_y) in zip(block.parts, lifts):
+            s = part.span
+            gu = gku = gv = gkv = None
+            if sx2 is not None:
+                gu, gku = back_x(ggram[s] @ y + 2.0 * sx2[s][:, :, None] * x, want.u, want.k)
+            if sy2 is not None:
+                gv, gkv = back_y(ggram[s].transpose(0, 2, 1) @ x
+                                 + 2.0 * sy2[s][:, :, None] * y, want.v, want.k)
+            grads.append((part.group, part, gu, gv, None if gk is None else gk[s] + gku + gkv))
+        return grads
 
     return backward
 
 
-def _node(out, feats, protos, kmag, weights, groups) -> Tensor:
-    """The autodiff node of a distance op. ``groups`` holds, per group, its
-    curvature sign, feature columns, pool indices, weights and squared distances (both None
-    when the op is unweighted) and its backward from :func:`_group_backward`,
-    which runs only when an operand or ``kmag`` requires gradients."""
+def _node(out, feats, protos, kmag, weights, want, blocks) -> Tensor:
+    """The autodiff node of a distance op. ``blocks`` holds, per block, its
+    :class:`_Block`, weights and squared distances (both None when the op is
+    unweighted) and its backward from :func:`_block_backward`, which runs
+    only when an operand or ``kmag`` requires gradients."""
     parents = tuple(t for t in (feats, protos, kmag, weights) if t is not None)
     b, n = feats.shape[0], protos.shape[0]
-    want = _Wanted(feats.requires_grad, protos.requires_grad,
-                   kmag is not None and kmag.requires_grad)
 
     def bwd(g):
         gf, gp, gk, gw = (np.zeros_like(t.value) if t is not None and t.requires_grad else None
                           for t in (feats, protos, kmag, weights))
-        for sign, cols, pool, w, dist2, group_backward in groups:
+        grads = []
+        for block, w, dist2, block_backward in blocks:
+            # Every pool index occurs once in a space, so the scatters into
+            # gw and gk need no order. The sums run per part: einsum's
+            # buffered sums round with the length of the factor axis.
             if gw is not None:
-                np.add.at(gw, pool, np.einsum("bn,mbn->m", g, dist2))
-            # A Euclidean group's distances do not depend on its curvature.
-            group_want = want if sign else want._replace(k=False)
-            if not (group_want.x or group_want.y):
+                for part in block.parts:
+                    np.add.at(gw, part.pool, np.einsum("bn,mbn->m", g, dist2[part.span]))
+            # A Euclidean block's distances do not depend on its curvature.
+            block_want = want if block.sign else want._replace(k=False)
+            if not (block_want.x or block_want.y):
                 continue
-            gu, gv, gkm = group_backward(g if w is None else w[:, None, None] * g, group_want)
+            grads += block_backward(g if w is None else w[:, None, None] * g, block_want)
+        # Overlapping slices add up group by group, in the space's order.
+        for _, part, gu, gv, gkm in sorted(grads):
             if gf is not None:
-                np.add.at(gf, (slice(None), cols), gu.transpose(1, 0, 2).reshape(b, -1))
+                np.add.at(gf, (slice(None), part.cols), gu.transpose(1, 0, 2).reshape(b, -1))
             if gp is not None:
-                np.add.at(gp, (slice(None), cols), gv.transpose(1, 0, 2).reshape(n, -1))
+                np.add.at(gp, (slice(None), part.cols), gv.transpose(1, 0, 2).reshape(n, -1))
             if gkm is not None:
-                np.add.at(gk, pool, gkm)
+                np.add.at(gk, part.pool, gkm)
         for t, grad in zip((feats, protos, kmag, weights), (gf, gp, gk, gw)):
             if grad is not None:
                 ad._accum(t, grad)
@@ -289,65 +429,104 @@ def _node(out, feats, protos, kmag, weights, groups) -> Tensor:
     return ad._make(out, parents, bwd)
 
 
-def _measure(fv, pv, space: MixedSpace, kmag, weights, pairs=None, record=False):
+def _measure(fv, pv, space: MixedSpace, kmag, weights, pairs=None, want=None):
     """The distance routine and the kernel's one walk: the (R, N) squared
     product distances between the lifts of the rows of ``fv`` (R, D) and
     ``pv`` (N, D), weighted per factor by ``weights`` (matrix form only), or
     with the boolean (R, N) mask ``pairs`` the listed entries only, zero
     elsewhere.
 
-    Every group is lifted once, before the walk: both operands, or the rows
+    Every part is lifted once, before the walk: both operands, or the rows
     once when ``pv`` is ``fv``, with :func:`_self_operand` as the right
-    operand. A recorded call (``record``) is one tile and also returns the
-    groups :func:`_node` needs. A forward-only call walks tiles of
-    max(_TILE, _TILE^2 / N) rows by _TILE columns and skips a tile with no
-    listed pair. In each tile each group takes one Gram product and runs the
-    core on every entry or on the listed ones; a group's sum is added to the
-    tile in group order, so every tiling gives the same values bit for bit.
+    operand; a block joins its parts' squared norms, magnitudes and weights
+    once. A recorded call (``want``, a :class:`_Wanted`) is one tile and
+    also returns the blocks :func:`_node` needs. A forward-only call walks
+    tiles of max(_TILE, _TILE^2 / N) rows by _TILE columns and skips a tile
+    with no listed pair. In each tile every part writes its Gram product
+    into its rows of its block's Gram array, and each block runs the core
+    once, on every entry, or on the listed ones when fewer than
+    ``_DENSE_SHARE`` of the tile's entries are listed (always, when
+    recording). The parts' sums are added to the tile in group order, so
+    every tiling gives the same values bit for bit.
     """
-    lifts = []
-    for sign, cols, pool, k in _layout(space, fv.shape[1]):
-        k = k if kmag is None else kmag[pool]
-        x, x2, back_x = _lifted(fv, cols, k, sign)
-        y, y2, back_y = (_self_operand(x), x2, back_x) if pv is fv else _lifted(pv, cols, k, sign)
-        w = None if weights is None else weights[pool]
-        # A lift's backward holds its slices; only a recorded call keeps it.
-        lifts.append((sign, cols, pool, k, w, x, x2, y, y2, (back_x, back_y) if record else ()))
+    record = want is not None
+    blocks = []
+    for block in _layout(space, fv.shape[1]):
+        k = block.k if kmag is None else kmag[block.pool]
+        lifts, x2s, y2s = [], [], []
+        for part in block.parts:
+            kp = k[part.span]
+            x, x2, back_x = _lifted(fv, part.cols, kp, block.sign)
+            y, y2, back_y = ((_self_operand(x), x2, back_x) if pv is fv
+                             else _lifted(pv, part.cols, kp, block.sign))
+            # A lift's backward holds its slices; only a recorded call keeps it.
+            lifts.append((x, y) + ((back_x, back_y) if record else ()))
+            x2s.append(x2)
+            y2s.append(y2)
+        x2 = _joined(x2s)
+        y2 = x2 if pv is fv else _joined(y2s)
+        w = None if weights is None else weights[block.pool]
+        keep_k = (bool(block.sign) and want.k) if record else None
+        blocks.append((block, k, w, keep_k, lifts, x2, y2))
+    order = _group_order(space, fv.shape[1])
     out = np.zeros((len(fv), len(pv)))
     if record:
         row_tiles, col_tiles = [(0, len(fv))], [(0, len(pv))]
     else:
         row_tiles = _tiles(len(fv), max(_TILE, _TILE * _TILE // max(len(pv), 1)))
         col_tiles = _tiles(len(pv), _TILE)
-    groups = []
+    nodes = []
     for (r0, r1), (c0, c1) in itertools.product(row_tiles, col_tiles):
         if pairs is None:
-            acc, flat = out[r0:r1, c0:c1], None
+            acc, sel = out[r0:r1, c0:c1], None
         else:
             # Flat indices, taken once per tile: a boolean mask would be
-            # searched again by every group's gathers and scatters.
+            # searched again by every block's gathers and scatters.
             flat = np.flatnonzero(pairs[r0:r1, c0:c1])
             if not len(flat):
                 continue
             i, j = np.divmod(flat, c1 - c0)
             i += r0
             j += c0
-            acc = np.zeros(len(flat))
-        for sign, cols, pool, k, w, x, x2, y, y2, lift_backs in lifts:
-            gram = x[:, r0:r1] @ y[:, c0:c1].transpose(0, 2, 1)
-            if pairs is None:
-                dist2, core_backward = _core(gram, x2[:, r0:r1, None], y2[:, None, c0:c1],
-                                             k, sign)
+            dense = not record and len(flat) >= _DENSE_SHARE * (r1 - r0) * (c1 - c0)
+            sel = None if dense else flat
+            acc = np.zeros((r1 - r0, c1 - c0) if dense else len(flat))
+        dists = []
+        for block, k, w, keep_k, lifts, x2, y2 in blocks:
+            gram = _gram(block, lifts, slice(r0, r1), slice(c0, c1))
+            if sel is None:
+                dist2, core_backward = _core(gram, x2[:, r0:r1, None], y2[:, None, c0:c1], k,
+                                             block.sign, keep_k)
             else:
-                dist2, core_backward = _core(gram.reshape(len(k), -1)[:, flat], x2[:, i], y2[:, j],
-                                             k, sign)
-            acc += (dist2 if w is None else w[:, None, None] * dist2).sum(axis=0)
+                dist2, core_backward = _core(gram.reshape(len(k), -1)[:, sel], x2[:, i], y2[:, j],
+                                             k, block.sign, keep_k)
+            dists.append(dist2 if w is None else w[:, None, None] * dist2)
             if record:
-                groups.append((sign, cols, pool, w, None if w is None else dist2, _group_backward(
-                    core_backward, k, sign, x, y, *lift_backs, flat)))
+                nodes.append((block, w, None if w is None else dist2,
+                              _block_backward(core_backward, block, k, lifts, out.shape, sel)))
+        for b, span in order:
+            acc += dists[b][span].sum(axis=0)
         if pairs is not None:
-            out[i, j] = acc
-    return out, groups
+            out[i, j] = acc if sel is not None else acc.ravel()[flat]
+    return out, nodes
+
+
+def _gram(block, lifts, rows, cols):
+    """The (m, R, N) Gram products of a block's lifts on a tile: each part
+    writes its batched product into its rows of the block's array, and a
+    one-part block's product is that array."""
+    if len(lifts) == 1:
+        x, y = lifts[0][:2]
+        return x[:, rows] @ y[:, cols].transpose(0, 2, 1)
+    gram = np.empty((len(block.k), rows.stop - rows.start, cols.stop - cols.start))
+    for part, (x, y, *_) in zip(block.parts, lifts):
+        np.matmul(x[:, rows], y[:, cols].transpose(0, 2, 1), out=gram[part.span])
+    return gram
+
+
+def _joined(arrays):
+    """The parts' (m, R) arrays as one block array; a one-part block's own."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def sq_dist_matrix(feats, protos, space: MixedSpace, kmag=None, weights=None) -> Tensor:
@@ -364,11 +543,11 @@ def sq_dist_matrix(feats, protos, space: MixedSpace, kmag=None, weights=None) ->
     feats, protos = ad.as_tensor(feats), ad.as_tensor(protos)
     kmag = None if kmag is None else ad.as_tensor(kmag)
     weights = None if weights is None else ad.as_tensor(weights)
-    record = any(t is not None and t.requires_grad for t in (feats, protos, kmag, weights))
-    out, groups = _measure(feats.value, protos.value, space,
+    want = _wanted(feats, protos, kmag, weights)
+    out, blocks = _measure(feats.value, protos.value, space,
                            None if kmag is None else kmag.value,
-                           None if weights is None else weights.value, record=record)
-    return _node(out, feats, protos, kmag, weights, groups) if record else Tensor(out)
+                           None if weights is None else weights.value, want=want)
+    return Tensor(out) if want is None else _node(out, feats, protos, kmag, weights, want, blocks)
 
 
 def pair_sq_dist(feats, pairs: np.ndarray, space: MixedSpace, kmag=None) -> Tensor:
@@ -379,18 +558,19 @@ def pair_sq_dist(feats, pairs: np.ndarray, space: MixedSpace, kmag=None) -> Tens
     Only the listed pairs go through the distance formula and its backward;
     values and gradients equal those of ``sq_dist_matrix(feats, feats, ...)``
     on the listed pairs. ``kmag`` is as in :func:`sq_dist_matrix`. Without
-    an input that requires gradients no graph is built, and only the tiles
-    that hold a listed pair are visited (see :func:`_measure`): the
-    previous-step model's context lists a fifth to all of the upper triangle
-    of up to B = 400 rows in a run.
+    an input that requires gradients no graph is built, only the tiles that
+    hold a listed pair are visited, and a mostly listed tile is measured on
+    every entry (see :func:`_measure`): the previous-step model's context
+    lists a fifth to all of the upper triangle of up to B = 400 rows in a
+    run.
     """
     feats = ad.as_tensor(feats)
     kmag = None if kmag is None else ad.as_tensor(kmag)
-    record = feats.requires_grad or kmag is not None and kmag.requires_grad
+    want = _wanted(feats, feats, kmag, None)
     fv = feats.value
-    out, groups = _measure(fv, fv, space, None if kmag is None else kmag.value, None, pairs,
-                           record)
-    return _node(out, feats, feats, kmag, None, groups) if record else Tensor(out)
+    out, blocks = _measure(fv, fv, space, None if kmag is None else kmag.value, None, pairs,
+                           want)
+    return Tensor(out) if want is None else _node(out, feats, feats, kmag, None, want, blocks)
 
 
 def _tiles(n: int, size: int) -> list[tuple[int, int]]:

@@ -113,10 +113,39 @@ def _gradcheck_distance(sign: float, trials: int, rng) -> float:
     return ad.gradcheck(loss, sampler, trials=trials, rng=rng)
 
 
+# Two slice widths and interleaved signs: each curved sign's block holds two
+# parts, and the (width, sign) groups alternate between the blocks.
+_GRADCHECK_SPACE = MixedSpace((
+    FactorSpec(0, 1, 2, -1.0),
+    FactorSpec(1, 3, 5, 1.0),
+    FactorSpec(2, 2, 4, -1.0),
+    FactorSpec(3, 5, 6, 1.0),
+    FactorSpec(4, 1, 3, 0.0),
+))
+
+
+def _gradcheck_product(trials: int, rng) -> float:
+    """Finite differences against the backward of the product distance on
+    :data:`_GRADCHECK_SPACE`, with features, prototypes, curvatures and
+    weights all trained."""
+    n = _GRADCHECK_SPACE.size
+
+    def sampler(r):
+        return {"u": r.normal(0.0, 0.5, (3, 6)), "v": r.normal(0.0, 0.5, (2, 6)),
+                "k": r.uniform(0.3, 1.5, n), "w": r.uniform(0.2, 1.0, n)}
+
+    def loss(t):
+        return ad.sum_(diffgeo.sq_dist_matrix(t["u"], t["v"], _GRADCHECK_SPACE,
+                                              kmag=t["k"], weights=t["w"]))
+
+    return ad.gradcheck(loss, sampler, trials=trials, rng=rng)
+
+
 def check_gradients(tolerance=1e-4, trials=20, seed=4) -> CheckResult:
     worst = 0.0
     for i, sign in enumerate((-1.0, 1.0)):
         worst = max(worst, _gradcheck_distance(sign, trials, seed + i))
+    worst = max(worst, _gradcheck_product(trials, seed + 2))
     return CheckResult("distance gradients", worst <= tolerance, f"max rel err {worst:.3e}")
 
 

@@ -25,6 +25,9 @@ MIXED = MixedSpace((
     FactorSpec(5, 1, 3, 1.0),
 ))
 EUCLID = MixedSpace((FactorSpec(0, 1, 6, 0.0),))
+# The default 14-factor pool: seven hyperbolic factors of width 4, then one
+# spherical factor of width 4, four of width 8 and two of width 16.
+POOL = build_pool(32, [4, 8, 16])
 
 
 def oracle(feats, protos, space, weights=None):
@@ -125,10 +128,10 @@ class TestTiles:
     @pytest.mark.parametrize("rows, bound", [(200, 100), (1000, 40)])
     def test_forward_only_matrix_peak_memory(self, rows, bound):
         """On the default 14-factor pool a forward-only call holds every
-        group's lifts and one group's intermediates for one tile at a time:
-        it peaks within ``bound`` (rows x 20) float matrices (about 82 and
-        27). One that kept every group's intermediates peaked near 139 at
-        200 rows, and one without row tiles near 76 at 1000 rows."""
+        part's lifts and one block's intermediates for one tile at a time:
+        it peaks within ``bound`` (rows x 20) float matrices (about 55 and
+        18). One that kept every factor group's intermediates peaked near
+        139 at 200 rows, and one without row tiles near 76 at 1000 rows."""
         space = build_pool(32, [4, 8, 16])
         rng = np.random.default_rng(0)
         feats, protos = rng.normal(0.0, 1.0, (rows, 32)), rng.normal(0.0, 1.0, (20, 32))
@@ -143,8 +146,8 @@ class TestTiles:
         assert peak <= bound * rows * 20 * 8
 
     def test_forward_only_matrix_lifts_each_operand_once(self, monkeypatch):
-        """200 rows against 40 prototypes span two row tiles; each group
-        still lifts the rows once and the prototypes once."""
+        """200 rows against 40 prototypes span two row tiles; each part of
+        each block still lifts the rows once and the prototypes once."""
         calls = []
         lifted = diffgeo._lifted
 
@@ -158,8 +161,29 @@ class TestTiles:
         assert len(diffgeo._tiles(200, diffgeo._TILE * diffgeo._TILE // 40)) == 2
         diffgeo.sq_dist_matrix(rng.normal(0.0, 1.0, (200, 32)), rng.normal(0.0, 1.0, (40, 32)),
                                space)
-        n_groups = len(diffgeo._layout(space, 32))
-        assert sorted(calls) == [40] * n_groups + [200] * n_groups
+        n_parts = sum(len(block.parts) for block in diffgeo._layout(space, 32))
+        assert sorted(calls) == [40] * n_parts + [200] * n_parts
+
+    def test_recorded_matrix_keeps_little_for_backward(self):
+        """The CE's recorded op on the default 14-factor pool, at 64 rows x
+        40 prototypes with frozen curvature, keeps at most 5.5 (14, 64, 40)
+        float arrays alive between its forward and its backward (about 5.0:
+        the core's mask, denominator, ratio, root and angle, the lifts and
+        the output). A core that kept its intermediates held about 8.9."""
+        rng = np.random.default_rng(0)
+        feats = Tensor(rng.normal(0.0, 1.0, (64, 32)), requires_grad=True)
+        protos = Tensor(rng.normal(0.0, 1.0, (40, 32)), requires_grad=True)
+        diffgeo.sq_dist_matrix(feats, protos, POOL)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            d = diffgeo.sq_dist_matrix(feats, protos, POOL)
+            alive = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        ad.sum_(d).backward()
+        assert feats.grad is not None and protos.grad is not None
+        assert alive <= 5.5 * 14 * 64 * 40 * 8
 
     @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 66, 128, 129, 400])
     def test_tiles_cover_rows_without_lone_row(self, n):
@@ -201,17 +225,19 @@ class TestPairs:
 
 
 def _masks(b, rng):
-    """Upper-triangle, lower-triangle and mixed pair masks of ``b`` rows."""
+    """Upper-triangle, lower-triangle and mixed pair masks of ``b`` rows,
+    and a dense one that lists most of every tile."""
     mixed = rng.random((b, b)) < 0.1
     mixed[0, -1] = mixed[-1, 0] = True
-    return {"upper": np.triu(mixed, k=1), "lower": np.tril(mixed, k=-1), "mixed": mixed}
+    return {"upper": np.triu(mixed, k=1), "lower": np.tril(mixed, k=-1), "mixed": mixed,
+            "dense": rng.random((b, b)) < 0.9}
 
 
 class TestForwardPairs:
     """Forward-only pairs, measured on their listed entries in the tiles
-    that hold one, are the entries of the forward-only matrix, measured on
-    every entry of every tile, and of the recorded pair op, measured in one
-    tile."""
+    that hold one (on every entry of a tile that is mostly listed), are the
+    entries of the forward-only matrix, measured on every entry of every
+    tile, and of the recorded pair op, measured in one tile."""
 
     @pytest.mark.parametrize("space", [MIXED, EUCLID], ids=["mixed", "euclidean"])
     @pytest.mark.parametrize("b", [2, 40, 63, 64, 65, 129, 400])
@@ -253,8 +279,8 @@ class TestForwardPairs:
     def test_peak_memory(self, share, bound):
         """On the default 14-factor pool with B = 400 rows and a share of
         the upper triangle listed, the op holds the lifts, the output and one
-        group's intermediates for one _TILE x _TILE tile at a time: it peaks
-        within ``bound`` B x B float matrices (about 2.5 and 4.6). A walk
+        block's intermediates for one _TILE x _TILE tile at a time: it peaks
+        within ``bound`` B x B float matrices (about 2.2 and 2.9). A walk
         over whole-row blocks without column tiles peaked near 5.8 and
         16.5."""
         space = build_pool(32, [4, 8, 16])
@@ -273,6 +299,95 @@ class TestForwardPairs:
         assert peak <= bound * b * b * 8
 
 
+class TestSignBlocks:
+    """The default pool has both signs: the core runs once per sign per
+    tile, over every factor of that sign, whatever the slice widths."""
+
+    @pytest.fixture
+    def core_calls(self, monkeypatch):
+        calls = []
+        core = diffgeo._core
+
+        def counted(gram, *args):
+            calls.append(gram.shape)
+            return core(gram, *args)
+
+        monkeypatch.setattr(diffgeo, "_core", counted)
+        return calls
+
+    def test_layout_is_one_block_per_sign(self):
+        layout = diffgeo._layout(POOL, 32)
+        assert [block.sign for block in layout] == [-1.0, 1.0]
+        assert [len(block.parts) for block in layout] == [1, 3]
+        assert [part.group for block in layout for part in block.parts] == [0, 1, 2, 3]
+
+    def test_interleaved_signs_sum_in_group_order(self):
+        """MIXED's (width, sign) groups alternate between its sign blocks;
+        its matrix is still the sum of its groups' own matrices, added in
+        the order in which the groups first occur, bit for bit."""
+        layout = diffgeo._layout(MIXED, 6)
+        assert [[part.group for part in block.parts] for block in layout] == [[0, 3], [1, 4], [2]]
+        rng = np.random.default_rng(31)
+        feats, protos = rng.normal(0.0, 0.6, (40, 6)), rng.normal(0.0, 0.6, (30, 6))
+        groups = {}
+        for f in MIXED.factors:
+            groups.setdefault((np.sign(f.curvature), f.dim), []).append(f)
+        total = np.zeros((40, 30))
+        for members in groups.values():
+            total += diffgeo.sq_dist_matrix(feats, protos, MixedSpace(tuple(members))).value
+        assert np.array_equal(diffgeo.sq_dist_matrix(feats, protos, MIXED).value, total)
+
+    def test_interleaved_signs_scatter_in_group_order(self):
+        """Gradients of overlapping slices add up group by group in the
+        order in which the groups first occur, as separate ops of one group
+        each would add them. No group's own factors overlap here, and the
+        second feature column is read by the groups 0, 1, 2 and 4, which
+        sit in three sign blocks."""
+        space = MixedSpace((FactorSpec(0, 1, 2, -1.7), FactorSpec(1, 2, 5, 0.4),
+                            FactorSpec(2, 2, 4, -0.3), FactorSpec(3, 5, 6, 2.0),
+                            FactorSpec(4, 1, 3, 0.0)))
+        assert [[part.group for part in block.parts]
+                for block in diffgeo._layout(space, 6)] == [[0, 2], [1, 3], [4]]
+        rng = np.random.default_rng(32)
+        values = (rng.normal(0.0, 0.6, (7, 6)), rng.normal(0.0, 0.6, (5, 6)))
+        kmag = rng.uniform(0.3, 2.0, 5)
+        g = rng.normal(size=(7, 5))
+
+        def grads(spaces):
+            t = [Tensor(v, requires_grad=True) for v in values]
+            for sub in spaces:
+                ad.sum_(diffgeo.sq_dist_matrix(*t, sub, kmag=kmag) * Tensor(g)).backward()
+            return [x.grad for x in t]
+
+        separate = grads([MixedSpace((f,)) for f in space.factors])
+        for got, want in zip(grads([space]), separate):
+            assert np.array_equal(got, want)
+
+    def test_recorded_matrix(self, core_calls):
+        rng = np.random.default_rng(0)
+        feats = Tensor(rng.normal(0.0, 1.0, (64, 32)), requires_grad=True)
+        diffgeo.sq_dist_matrix(feats, rng.normal(0.0, 1.0, (40, 32)), POOL)
+        assert core_calls == [(7, 64, 40), (7, 64, 40)]
+
+    def test_forward_only_matrix(self, core_calls):
+        rng = np.random.default_rng(0)
+        diffgeo.sq_dist_matrix(rng.normal(0.0, 1.0, (200, 32)), rng.normal(0.0, 1.0, (40, 32)),
+                               POOL)
+        # Two row tiles of 102 and 98 rows, one column tile.
+        assert sorted(core_calls) == [(7, 98, 40)] * 2 + [(7, 102, 40)] * 2
+
+    def test_forward_only_pairs(self, core_calls):
+        feats = np.random.default_rng(0).normal(0.0, 1.0, (129, 32))
+        pairs = np.zeros((129, 129), dtype=bool)
+        pairs[:64, 64:] = True
+        pairs[3, 5] = True
+        diffgeo.pair_sq_dist(feats, pairs, POOL)
+        # Tiles are rows and columns [0, 64) and [64, 129): the one listed
+        # pair of the first runs on its own, the fully listed second on
+        # every entry, and the other two hold no pair.
+        assert core_calls == [(7, 1), (7, 1), (7, 64, 65), (7, 64, 65)]
+
+
 class TestSharedLift:
     """A product of rows with themselves lifts them once; the right operand
     is a copy of the lift, whose Gram products equal those of a second lift
@@ -285,14 +400,20 @@ class TestSharedLift:
     def test_gram_products_equal_two_lifts(self, space, b):
         feats = np.random.default_rng(b).normal(0.0, 0.6, (b, 6))
         tiles = diffgeo._tiles(b, diffgeo._TILE)
-        for sign, cols, _, k in diffgeo._layout(space, 6):
-            x = diffgeo._lifted(feats, cols, k, sign)[0]
-            y = diffgeo._lifted(feats, cols, k, sign)[0]
-            shared = diffgeo._self_operand(x)
-            assert np.array_equal(x @ shared.transpose(0, 2, 1), x @ y.transpose(0, 2, 1))
-            for (r0, r1), (c0, c1) in itertools.product(tiles, tiles):
-                assert np.array_equal(x[:, r0:r1] @ shared[:, c0:c1].transpose(0, 2, 1),
-                                      x[:, r0:r1] @ y[:, c0:c1].transpose(0, 2, 1))
+        for block in diffgeo._layout(space, 6):
+            for part in block.parts:
+                x = diffgeo._lifted(feats, part.cols, part.k, block.sign)[0]
+                y = diffgeo._lifted(feats, part.cols, part.k, block.sign)[0]
+                shared = diffgeo._self_operand(x)
+                assert np.array_equal(x @ shared.transpose(0, 2, 1), x @ y.transpose(0, 2, 1))
+                for (r0, r1), (c0, c1) in itertools.product(tiles, tiles):
+                    assert np.array_equal(x[:, r0:r1] @ shared[:, c0:c1].transpose(0, 2, 1),
+                                          x[:, r0:r1] @ y[:, c0:c1].transpose(0, 2, 1))
+                # The walk writes the product into the part's rows of the
+                # block's Gram array.
+                gram = np.empty((len(block.k), b, b))
+                np.matmul(x, shared.transpose(0, 2, 1), out=gram[part.span])
+                assert np.array_equal(gram[part.span], x @ y.transpose(0, 2, 1))
 
 
 def _loss(space, g, same=False):
@@ -435,16 +556,22 @@ class TestPrunedBackward:
 
     @pytest.mark.parametrize("space, runs", [(MIXED, 4), (EUCLID, 0)], ids=["mixed", "euclidean"])
     def test_search_runs_only_curved_group_backwards(self, space, runs, monkeypatch):
-        """With only kmag and weights trained, a Euclidean group needs no
-        backward: its distances do not depend on its curvature."""
+        """With only kmag and weights trained, a Euclidean block needs no
+        backward: its distances do not depend on its curvature. Every part
+        of a curved block runs its own."""
         calls = []
-        make = diffgeo._group_backward
+        make = diffgeo._block_backward
 
         def counted(*args, **kwargs):
             backward = make(*args, **kwargs)
-            return lambda g, want: calls.append(want) or backward(g, want)
 
-        monkeypatch.setattr(diffgeo, "_group_backward", counted)
+            def run(g, want):
+                grads = backward(g, want)
+                calls.extend(want for _ in grads)
+                return grads
+            return run
+
+        monkeypatch.setattr(diffgeo, "_block_backward", counted)
         rng = np.random.default_rng(23)
         n = len(space.factors)
         kmag = Tensor(rng.uniform(0.3, 2.0, n), requires_grad=True)
@@ -464,4 +591,6 @@ class TestLayout:
         first = diffgeo._layout(MIXED, 6)
         assert diffgeo._layout(space, 6) is first
         assert diffgeo._layout(MIXED, 7) is not first
-        assert all(not a.flags.writeable for group in first for a in group[1:])
+        assert all(not a.flags.writeable for block in first
+                   for a in (block.pool, block.k, *(a for part in block.parts
+                                                    for a in (part.cols, part.pool, part.k))))
