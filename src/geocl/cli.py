@@ -101,7 +101,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return handlers[args.command](args)
-    except (ConfigurationError, ContractViolation, FileNotFoundError) as exc:
+    except (ConfigurationError, ContractViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except GeoclError as exc:

@@ -122,6 +122,8 @@ def validate_config(cfg: dict):
             or any(not isinstance(s, int) or s < 2 for s in sizes)):
         raise ConfigurationError("'pool.sizes' must be a non-empty list of ints >= 2")
     d = cfg["backbone"]["feature_dim"]
+    if d < 2:
+        raise ConfigurationError(f"'backbone.feature_dim' must be at least 2, got {d}")
     if cfg["pool"]["mode"] == "mixed" and any(d % s != 0 for s in sizes):
         raise ConfigurationError(f"every pool size must divide feature_dim {d}")
     if cfg["stream"]["classes"] % cfg["stream"]["steps"] != 0:

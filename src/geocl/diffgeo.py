@@ -19,13 +19,12 @@ inside the injectivity radius (``geometry.TAN_CAP``) and hyperbolic lifts
 inside the ball margin.
 
 A space's factors form one block per curvature sign, and a block one part
-per slice width. A part is lifted as one (m, R, d) array and takes one
-batched Gram product, written into its rows of the block's (m, R, N) Gram
-array; the elementwise core then runs once per block, over every factor of
-that sign. The sums over factors are added, and the gradients of
-overlapping slices scattered, part by part in the order in which the
-(width, sign) groups first occur in the space, so a space's values do not
-depend on how its signs interleave.
+per slice width, signs and widths in order of first occurrence. A part is
+lifted as one (m, R, d) array and takes one batched Gram product, written
+into its rows of the block's (m, R, N) Gram array; the elementwise core then
+runs once per block, over every factor of that sign. Each part's sum over
+its factors is added into the tile, and its gradients scattered, block by
+block.
 
 Three pieces make up the kernel: ``_lift``; one elementwise core over
 broadcastable (Gram, |x|^2, |y|^2) arrays with its elementwise backward; and
@@ -108,16 +107,13 @@ _DENSE_SHARE = 0.5
 
 
 class _Part(NamedTuple):
-    """A block's factors of one slice width: the position of its (width,
-    sign) group in the space's order of first occurrence, its rows
-    ``span`` of the block's factor axis, and its feature columns (factor
-    after factor), pool indices and curvature magnitudes."""
+    """A block's factors of one slice width: its rows ``span`` of the
+    block's factor axis, and its feature columns (factor after factor) and
+    pool indices."""
 
-    group: int
     span: slice
     cols: np.ndarray
     pool: np.ndarray
-    k: np.ndarray
 
 
 class _Block(NamedTuple):
@@ -133,39 +129,28 @@ class _Block(NamedTuple):
 @functools.lru_cache(maxsize=64)
 def _layout(space: MixedSpace, width: int) -> tuple[_Block, ...]:
     """The blocks of ``space``, one per curvature sign in order of first
-    occurrence, built once per (space, feature width), with read-only
-    arrays. A factor past the feature width is rejected."""
+    occurrence, each with one part per slice width in order of first
+    occurrence within the sign; built once per (space, feature width), with
+    read-only arrays. A factor past the feature width is rejected."""
     space.check_width(width)
-    groups: dict[tuple[float, int], list[FactorSpec]] = {}
+    by_sign: dict[float, dict[int, list[FactorSpec]]] = {}
     for f in space.factors:
-        groups.setdefault((float(np.sign(f.curvature)), f.dim), []).append(f)
-    by_sign: dict[float, list[tuple[int, list[FactorSpec]]]] = {}
-    for group, ((sign, _), members) in enumerate(groups.items()):
-        by_sign.setdefault(sign, []).append((group, members))
+        by_sign.setdefault(float(np.sign(f.curvature)), {}).setdefault(f.dim, []).append(f)
     layout = []
-    for sign, members in by_sign.items():
-        factors = [f for _, fs in members for f in fs]
+    for sign, by_width in by_sign.items():
+        factors = [f for fs in by_width.values() for f in fs]
         pool = np.array([f.pool_index for f in factors])
         k = np.array([abs(f.curvature) for f in factors])
         pool.flags.writeable = k.flags.writeable = False
         parts, start = [], 0
-        for group, fs in members:
+        for fs in by_width.values():
             span = slice(start, start + len(fs))
             start = span.stop
             cols = np.concatenate([f.columns for f in fs])
             cols.flags.writeable = False
-            parts.append(_Part(group, span, cols, pool[span], k[span]))
+            parts.append(_Part(span, cols, pool[span]))
         layout.append(_Block(sign, tuple(parts), pool, k))
     return tuple(layout)
-
-
-@functools.lru_cache(maxsize=64)
-def _group_order(space: MixedSpace, width: int) -> tuple[tuple[int, slice], ...]:
-    """Every part of the layout of ``space`` as (block index, span), in the
-    order of its (width, sign) group."""
-    parts = [(part.group, i, part.span)
-             for i, block in enumerate(_layout(space, width)) for part in block.parts]
-    return tuple((i, span) for _, i, span in sorted(parts))
 
 
 def _lift(u, k, sign):
@@ -345,8 +330,8 @@ def _wanted(feats, protos, kmag, weights) -> _Wanted | None:
 def _block_backward(core_backward, block, k, lifts, shape, pairs=None):
     """The backward of one block, from dL/d(dist2) to the gradients of each
     part's slices of both operands and of ``k`` that a :class:`_Wanted`
-    asks for (None for the others), as (group, part, dL/du, dL/dv, dL/dk)
-    per part: the core's terms are reduced in the (m, B, N) layout, then pass
+    asks for (None for the others), as (part, dL/du, dL/dv, dL/dk) per
+    part: the core's terms are reduced in the (m, B, N) layout, then pass
     through each part's Gram products and lifts. A side whose dL/dx or dL/dy
     is not wanted skips its core term, sums, Gram products and lift
     backward; a frozen ``k`` skips the core's and the lifts' dL/dk.
@@ -384,7 +369,7 @@ def _block_backward(core_backward, block, k, lifts, shape, pairs=None):
             if sy2 is not None:
                 gv, gkv = back_y(ggram[s].transpose(0, 2, 1) @ x
                                  + 2.0 * sy2[s][:, :, None] * y, want.v, want.k)
-            grads.append((part.group, part, gu, gv, None if gk is None else gk[s] + gku + gkv))
+            grads.append((part, gu, gv, None if gk is None else gk[s] + gku + gkv))
         return grads
 
     return backward
@@ -401,7 +386,6 @@ def _node(out, feats, protos, kmag, weights, want, blocks) -> Tensor:
     def bwd(g):
         gf, gp, gk, gw = (np.zeros_like(t.value) if t is not None and t.requires_grad else None
                           for t in (feats, protos, kmag, weights))
-        grads = []
         for block, w, dist2, block_backward in blocks:
             # Every pool index occurs once in a space, so the scatters into
             # gw and gk need no order. The sums run per part: einsum's
@@ -413,15 +397,15 @@ def _node(out, feats, protos, kmag, weights, want, blocks) -> Tensor:
             block_want = want if block.sign else want._replace(k=False)
             if not (block_want.x or block_want.y):
                 continue
-            grads += block_backward(g if w is None else w[:, None, None] * g, block_want)
-        # Overlapping slices add up group by group, in the space's order.
-        for _, part, gu, gv, gkm in sorted(grads):
-            if gf is not None:
-                np.add.at(gf, (slice(None), part.cols), gu.transpose(1, 0, 2).reshape(b, -1))
-            if gp is not None:
-                np.add.at(gp, (slice(None), part.cols), gv.transpose(1, 0, 2).reshape(n, -1))
-            if gkm is not None:
-                np.add.at(gk, part.pool, gkm)
+            # Overlapping slices add up part by part, in block order.
+            for part, gu, gv, gkm in block_backward(g if w is None else w[:, None, None] * g,
+                                                    block_want):
+                if gf is not None:
+                    np.add.at(gf, (slice(None), part.cols), gu.transpose(1, 0, 2).reshape(b, -1))
+                if gp is not None:
+                    np.add.at(gp, (slice(None), part.cols), gv.transpose(1, 0, 2).reshape(n, -1))
+                if gkm is not None:
+                    np.add.at(gk, part.pool, gkm)
         for t, grad in zip((feats, protos, kmag, weights), (gf, gp, gk, gw)):
             if grad is not None:
                 ad._accum(t, grad)
@@ -446,7 +430,7 @@ def _measure(fv, pv, space: MixedSpace, kmag, weights, pairs=None, want=None):
     into its rows of its block's Gram array, and each block runs the core
     once, on every entry, or on the listed ones when fewer than
     ``_DENSE_SHARE`` of the tile's entries are listed (always, when
-    recording). The parts' sums are added to the tile in group order, so
+    recording). Each part's sum is added into the tile, block by block, so
     every tiling gives the same values bit for bit.
     """
     record = want is not None
@@ -463,12 +447,11 @@ def _measure(fv, pv, space: MixedSpace, kmag, weights, pairs=None, want=None):
             lifts.append((x, y) + ((back_x, back_y) if record else ()))
             x2s.append(x2)
             y2s.append(y2)
-        x2 = _joined(x2s)
-        y2 = x2 if pv is fv else _joined(y2s)
+        x2 = np.concatenate(x2s)
+        y2 = x2 if pv is fv else np.concatenate(y2s)
         w = None if weights is None else weights[block.pool]
         keep_k = (bool(block.sign) and want.k) if record else None
         blocks.append((block, k, w, keep_k, lifts, x2, y2))
-    order = _group_order(space, fv.shape[1])
     out = np.zeros((len(fv), len(pv)))
     if record:
         row_tiles, col_tiles = [(0, len(fv))], [(0, len(pv))]
@@ -491,7 +474,6 @@ def _measure(fv, pv, space: MixedSpace, kmag, weights, pairs=None, want=None):
             dense = not record and len(flat) >= _DENSE_SHARE * (r1 - r0) * (c1 - c0)
             sel = None if dense else flat
             acc = np.zeros((r1 - r0, c1 - c0) if dense else len(flat))
-        dists = []
         for block, k, w, keep_k, lifts, x2, y2 in blocks:
             gram = _gram(block, lifts, slice(r0, r1), slice(c0, c1))
             if sel is None:
@@ -500,12 +482,13 @@ def _measure(fv, pv, space: MixedSpace, kmag, weights, pairs=None, want=None):
             else:
                 dist2, core_backward = _core(gram.reshape(len(k), -1)[:, sel], x2[:, i], y2[:, j],
                                              k, block.sign, keep_k)
-            dists.append(dist2 if w is None else w[:, None, None] * dist2)
             if record:
                 nodes.append((block, w, None if w is None else dist2,
                               _block_backward(core_backward, block, k, lifts, out.shape, sel)))
-        for b, span in order:
-            acc += dists[b][span].sum(axis=0)
+            if w is not None:
+                dist2 = w[:, None, None] * dist2
+            for part in block.parts:
+                acc += dist2[part.span].sum(axis=0)
         if pairs is not None:
             out[i, j] = acc if sel is not None else acc.ravel()[flat]
     return out, nodes
@@ -513,20 +496,11 @@ def _measure(fv, pv, space: MixedSpace, kmag, weights, pairs=None, want=None):
 
 def _gram(block, lifts, rows, cols):
     """The (m, R, N) Gram products of a block's lifts on a tile: each part
-    writes its batched product into its rows of the block's array, and a
-    one-part block's product is that array."""
-    if len(lifts) == 1:
-        x, y = lifts[0][:2]
-        return x[:, rows] @ y[:, cols].transpose(0, 2, 1)
+    writes its batched product into its rows of the block's array."""
     gram = np.empty((len(block.k), rows.stop - rows.start, cols.stop - cols.start))
     for part, (x, y, *_) in zip(block.parts, lifts):
         np.matmul(x[:, rows], y[:, cols].transpose(0, 2, 1), out=gram[part.span])
     return gram
-
-
-def _joined(arrays):
-    """The parts' (m, R) arrays as one block array; a one-part block's own."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def sq_dist_matrix(feats, protos, space: MixedSpace, kmag=None, weights=None) -> Tensor:

@@ -37,6 +37,9 @@ def run_experiment(cfg: dict, out_dir: str | Path | None = None) -> dict:
     seed = cfg["seed"]
     started = time.time()
     tasks = build_stream(cfg, seed)
+    if out_dir is not None:
+        # Made before the first step, so that an unusable directory fails fast.
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     backbone = mdl.Backbone(
         in_dim=tasks[0].x_train.shape[1],
         hidden_dim=cfg["backbone"]["hidden_dim"],
@@ -54,7 +57,6 @@ def run_experiment(cfg: dict, out_dir: str | Path | None = None) -> dict:
     }
     if out_dir is not None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         write_accuracy_matrix(out / "accuracy_matrix.csv", record)
         (out / "metrics.json").write_text(json.dumps(metrics, indent=2) + "\n")
         (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")

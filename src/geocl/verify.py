@@ -114,7 +114,8 @@ def _gradcheck_distance(sign: float, trials: int, rng) -> float:
 
 
 # Two slice widths and interleaved signs: each curved sign's block holds two
-# parts, and the (width, sign) groups alternate between the blocks.
+# parts, and the factors of a sign are not contiguous, so the blocks gather
+# them from across the space.
 _GRADCHECK_SPACE = MixedSpace((
     FactorSpec(0, 1, 2, -1.0),
     FactorSpec(1, 3, 5, 1.0),

@@ -86,6 +86,27 @@ class TestRun:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+class TestUnusableOut:
+    @pytest.mark.parametrize("command", ["run", "synth", "report"])
+    @pytest.mark.parametrize("where", ["file", "under-file"])
+    def test_exit_code_1_with_one_line(self, tmp_path, capsys, monkeypatch, command, where):
+        """--out naming an existing file, or a path under one, fails before
+        any step runs."""
+        steps = []
+        monkeypatch.setattr(harness, "run_step", lambda *args: steps.append(args))
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        out = taken if where == "file" else taken / "sub"
+        if command == "report":
+            argv = ["report", TestReport.write_run_dir(tmp_path / "run")]
+        else:
+            argv = [command, "--config", str(write_tiny_config(tmp_path))]
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert steps == []
+
+
 class TestMalformedCsv:
     @pytest.mark.parametrize("text", [
         "",

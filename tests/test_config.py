@@ -90,6 +90,11 @@ class TestValidate:
         self.bad(pool={"sizes": []})
         self.bad(pool={"sizes": [5]})  # does not divide feature_dim 32
 
+    @pytest.mark.parametrize("mode", ["mixed", "euclidean"])
+    def test_feature_width_below_two(self, mode):
+        with pytest.raises(ConfigurationError, match="backbone.feature_dim"):
+            load_config(None, {"backbone": {"feature_dim": 1}, "pool": {"mode": mode}})
+
     def test_stream_divisibility(self):
         self.bad(stream={"classes": 7})
 

@@ -15,7 +15,7 @@ from geocl.gis import build_pool
 from geocl.product import FactorSpec, MixedSpace
 
 # Both signs, two magnitudes each, a Euclidean factor; slice widths 2-4,
-# overlapping, and listed out of group order.
+# overlapping, with the signs interleaved.
 MIXED = MixedSpace((
     FactorSpec(0, 1, 2, -1.7),
     FactorSpec(1, 3, 5, 0.4),
@@ -46,6 +46,22 @@ def oracle(feats, protos, space, weights=None):
 def with_curvatures(space, curvatures):
     return MixedSpace(tuple(FactorSpec(f.pool_index, f.slice_start, f.slice_end, k)
                             for f, k in zip(space.factors, curvatures)))
+
+
+def widths(layout):
+    """The slice width of every part of a ``diffgeo._layout``, block by block."""
+    return [[len(part.cols) // len(part.pool) for part in block.parts] for block in layout]
+
+
+def group_spaces(space):
+    """One space per (sign, width) group of ``space``, in block order: signs
+    in order of first occurrence, then widths in order of first occurrence
+    within a sign."""
+    groups = {}
+    for f in space.factors:
+        groups.setdefault(np.sign(f.curvature), {}).setdefault(f.dim, []).append(f)
+    return [MixedSpace(tuple(members)) for by_width in groups.values()
+            for members in by_width.values()]
 
 
 class TestForward:
@@ -318,50 +334,57 @@ class TestSignBlocks:
     def test_layout_is_one_block_per_sign(self):
         layout = diffgeo._layout(POOL, 32)
         assert [block.sign for block in layout] == [-1.0, 1.0]
-        assert [len(block.parts) for block in layout] == [1, 3]
-        assert [part.group for block in layout for part in block.parts] == [0, 1, 2, 3]
+        assert widths(layout) == [[4], [4, 8, 16]]
 
-    def test_interleaved_signs_sum_in_group_order(self):
-        """MIXED's (width, sign) groups alternate between its sign blocks;
-        its matrix is still the sum of its groups' own matrices, added in
-        the order in which the groups first occur, bit for bit."""
-        layout = diffgeo._layout(MIXED, 6)
-        assert [[part.group for part in block.parts] for block in layout] == [[0, 3], [1, 4], [2]]
+    def test_interleaved_signs_sum_in_block_order(self):
+        """MIXED's signs interleave; its matrix is the sum of its (sign,
+        width) groups' own matrices, added block by block, bit for bit."""
+        assert widths(diffgeo._layout(MIXED, 6)) == [[2, 3], [3, 2], [3]]
         rng = np.random.default_rng(31)
         feats, protos = rng.normal(0.0, 0.6, (40, 6)), rng.normal(0.0, 0.6, (30, 6))
-        groups = {}
-        for f in MIXED.factors:
-            groups.setdefault((np.sign(f.curvature), f.dim), []).append(f)
         total = np.zeros((40, 30))
-        for members in groups.values():
-            total += diffgeo.sq_dist_matrix(feats, protos, MixedSpace(tuple(members))).value
+        for sub in group_spaces(MIXED):
+            total += diffgeo.sq_dist_matrix(feats, protos, sub).value
         assert np.array_equal(diffgeo.sq_dist_matrix(feats, protos, MIXED).value, total)
 
-    def test_interleaved_signs_scatter_in_group_order(self):
-        """Gradients of overlapping slices add up group by group in the
-        order in which the groups first occur, as separate ops of one group
-        each would add them. No group's own factors overlap here, and the
-        second feature column is read by the groups 0, 1, 2 and 4, which
-        sit in three sign blocks."""
+    @pytest.mark.parametrize("op", ["matrix", "pairs"])
+    def test_interleaved_signs_scatter_in_block_order(self, op):
+        """Gradients of overlapping slices add up part by part, block by
+        block, as separate ops of one (sign, width) group each would add
+        them. No group's own factors overlap here, and the second feature
+        column is read by four groups, which sit in three sign blocks. The
+        pair op's one operand gets the sum of both sides' gradients, each
+        added up as the matrix op adds up its two operands' on the listed
+        pairs."""
         space = MixedSpace((FactorSpec(0, 1, 2, -1.7), FactorSpec(1, 2, 5, 0.4),
                             FactorSpec(2, 2, 4, -0.3), FactorSpec(3, 5, 6, 2.0),
                             FactorSpec(4, 1, 3, 0.0)))
-        assert [[part.group for part in block.parts]
-                for block in diffgeo._layout(space, 6)] == [[0, 2], [1, 3], [4]]
-        rng = np.random.default_rng(32)
-        values = (rng.normal(0.0, 0.6, (7, 6)), rng.normal(0.0, 0.6, (5, 6)))
+        assert widths(diffgeo._layout(space, 6)) == [[2, 3], [4, 2], [3]]
+        rng = np.random.default_rng(33)
+        feats, protos = rng.normal(0.0, 0.6, (7, 6)), rng.normal(0.0, 0.6, (5, 6))
         kmag = rng.uniform(0.3, 2.0, 5)
         g = rng.normal(size=(7, 5))
+        if op == "pairs":
+            protos = feats
+            pairs = np.triu(rng.random((7, 7)) < 0.5, k=1)
+            g = rng.normal(size=(7, 7)) * pairs
 
-        def grads(spaces):
-            t = [Tensor(v, requires_grad=True) for v in values]
-            for sub in spaces:
-                ad.sum_(diffgeo.sq_dist_matrix(*t, sub, kmag=kmag) * Tensor(g)).backward()
-            return [x.grad for x in t]
+        def tensors():
+            return [Tensor(v, requires_grad=True) for v in (feats, protos, kmag)]
 
-        separate = grads([MixedSpace((f,)) for f in space.factors])
-        for got, want in zip(grads([space]), separate):
-            assert np.array_equal(got, want)
+        t = tensors()
+        d = (diffgeo.sq_dist_matrix(*t[:2], space, kmag=t[2]) if op == "matrix"
+             else diffgeo.pair_sq_dist(t[0], pairs, space, kmag=t[2]))
+        ad.sum_(d * Tensor(g)).backward()
+        separate = tensors()
+        for sub in group_spaces(space):
+            ad.sum_(diffgeo.sq_dist_matrix(*separate[:2], sub, kmag=separate[2])
+                    * Tensor(g)).backward()
+        got, want = [x.grad for x in t], [x.grad for x in separate]
+        if op == "pairs":
+            got, want = [got[0], got[2]], [want[0] + want[1], want[2]]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
     def test_recorded_matrix(self, core_calls):
         rng = np.random.default_rng(0)
@@ -402,8 +425,9 @@ class TestSharedLift:
         tiles = diffgeo._tiles(b, diffgeo._TILE)
         for block in diffgeo._layout(space, 6):
             for part in block.parts:
-                x = diffgeo._lifted(feats, part.cols, part.k, block.sign)[0]
-                y = diffgeo._lifted(feats, part.cols, part.k, block.sign)[0]
+                k = block.k[part.span]
+                x = diffgeo._lifted(feats, part.cols, k, block.sign)[0]
+                y = diffgeo._lifted(feats, part.cols, k, block.sign)[0]
                 shared = diffgeo._self_operand(x)
                 assert np.array_equal(x @ shared.transpose(0, 2, 1), x @ y.transpose(0, 2, 1))
                 for (r0, r1), (c0, c1) in itertools.product(tiles, tiles):
@@ -593,4 +617,4 @@ class TestLayout:
         assert diffgeo._layout(MIXED, 7) is not first
         assert all(not a.flags.writeable for block in first
                    for a in (block.pool, block.k, *(a for part in block.parts
-                                                    for a in (part.cols, part.pool, part.k))))
+                                                    for a in (part.cols, part.pool))))

@@ -2,8 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geocl import gis, model
+from geocl import diffgeo, gis, model
 from geocl.errors import ConfigurationError
 from geocl.product import MixedSpace
 
@@ -243,3 +245,38 @@ class TestTrace:
         assert rec["selected"] == [0]
         assert rec["space_size"] == 2
         assert rec["curvatures"] == [-1.0, 1.0]
+
+
+@st.composite
+def _run_spaces(draw):
+    """A space a run can build: a pool of any mode and sizes that divide the
+    feature width, optionally re-curved by a search, and any non-empty
+    selection of it passed through ``gis.expand``."""
+    dim = draw(st.integers(2, 24))
+    divisors = [s for s in range(2, dim + 1) if dim % s == 0]
+    sizes = draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=3))
+    pool = gis.build_pool(dim, sizes, mode=draw(st.sampled_from(["mixed", "euclidean"])))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        feats, labels, protos = _curved_problem(rng, n=16, dim=dim)
+        _, pool = gis.gis_optimize(pool, feats, labels, protos, n_classes=2, epochs=1, lr=1.0,
+                                   batch_size=8, rng=rng)
+    selected = draw(st.sets(st.integers(0, pool.size - 1), min_size=1))
+    return gis.expand(frozenset(selected), pool), dim
+
+
+@settings(max_examples=60, deadline=None)
+@given(_run_spaces())
+def test_run_spaces_group_factors_in_block_order(drawn):
+    """In every space a run builds, all factors of one curvature sign come
+    before those of the next, so the kernel's blocks, read part by part,
+    list the (sign, width) groups in the order in which they first occur:
+    the order in which the kernel adds up sums and gradients is the groups'
+    order."""
+    space, dim = drawn
+    groups = {}
+    for f in space.factors:
+        groups.setdefault((float(np.sign(f.curvature)), f.dim), []).append(f.pool_index)
+    parts = [((block.sign, len(part.cols) // len(part.pool)), part.pool.tolist())
+             for block in diffgeo._layout(space, dim) for part in block.parts]
+    assert parts == list(groups.items())
