@@ -9,6 +9,14 @@ Huber. A fused op with a hand-written backward (the product-distance
 kernel in ``geocl.diffgeo``) builds its node with ``_make`` and hands its
 gradients to ``_accum``.
 
+Constants are plain values: either operand of an arithmetic op, ``matmul``
+or ``huber`` may be a float or an ndarray, and a node keeps as parents only
+its operands that require gradients, so a constant makes no Tensor. A
+node's backward computes the gradients of those parents and of no other
+operand: a product with frozen weights forms no gradient for them. A
+column gather's backward adds run by run (``col_runs``, ``add_cols``), in
+the order ``np.add.at`` would.
+
 Graphs are per-step and single-threaded; accumulation order is fixed, so
 identical inputs give bit-identical gradients.
 """
@@ -46,22 +54,22 @@ class Tensor:
     def shape(self):
         return self.value.shape
 
-    # -- operator sugar -------------------------------------------------
+    # -- operator sugar; the other operand may be a plain value ----------
     def __add__(self, other):
-        return add(self, as_tensor(other))
+        return add(self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return sub(self, as_tensor(other))
+        return sub(self, other)
 
     def __mul__(self, other):
-        return mul(self, as_tensor(other))
+        return mul(self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return div(self, as_tensor(other))
+        return div(self, other)
 
     def __neg__(self):
         return neg(self)
@@ -94,60 +102,74 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _value(x):
+    """The array of a Tensor, or a plain operand as it is."""
+    return x.value if isinstance(x, Tensor) else x
+
+
+def _wants(x) -> bool:
+    """Whether an operand, Tensor or plain value, requires a gradient."""
+    return isinstance(x, Tensor) and x.requires_grad
+
+
 def _make(value, parents, backward):
-    reqs = [p for p in parents if p.requires_grad]
+    """The node of ``value`` over the ``parents`` that require gradients
+    (Tensors, plain values or None); a bare Tensor when none does."""
+    reqs = tuple(p for p in parents if _wants(p))
     if not reqs:
         return Tensor(value)
-    return Tensor(value, parents=tuple(reqs), backward=backward)
+    return Tensor(value, True, reqs, backward)
 
 
 def _accum(t: Tensor, g: np.ndarray):
-    if not t.requires_grad:
-        return
     g = _unbroadcast(np.asarray(g, dtype=float), t.value.shape)
     t.grad = g if t.grad is None else t.grad + g
 
 
-# -- arithmetic ---------------------------------------------------------
+# -- arithmetic; either operand may be a plain value --------------------
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out = a.value + b.value
+def add(a, b) -> Tensor:
+    def bwd(g):
+        if _wants(a):
+            _accum(a, g)
+        if _wants(b):
+            _accum(b, g)
+
+    return _make(_value(a) + _value(b), (a, b), bwd)
+
+
+def sub(a, b) -> Tensor:
+    def bwd(g):
+        if _wants(a):
+            _accum(a, g)
+        if _wants(b):
+            _accum(b, -g)
+
+    return _make(_value(a) - _value(b), (a, b), bwd)
+
+
+def mul(a, b) -> Tensor:
+    av, bv = _value(a), _value(b)
 
     def bwd(g):
-        _accum(a, g)
-        _accum(b, g)
+        if _wants(a):
+            _accum(a, g * bv)
+        if _wants(b):
+            _accum(b, g * av)
 
-    return _make(out, (a, b), bwd)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.value - b.value
-
-    def bwd(g):
-        _accum(a, g)
-        _accum(b, -g)
-
-    return _make(out, (a, b), bwd)
+    return _make(av * bv, (a, b), bwd)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.value * b.value
+def div(a, b) -> Tensor:
+    av, bv = _value(a), _value(b)
 
     def bwd(g):
-        _accum(a, g * b.value)
-        _accum(b, g * a.value)
+        if _wants(a):
+            _accum(a, g / bv)
+        if _wants(b):
+            _accum(b, -g * av / (bv * bv))
 
-    return _make(out, (a, b), bwd)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out = a.value / b.value
-
-    def bwd(g):
-        _accum(a, g / b.value)
-        _accum(b, -g * a.value / (b.value * b.value))
-
-    return _make(out, (a, b), bwd)
+    return _make(av / bv, (a, b), bwd)
 
 
 def neg(a: Tensor) -> Tensor:
@@ -167,14 +189,16 @@ def sqrt(a: Tensor) -> Tensor:
     return _make(out, (a,), bwd)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.value @ b.value
+def matmul(a, b) -> Tensor:
+    av, bv = _value(a), _value(b)
 
     def bwd(g):
-        _accum(a, g @ b.value.T)
-        _accum(b, a.value.T @ g)
+        if _wants(a):
+            _accum(a, g @ bv.T)
+        if _wants(b):
+            _accum(b, av.T @ g)
 
-    return _make(out, (a, b), bwd)
+    return _make(av @ bv, (a, b), bwd)
 
 
 # -- elementwise tanh --------------------------------------------------
@@ -194,6 +218,26 @@ def transpose2d(a: Tensor) -> Tensor:
     return _make(a.value.T, (a,), lambda g: _accum(a, g.T))
 
 
+def col_runs(cols: np.ndarray) -> tuple[tuple[slice, slice], ...]:
+    """The runs of consecutive columns in ``cols``, in order: per run, its
+    entries of ``cols`` and the columns they name. A column may repeat, but
+    not within a run."""
+    if not len(cols):
+        return ()
+    edges = [0, *(np.flatnonzero(np.diff(cols) != 1) + 1).tolist(), len(cols)]
+    return tuple((slice(i, j), slice(int(cols[i]), int(cols[i]) + j - i))
+                 for i, j in zip(edges[:-1], edges[1:]))
+
+
+def add_cols(full: np.ndarray, runs, g: np.ndarray) -> None:
+    """Add the columns of ``g`` into ``full`` at the columns they name, one
+    slice add per run of :func:`col_runs`. The runs add in the order of
+    their entries, as ``np.add.at`` adds repeated columns, so the sums are
+    the same bit for bit."""
+    for entries, columns in runs:
+        full[:, columns] += g[:, entries]
+
+
 def take_cols(a: Tensor, cols: np.ndarray) -> Tensor:
     """Gather the columns ``cols`` of a 2-D tensor; a column may repeat."""
     # np.take keeps C order, which a[:, cols] does not.
@@ -201,7 +245,7 @@ def take_cols(a: Tensor, cols: np.ndarray) -> Tensor:
 
     def bwd(g):
         full = np.zeros_like(a.value)
-        np.add.at(full, (slice(None), cols), g)
+        add_cols(full, col_runs(cols), g)
         _accum(a, full)
 
     return _make(out, (a,), bwd)
@@ -225,7 +269,7 @@ def mean(a: Tensor) -> Tensor:
 
 def norm(a: Tensor) -> Tensor:
     """Zero-safe Euclidean norm along the last axis, which is kept."""
-    return sqrt(sum_(square(a), axis=-1, keepdims=True) + Tensor(1e-30))
+    return sqrt(sum_(square(a), axis=-1, keepdims=True) + 1e-30)
 
 
 def logsumexp(a: Tensor, axis=-1) -> Tensor:
@@ -255,17 +299,19 @@ def take_rows(a: Tensor, indices) -> Tensor:
     return _make(out, (a,), bwd)
 
 
-def huber(a: Tensor, b: Tensor) -> Tensor:
+def huber(a, b) -> Tensor:
     """Branch at |a-b| = 1: quadratic inside, linear outside."""
-    diff = a.value - b.value
+    diff = _value(a) - _value(b)
     absd = np.abs(diff)
     inside = absd <= 1.0
     out = np.where(inside, 0.5 * diff * diff, absd - 0.5)
 
     def bwd(g):
         d = np.where(inside, diff, np.sign(diff))
-        _accum(a, g * d)
-        _accum(b, -g * d)
+        if _wants(a):
+            _accum(a, g * d)
+        if _wants(b):
+            _accum(b, -g * d)
 
     return _make(out, (a, b), bwd)
 

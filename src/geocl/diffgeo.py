@@ -23,8 +23,8 @@ per slice width, signs and widths in order of first occurrence. A part is
 lifted as one (m, R, d) array and takes one batched Gram product, written
 into its rows of the block's (m, R, N) Gram array; the elementwise core then
 runs once per block, over every factor of that sign. Each part's sum over
-its factors is added into the tile, and its gradients scattered, block by
-block.
+its factors is added into the tile, and its gradients scattered by runs of
+consecutive columns, block by block.
 
 Three pieces make up the kernel: ``_lift``; one elementwise core over
 broadcastable (Gram, |x|^2, |y|^2) arrays with its elementwise backward; and
@@ -56,7 +56,9 @@ when the curvature trains. A recorded node decides when it is built which
 backward pieces run, from which of feats (u), protos (v), kmag (k) and
 weights require gradients:
 
-- dL/dw needs only the forward distances, and no block backward;
+- dL/dw needs only the forward distances, and no block backward; a node
+  keeps them only when the weights train (the search), not for the
+  warm-up's frozen uniform weights;
 - a frozen k (main training, the warm-up, the neighbor loss) skips the
   core's three dL/dk terms, their scatter on the pair path and the lifts'
   dL/dk sums;
@@ -108,12 +110,15 @@ _DENSE_SHARE = 0.5
 
 class _Part(NamedTuple):
     """A block's factors of one slice width: its rows ``span`` of the
-    block's factor axis, and its feature columns (factor after factor) and
-    pool indices."""
+    block's factor axis, its feature columns (factor after factor) and pool
+    indices, and the runs of consecutive columns in ``cols``
+    (``autodiff.col_runs``), which the backward scatters into one slice add
+    each."""
 
     span: slice
     cols: np.ndarray
     pool: np.ndarray
+    runs: tuple[tuple[slice, slice], ...]
 
 
 class _Block(NamedTuple):
@@ -148,7 +153,7 @@ def _layout(space: MixedSpace, width: int) -> tuple[_Block, ...]:
             start = span.stop
             cols = np.concatenate([f.columns for f in fs])
             cols.flags.writeable = False
-            parts.append(_Part(span, cols, pool[span]))
+            parts.append(_Part(span, cols, pool[span], ad.col_runs(cols)))
         layout.append(_Block(sign, tuple(parts), pool, k))
     return tuple(layout)
 
@@ -300,12 +305,14 @@ def _clipped_z(n, sk, sign):
 class _Wanted(NamedTuple):
     """Which gradients a distance node's backward computes, decided when the
     node is built from which inputs require gradients: those of the left
-    operand (``u``), the right operand (``v``) and the curvature magnitudes
-    (``k``). The weights' gradient needs no block backward at all."""
+    operand (``u``), the right operand (``v``), the curvature magnitudes
+    (``k``) and the weights (``w``). The weights' gradient needs no block
+    backward at all, only the unweighted distances."""
 
     u: bool
     v: bool
     k: bool
+    w: bool
 
     @property
     def x(self) -> bool:
@@ -324,7 +331,8 @@ def _wanted(feats, protos, kmag, weights) -> _Wanted | None:
     if not any(t is not None and t.requires_grad for t in (feats, protos, kmag, weights)):
         return None
     return _Wanted(feats.requires_grad, protos.requires_grad,
-                   kmag is not None and kmag.requires_grad)
+                   kmag is not None and kmag.requires_grad,
+                   weights is not None and weights.requires_grad)
 
 
 def _block_backward(core_backward, block, k, lifts, shape, pairs=None):
@@ -377,40 +385,45 @@ def _block_backward(core_backward, block, k, lifts, shape, pairs=None):
 
 def _node(out, feats, protos, kmag, weights, want, blocks) -> Tensor:
     """The autodiff node of a distance op. ``blocks`` holds, per block, its
-    :class:`_Block`, weights and squared distances (both None when the op is
-    unweighted) and its backward from :func:`_block_backward`, which runs
-    only when an operand or ``kmag`` requires gradients."""
-    parents = tuple(t for t in (feats, protos, kmag, weights) if t is not None)
+    :class:`_Block`, its weights (None when the op is unweighted), its
+    unweighted squared distances (None unless the weights require
+    gradients) and its backward from :func:`_block_backward`, which runs
+    only when an operand or ``kmag`` requires gradients.
+
+    A part's gradients reach the features and prototypes by one slice add
+    per run of consecutive columns (:attr:`_Part.runs`), run after run and
+    part after part in block order: the order in which ``np.add.at`` adds
+    repeated columns, so slices that overlap add up alike, bit for bit.
+    Every pool index occurs once in a space, so dL/dw and dL/dk take
+    indexed adds."""
     b, n = feats.shape[0], protos.shape[0]
 
     def bwd(g):
         gf, gp, gk, gw = (np.zeros_like(t.value) if t is not None and t.requires_grad else None
                           for t in (feats, protos, kmag, weights))
         for block, w, dist2, block_backward in blocks:
-            # Every pool index occurs once in a space, so the scatters into
-            # gw and gk need no order. The sums run per part: einsum's
-            # buffered sums round with the length of the factor axis.
+            # The sums run per part: einsum's buffered sums round with the
+            # length of the factor axis.
             if gw is not None:
                 for part in block.parts:
-                    np.add.at(gw, part.pool, np.einsum("bn,mbn->m", g, dist2[part.span]))
+                    gw[part.pool] += np.einsum("bn,mbn->m", g, dist2[part.span])
             # A Euclidean block's distances do not depend on its curvature.
             block_want = want if block.sign else want._replace(k=False)
             if not (block_want.x or block_want.y):
                 continue
-            # Overlapping slices add up part by part, in block order.
             for part, gu, gv, gkm in block_backward(g if w is None else w[:, None, None] * g,
                                                     block_want):
                 if gf is not None:
-                    np.add.at(gf, (slice(None), part.cols), gu.transpose(1, 0, 2).reshape(b, -1))
+                    ad.add_cols(gf, part.runs, gu.transpose(1, 0, 2).reshape(b, -1))
                 if gp is not None:
-                    np.add.at(gp, (slice(None), part.cols), gv.transpose(1, 0, 2).reshape(n, -1))
+                    ad.add_cols(gp, part.runs, gv.transpose(1, 0, 2).reshape(n, -1))
                 if gkm is not None:
-                    np.add.at(gk, part.pool, gkm)
+                    gk[part.pool] += gkm
         for t, grad in zip((feats, protos, kmag, weights), (gf, gp, gk, gw)):
             if grad is not None:
                 ad._accum(t, grad)
 
-    return ad._make(out, parents, bwd)
+    return ad._make(out, (feats, protos, kmag, weights), bwd)
 
 
 def _measure(fv, pv, space: MixedSpace, kmag, weights, pairs=None, want=None):
@@ -483,7 +496,7 @@ def _measure(fv, pv, space: MixedSpace, kmag, weights, pairs=None, want=None):
                 dist2, core_backward = _core(gram.reshape(len(k), -1)[:, sel], x2[:, i], y2[:, j],
                                              k, block.sign, keep_k)
             if record:
-                nodes.append((block, w, None if w is None else dist2,
+                nodes.append((block, w, dist2 if want.w else None,
                               _block_backward(core_backward, block, k, lifts, out.shape, sel)))
             if w is not None:
                 dist2 = w[:, None, None] * dist2

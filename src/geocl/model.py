@@ -55,11 +55,12 @@ def features_np(params: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
         raise ContractViolation(
             f"input dim {x.shape[1]} != backbone dim {params['w1'].shape[0]}"
         )
-    return features_t({k: Tensor(v) for k, v in params.items()}, x).value
+    return features_t(params, x).value
 
 
-def features_t(params: dict[str, Tensor], x: np.ndarray) -> Tensor:
-    h = ad.tanh(ad.matmul(Tensor(np.atleast_2d(x)), params["w1"]) + params["b1"])
+def features_t(params: dict[str, Tensor | np.ndarray], x: np.ndarray) -> Tensor:
+    """Backbone features; ``params`` are Tensors to train, or plain arrays."""
+    h = ad.tanh(ad.matmul(np.atleast_2d(x), params["w1"]) + params["b1"])
     return ad.matmul(h, params["w2"]) + params["b2"]
 
 
@@ -144,30 +145,26 @@ def angular_reg_loss_t(cur_feats: Tensor, cur_space: MixedSpace,
     cos_cur, cur_ok = _tangent_cosines(q)
     b = q.shape[0]
     mask = np.triu(np.ones((b, b)), k=1) * valid * np.outer(cur_ok, cur_ok)
-    per_pair = ad.huber(cos_cur, Tensor(prev_cos))
+    per_pair = ad.huber(cos_cur, prev_cos)
     # Averaged over pairs so the batch-pair count does not set the scale.
-    return ad.sum_(per_pair * Tensor(mask)) * (1.0 / max(mask.sum(), 1.0))
-
-
-def neighbor_sets(sq_dists: np.ndarray, labels: np.ndarray, tau2: float):
-    """Within/between neighbor masks from previous-step squared distances."""
-    labels = np.asarray(labels)
-    close = sq_dists < tau2
-    np.fill_diagonal(close, False)
-    same = labels[:, None] == labels[None, :]
-    return close & same, close & ~same
+    return ad.sum_(per_pair * mask) * (1.0 / max(mask.sum(), 1.0))
 
 
 def affinity_matrix(sq_dists: np.ndarray, labels: np.ndarray, tau2: float) -> np.ndarray:
-    """Pairwise affinity as int8: +1 within-class neighbors, -1 between-class,
-    else 0.
+    """Pairwise affinity as int8 from previous-step squared distances: +1
+    within-class neighbors, -1 between-class neighbors, else 0. Two distinct
+    rows are neighbors when their squared distance is below ``tau2``.
 
     The neighbor relation is symmetrized ("either direction"), which makes
     the masks symmetric already since the distance matrix is. The result is
     the difference of the two masks read as 0/1 bytes, exact and an eighth
     the size of a float matrix; the losses take a float block of it.
     """
-    within, between = neighbor_sets(sq_dists, labels, tau2)
+    labels = np.asarray(labels)
+    close = sq_dists < tau2
+    np.fill_diagonal(close, False)
+    same = labels[:, None] == labels[None, :]
+    within, between = close & same, close & ~same
     return (within | within.T).view(np.int8) - (between | between.T).view(np.int8)
 
 
@@ -199,7 +196,7 @@ def neighbor_robustness_loss_t(cur_feats: Tensor, cur_space: MixedSpace,
         capped = (weight < 0) & (psi2.value > repulsion_cap)
         weight = np.where(capped, 0.0, weight)
     n_pairs = b * (b - 1) / 2.0
-    return ad.sum_(psi2 * Tensor(weight)) * (1.0 / max(n_pairs, 1.0))
+    return ad.sum_(psi2 * weight) * (1.0 / max(n_pairs, 1.0))
 
 
 def total_loss_t(ce: Tensor, lam1: float, global_term: Tensor | None,

@@ -68,6 +68,86 @@ class TestTakeCols:
         err = ad.gradcheck(build, lambda rng: {"x": rng.normal(size=(3, 32))}, rng=2)
         assert err <= 1e-6
 
+    @pytest.mark.parametrize("cols", [
+        [3, 4, 5, 0, 1, 4, 5, 6, 9, 2, 4],  # runs that overlap, column 4 thrice
+        [7, 2, 2, 9, 0, 5],                 # no two columns consecutive
+        list(COLS),                          # three runs over every column
+    ], ids=["overlapping", "scattered", "pool"])
+    def test_backward_equals_add_at(self, cols):
+        cols = np.array(cols)
+        rng = np.random.default_rng(3)
+        x = ad.Tensor(rng.normal(size=(16, 32)), requires_grad=True)
+        g = rng.normal(size=(16, len(cols)))
+        ad.sum_(ad.take_cols(x, cols) * g).backward()
+        want = np.zeros((16, 32))
+        np.add.at(want, (slice(None), cols), g)
+        assert np.array_equal(x.grad, want)
+
+
+class TestConstants:
+    """A float or an array operand is a plain value: it makes no Tensor and
+    gets no gradient, and the results are those of a frozen Tensor operand
+    bit for bit."""
+
+    ARRAY = np.random.default_rng(4).normal(size=(3, 4))
+    OPS = {
+        "mul-float": (lambda t, c: t * c, 2.0),
+        "mul-array": (lambda t, c: t * c, ARRAY),
+        "huber-array": (ad.huber, ARRAY),
+    }
+
+    @pytest.mark.parametrize("name", OPS)
+    def test_one_tensor(self, name, monkeypatch):
+        op, const = self.OPS[name]
+        t = ad.Tensor(np.ones((3, 4)), requires_grad=True)
+        made = []
+        init = ad.Tensor.__init__
+
+        def counted(obj, *args, **kwargs):
+            made.append(obj)
+            init(obj, *args, **kwargs)
+
+        monkeypatch.setattr(ad.Tensor, "__init__", counted)
+        out = op(t, const)
+        assert made == [out] and out._parents == (t,)
+
+    def test_operator_sugar_takes_plain_values(self):
+        t = ad.Tensor(np.ones(3), requires_grad=True)
+        for out in (2.0 * t, t + self.ARRAY[0, :3], t - 1.0, t / 4.0):
+            assert out._parents == (t,)
+
+    @pytest.mark.parametrize("name", OPS)
+    def test_equals_tensor_constant(self, name):
+        op, const = self.OPS[name]
+        rng = np.random.default_rng(5)
+        x, g = rng.normal(size=(3, 4)) * 2.0, rng.normal(size=(3, 4))
+        plain, wrapped = (ad.Tensor(x, requires_grad=True) for _ in range(2))
+        out_plain = op(plain, const)
+        out_wrapped = op(wrapped, ad.Tensor(const))
+        ad.sum_(out_plain * g).backward()
+        ad.sum_(out_wrapped * g).backward()
+        assert np.array_equal(out_plain.value, out_wrapped.value)
+        assert np.array_equal(plain.grad, wrapped.grad)
+
+    @pytest.mark.parametrize("op", [ad.mul, ad.div, ad.matmul])
+    @pytest.mark.parametrize("frozen", [0, 1], ids=["left-frozen", "right-frozen"])
+    def test_frozen_operand_gradient_not_computed(self, op, frozen, monkeypatch):
+        rng = np.random.default_rng(6)
+        a, b = (ad.Tensor(rng.uniform(0.5, 2.0, (3, 3)), requires_grad=side != frozen)
+                for side in (0, 1))
+        reached = []
+        accum = ad._accum
+
+        def spy(t, g):
+            reached.append(t)
+            accum(t, g)
+
+        monkeypatch.setattr(ad, "_accum", spy)
+        ad.sum_(op(a, b)).backward()
+        trained = (a, b)[1 - frozen]
+        assert trained.grad is not None and (a, b)[frozen].grad is None
+        assert not any(t is (a, b)[frozen] for t in reached)
+
 
 class TestElementwiseGradients:
     @pytest.mark.parametrize("op,ref", [

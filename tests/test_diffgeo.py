@@ -618,3 +618,121 @@ class TestLayout:
         assert all(not a.flags.writeable for block in first
                    for a in (block.pool, block.k, *(a for part in block.parts
                                                     for a in (part.cols, part.pool))))
+
+
+def add_at_node(out, feats, protos, kmag, weights, want, blocks):
+    """``diffgeo._node`` as it was before the run-wise scatter: every
+    gradient scattered with ``np.add.at``."""
+    b, n = feats.shape[0], protos.shape[0]
+
+    def bwd(g):
+        gf, gp, gk, gw = (np.zeros_like(t.value) if t is not None and t.requires_grad else None
+                          for t in (feats, protos, kmag, weights))
+        for block, w, dist2, block_backward in blocks:
+            if gw is not None:
+                for part in block.parts:
+                    np.add.at(gw, part.pool, np.einsum("bn,mbn->m", g, dist2[part.span]))
+            block_want = want if block.sign else want._replace(k=False)
+            if not (block_want.x or block_want.y):
+                continue
+            for part, gu, gv, gkm in block_backward(g if w is None else w[:, None, None] * g,
+                                                    block_want):
+                if gf is not None:
+                    np.add.at(gf, (slice(None), part.cols), gu.transpose(1, 0, 2).reshape(b, -1))
+                if gp is not None:
+                    np.add.at(gp, (slice(None), part.cols), gv.transpose(1, 0, 2).reshape(n, -1))
+                if gkm is not None:
+                    np.add.at(gk, part.pool, gkm)
+        for t, grad in zip((feats, protos, kmag, weights), (gf, gp, gk, gw)):
+            if grad is not None:
+                ad._accum(t, grad)
+
+    return ad._make(out, (feats, protos, kmag, weights), bwd)
+
+
+class TestRunScatter:
+    """The backward adds each part's gradients by runs of consecutive
+    columns; the sums are those of ``np.add.at`` bit for bit, also where
+    factors of one sign and width overlap."""
+
+    # Widths interleave within each sign. The hyperbolic width-3 part's
+    # columns run [0, 3), [1, 4), [2, 5), [6, 9): column 2 is read by three
+    # of its factors, and the width-2 part adds onto columns it wrote.
+    SPACE = MixedSpace((
+        FactorSpec(0, 1, 3, -1.2),
+        FactorSpec(1, 2, 4, -0.7),
+        FactorSpec(2, 1, 2, -0.4),
+        FactorSpec(3, 3, 5, -1.0),
+        FactorSpec(4, 7, 9, -0.6),
+        FactorSpec(5, 3, 6, 0.8),
+        FactorSpec(6, 2, 3, 1.5),
+        FactorSpec(7, 5, 8, 0.3),
+        FactorSpec(8, 1, 10, 0.0),
+    ))
+
+    def test_parts_hold_overlapping_runs(self):
+        hyperbolic = diffgeo._layout(self.SPACE, 10)[0]
+        assert [part.runs for part in hyperbolic.parts] == [
+            ((slice(0, 3), slice(0, 3)), (slice(3, 6), slice(1, 4)),
+             (slice(6, 9), slice(2, 5)), (slice(9, 12), slice(6, 9))),
+            ((slice(0, 2), slice(0, 2)),)]
+
+    @pytest.mark.parametrize("op", ["matrix", "pairs"])
+    def test_gradients_equal_add_at(self, op, monkeypatch):
+        rng = np.random.default_rng(41)
+        n = len(self.SPACE.factors)
+        values = [rng.normal(0.0, 0.6, (9, 10)), rng.normal(0.0, 0.6, (6, 10)),
+                  rng.uniform(0.3, 2.0, n), rng.uniform(0.2, 1.0, n)]
+        pairs = np.triu(rng.random((9, 9)) < 0.6, k=1)
+        g = rng.normal(size=(9, 6)) if op == "matrix" else rng.normal(size=(9, 9)) * pairs
+
+        def grads():
+            t = [Tensor(v, requires_grad=True) for v in values]
+            if op == "matrix":
+                d = diffgeo.sq_dist_matrix(t[0], t[1], self.SPACE, kmag=t[2], weights=t[3])
+                used = t
+            else:
+                d = diffgeo.pair_sq_dist(t[0], pairs, self.SPACE, kmag=t[2])
+                used = [t[0], t[2]]
+            ad.sum_(d * g).backward()
+            return [x.grad for x in used]
+
+        got = grads()
+        monkeypatch.setattr(diffgeo, "_node", add_at_node)
+        want = grads()
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+class TestKeptDistances:
+    """A recorded op keeps each block's unweighted distances for dL/dw only
+    when the weights require gradients."""
+
+    @pytest.fixture
+    def kept(self, monkeypatch):
+        kept = []
+        node = diffgeo._node
+
+        def spy(out, feats, protos, kmag, weights, want, blocks):
+            kept.append([dist2 for _, _, dist2, _ in blocks])
+            return node(out, feats, protos, kmag, weights, want, blocks)
+
+        monkeypatch.setattr(diffgeo, "_node", spy)
+        return kept
+
+    def test_frozen_weights_keep_no_distances(self, kept):
+        """The warm-up: trained prototypes under frozen uniform weights."""
+        rng = np.random.default_rng(42)
+        protos = Tensor(rng.normal(0.0, 0.6, (5, 32)), requires_grad=True)
+        diffgeo.sq_dist_matrix(rng.normal(0.0, 0.6, (8, 32)), protos, POOL,
+                               weights=Tensor(np.full(POOL.size, 1.0 / POOL.size)))
+        assert kept == [[None, None]]
+
+    def test_trained_weights_keep_distances(self, kept):
+        """The search: trained weights and curvatures."""
+        rng = np.random.default_rng(43)
+        kmag = Tensor(np.ones(POOL.size), requires_grad=True)
+        weights = Tensor(np.full(POOL.size, 0.05), requires_grad=True)
+        diffgeo.sq_dist_matrix(rng.normal(0.0, 0.6, (8, 32)), rng.normal(0.0, 0.6, (5, 32)),
+                               POOL, kmag=kmag, weights=weights)
+        assert [[d.shape for d in block] for block in kept] == [[(7, 8, 5), (7, 8, 5)]]

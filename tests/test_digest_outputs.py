@@ -85,3 +85,28 @@ def test_wall_clock_does_not_change_the_lines(tmp_path):
     first = digest(tree, tmp_path / "first", 1.25)
     second = digest(tree, tmp_path / "second", 7.5)
     assert first == second
+
+
+def test_expect_matching_digest_exits_zero(tmp_path):
+    tree = stub_tree(tmp_path / "tree")
+    hexdigest = digest(tree, tmp_path / "first", 1.0)[-1].split("  ")[0]
+    result = subprocess.run([sys.executable, str(_TOOL), str(tree), str(tmp_path / "second"),
+                             "--expect", hexdigest],
+                            env=dict(os.environ, STUB_WALL_CLOCK="2.0"),
+                            capture_output=True, text=True)
+    assert result.returncode == 0
+    assert result.stdout.splitlines()[-1] == f"{hexdigest}  all"
+    assert result.stderr == ""
+
+
+def test_expect_other_digest_exits_one_with_both(tmp_path):
+    tree = stub_tree(tmp_path / "tree")
+    hexdigest = digest(tree, tmp_path / "first", 1.0)[-1].split("  ")[0]
+    wrong = "0" * 64
+    result = subprocess.run([sys.executable, str(_TOOL), str(tree), str(tmp_path / "second"),
+                             "--expect", wrong],
+                            env=dict(os.environ, STUB_WALL_CLOCK="1.0"),
+                            capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [
+        f"digest mismatch: expected {wrong}, got {hexdigest}"]

@@ -502,3 +502,43 @@ def test_structure_context_peak_memory():
     assert context["affinity"].dtype == np.int8
     assert np.count_nonzero(context["affinity"] == 1) and np.count_nonzero(context["affinity"] == -1)
     assert peak <= 4.5 * b * b * 8
+
+
+class TestEvaluate:
+    """One evaluation pass over every seen task's test rows gives the
+    accuracies of one pass per task."""
+
+    @staticmethod
+    def per_task(state, tasks):
+        """Evaluation as one pass per task."""
+        accs = []
+        for task in tasks:
+            feats = model.features_np(state.params, task.x_test)
+            pred = model.class_probs_np(feats, state.classifier, state.space).argmax(axis=1)
+            truth = np.array([state.label_to_index[int(v)] for v in task.y_test])
+            accs.append(float((pred == truth).mean()))
+        return accs
+
+    @pytest.mark.parametrize("sizes", [(1, 2, 50), (50, 2, 1), (2, 50, 1, 2)])
+    def test_equals_per_task_passes(self, sizes, monkeypatch):
+        rng = np.random.default_rng(sum(sizes))
+        pool = build_pool(8, [4])
+        state = harness.init_state(model.Backbone(6, 16, 8), pool, seed=3)
+        state.space = pool
+        centers = rng.normal(0.0, 2.0, (2 * len(sizes), 6))
+        state.classifier = model.features_np(state.params, centers)
+        tasks = []
+        for step, size in enumerate(sizes, start=1):
+            labels = rng.choice([2 * step - 2, 2 * step - 1], size=size)
+            for lab in (2 * step - 2, 2 * step - 1):
+                state.label_to_index[lab] = lab
+            x = centers[labels] + rng.normal(0.0, 1.5, (size, 6))
+            tasks.append(harness.StreamTask(step, x, labels, x, labels))
+        want = self.per_task(state, tasks)
+        calls = []
+        for name in ("features_np", "class_probs_np"):
+            monkeypatch.setattr(harness.mdl, name, mock.Mock(wraps=getattr(model, name)))
+            calls.append(getattr(harness.mdl, name))
+        assert harness.evaluate(state, tasks) == want
+        assert [c.call_count for c in calls] == [1, 1]
+        assert any(0.0 < acc < 1.0 for acc in want)

@@ -153,11 +153,12 @@ class TestNeighborRobustness:
         assert model.tau2_same_class_mean(self.sq, self.labels) == pytest.approx(1.0)
 
     def test_neighbor_sets(self):
-        tau2 = 2.5
-        within, between = model.neighbor_sets(self.sq, self.labels, tau2)
-        assert within[0, 1] and within[2, 3]
-        assert between[1, 2] and not between[0, 2]
-        assert not within.diagonal().any()
+        # The within-class neighbors are the +1 entries, the between-class
+        # neighbors the -1 entries; a row is not its own neighbor.
+        aff = model.affinity_matrix(self.sq, self.labels, 2.5)
+        assert aff[0, 1] == 1 and aff[2, 3] == 1
+        assert aff[1, 2] == -1 and aff[0, 2] != -1
+        assert not (aff.diagonal() == 1).any()
 
     def test_affinity_signs(self):
         aff = model.affinity_matrix(self.sq, self.labels, 2.5)

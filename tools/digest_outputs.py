@@ -2,7 +2,7 @@
 
 Usage (from any directory):
 
-    python3 tools/digest_outputs.py TREE OUT
+    python3 tools/digest_outputs.py TREE OUT [--expect HEX]
 
 TREE is a checkout of this repository (the one to measure); OUT is a
 scratch directory, one subdirectory per run. Runs ``geocl run`` from
@@ -13,10 +13,15 @@ at seed 0, and prints one sha256 line per output, as ``sha256sum`` does:
 ``report.json`` (re-serialised with sorted keys, since the report also
 holds the wall clock). The last line digests all the lines before it. Two
 trees give equal outputs exactly when the two printouts are equal.
+
+With ``--expect HEX`` the tool also compares that all-lines digest with
+HEX: it exits 0 when they match, and otherwise prints one line with both
+to stderr and exits 1.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -47,11 +52,12 @@ def run_digests(out: Path, env: dict, name: str, args: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 2:
-        print("usage: python3 tools/digest_outputs.py TREE OUT", file=sys.stderr)
-        return 1
-    tree, out = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("tree", type=Path)
+    parser.add_argument("out", type=Path)
+    parser.add_argument("--expect", metavar="HEX", help="the all-lines digest to match")
+    args = parser.parse_args(argv)
+    tree, out = args.tree.resolve(), args.out.resolve()
     sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
     import run as bench_run  # TREE's bench/run.py; imports TREE's geocl
 
@@ -67,7 +73,11 @@ def main(argv=None) -> int:
             lines += run_digests(out, env, name, ["--config", str(config)])
     lines += run_digests(out, env, f"default-s{DEFAULT_SEED}", ["--seed", str(DEFAULT_SEED)])
     text = "".join(line + "\n" for line in lines)
-    print(text + f"{sha256(text.encode())}  all")
+    digest = sha256(text.encode())
+    print(text + f"{digest}  all")
+    if args.expect is not None and args.expect.lower() != digest:
+        print(f"digest mismatch: expected {args.expect}, got {digest}", file=sys.stderr)
+        return 1
     return 0
 
 
