@@ -6,16 +6,17 @@ that requires gradients. The op set is deliberately closed to what the
 engine calls: arithmetic, matmul, square, sqrt, elementwise tanh,
 transpose, a column gather, sums, norms, log-sum-exp cross-entropy and
 Huber. A fused op with a hand-written backward (the product-distance
-kernel in ``geocl.diffgeo``) builds its node with ``_make`` and hands its
-gradients to ``_accum``.
+kernel in ``geocl.diffgeo``) reads its operands with ``_value`` and
+``_wants``, builds its node with ``_make`` and hands its gradients to
+``_accum``.
 
 Constants are plain values: either operand of an arithmetic op, ``matmul``
-or ``huber`` may be a float or an ndarray, and a node keeps as parents only
-its operands that require gradients, so a constant makes no Tensor. A
-node's backward computes the gradients of those parents and of no other
-operand: a product with frozen weights forms no gradient for them. A
-column gather's backward adds run by run (``col_runs``, ``add_cols``), in
-the order ``np.add.at`` would.
+or ``huber``, and every operand of the distance kernel, may be a float or
+an ndarray, and a node keeps as parents only its operands that require
+gradients, so a constant makes no Tensor. A node's backward computes the
+gradients of those parents and of no other operand: a product with frozen
+weights forms no gradient for them. A column gather's backward adds run by
+run (``col_runs``, ``add_cols``), in the order ``np.add.at`` would.
 
 Graphs are per-step and single-threaded; accumulation order is fixed, so
 identical inputs give bit-identical gradients.
@@ -96,10 +97,6 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _value(x):

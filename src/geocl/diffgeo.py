@@ -33,19 +33,25 @@ block's m factors, which ends in each part's Gram-backward products and
 lift backward. One routine, ``_measure``, runs them in the kernel's one
 walk: it lifts every part once, then per tile takes every part's Gram
 product and runs the core once per block, on every entry or on the listed
-entries only. Every op is one call of it:
+entries only. The kernel's one op, ``sq_dist_matrix``, is one call of it,
+in one of four modes, by whether an input requires gradients and whether a
+``pairs`` mask lists the entries to measure:
 
-- ``sq_dist_matrix`` recording for autodiff (the classification and search
-  losses) is one tile, the whole (B, N) matrix;
-- ``pair_sq_dist`` recording for autodiff (the neighbor loss) is one tile
-  with the listed pairs of one batch; the backward scatters the per-pair
-  terms into the (m, B, B) layout one at a time before the reduction, so
-  its gradients are those of the matrix form;
-- either op without an input requiring gradients (evaluation, and the
-  previous-step model's distances on the pairs the structure losses read)
-  keeps no backward and walks tiles small enough that a block's
-  intermediates stay in cache, skipping those that hold no listed pair and
-  measuring every entry of those that are mostly listed.
+- recorded, every entry (the classification and search losses): one tile,
+  the whole (B, N) matrix;
+- recorded, listed pairs (the neighbor loss, a batch against itself): one
+  tile with the listed pairs; the backward scatters the per-pair terms into
+  the (m, B, N) layout one at a time before the reduction, so its
+  gradients are those of the matrix form;
+- forward only, every entry (evaluation): no backward kept, and tiles
+  small enough that a block's intermediates stay in cache;
+- forward only, listed pairs (the previous-step model's distances on the
+  pairs the structure losses read): the same tiles, skipping those that
+  hold no listed pair and measuring every entry of those that are mostly
+  listed.
+
+The op takes plain arrays as they are and Tensors by their values; only an
+input that requires gradients joins its node.
 
 Every path and tiling gives the same values bit for bit.
 
@@ -90,6 +96,7 @@ import numpy as np
 from . import autodiff as ad
 from . import geometry
 from .autodiff import Tensor
+from .errors import ContractViolation
 from .product import FactorSpec, MixedSpace
 
 # tanh(arg) <= 1 - BALL_EPS, i.e. the lift respects the ball margin.
@@ -328,11 +335,8 @@ class _Wanted(NamedTuple):
 def _wanted(feats, protos, kmag, weights) -> _Wanted | None:
     """The :class:`_Wanted` of a distance op's node, or None when no input
     requires gradients and the op builds no node."""
-    if not any(t is not None and t.requires_grad for t in (feats, protos, kmag, weights)):
-        return None
-    return _Wanted(feats.requires_grad, protos.requires_grad,
-                   kmag is not None and kmag.requires_grad,
-                   weights is not None and weights.requires_grad)
+    want = _Wanted(*(ad._wants(t) for t in (feats, protos, kmag, weights)))
+    return want if any(want) else None
 
 
 def _block_backward(core_backward, block, k, lifts, shape, pairs=None):
@@ -344,8 +348,8 @@ def _block_backward(core_backward, block, k, lifts, shape, pairs=None):
     is not wanted skips its core term, sums, Gram products and lift
     backward; a frozen ``k`` skips the core's and the lifts' dL/dk.
 
-    With ``pairs`` (flat indices into the (B, B) layout) the core covered
-    those pairs only: their upstream gradients are gathered from the (B, B)
+    With ``pairs`` (flat indices into the (B, N) layout) the core covered
+    those pairs only: their upstream gradients are gathered from the (B, N)
     gradient, and their terms are scattered back into zeros, one term at a
     time, before the same reduction, so every sum runs in the matrix form's
     order.
@@ -399,7 +403,7 @@ def _node(out, feats, protos, kmag, weights, want, blocks) -> Tensor:
     b, n = feats.shape[0], protos.shape[0]
 
     def bwd(g):
-        gf, gp, gk, gw = (np.zeros_like(t.value) if t is not None and t.requires_grad else None
+        gf, gp, gk, gw = (np.zeros_like(t.value) if ad._wants(t) else None
                           for t in (feats, protos, kmag, weights))
         for block, w, dist2, block_backward in blocks:
             # The sums run per part: einsum's buffered sums round with the
@@ -516,48 +520,33 @@ def _gram(block, lifts, rows, cols):
     return gram
 
 
-def sq_dist_matrix(feats, protos, space: MixedSpace, kmag=None, weights=None) -> Tensor:
+def sq_dist_matrix(feats, protos, space: MixedSpace, kmag=None, weights=None,
+                   pairs=None) -> Tensor:
     """(B, N) squared product distances between the lifts of the rows of
-    ``feats`` (B, D) and ``protos`` (N, D); arrays or Tensors.
+    ``feats`` (B, D) and ``protos`` (N, D): the kernel's one op. Each input
+    is a Tensor or a plain array.
 
     ``kmag`` optionally supplies the curvature magnitudes, indexed by pool
     index (otherwise |curvature| of each factor is used); ``weights``
-    optionally supplies per-factor weights with the same indexing. Without
-    an input that requires gradients no graph is built, and the routine
-    walks tiles (see :func:`_measure`). In a run these calls are evaluation,
-    on up to 200 test rows x 20 classes or 52 x 40: one tile each.
+    optionally supplies per-factor weights with the same indexing. With the
+    boolean (B, N) mask ``pairs`` only the listed entries go through the
+    distance formula and its backward, and the others are zero; values and
+    gradients equal those of the unmasked op on the listed entries. A mask
+    of another shape, or one given with weights, is rejected.
+
+    Without an input that requires gradients no graph is built, and the
+    routine walks tiles (see :func:`_measure`), skipping those that hold no
+    listed pair. In a run these calls are evaluation, on up to 1000 test
+    rows x 20 classes (five row tiles) or 409 x 40 (four), and the
+    previous-step model's context, which lists a fifth to all of the upper
+    triangle of up to B = 400 buffer rows.
     """
-    feats, protos = ad.as_tensor(feats), ad.as_tensor(protos)
-    kmag = None if kmag is None else ad.as_tensor(kmag)
-    weights = None if weights is None else ad.as_tensor(weights)
+    fv, pv = ad._value(feats), ad._value(protos)
+    if pairs is not None and (weights is not None or np.shape(pairs) != (len(fv), len(pv))):
+        raise ContractViolation("pairs must be a (B, N) mask, and take no weights")
     want = _wanted(feats, protos, kmag, weights)
-    out, blocks = _measure(feats.value, protos.value, space,
-                           None if kmag is None else kmag.value,
-                           None if weights is None else weights.value, want=want)
+    out, blocks = _measure(fv, pv, space, ad._value(kmag), ad._value(weights), pairs, want)
     return Tensor(out) if want is None else _node(out, feats, protos, kmag, weights, want, blocks)
-
-
-def pair_sq_dist(feats, pairs: np.ndarray, space: MixedSpace, kmag=None) -> Tensor:
-    """(B, B) squared product distances between the lifts of the rows of
-    ``feats`` (B, D) on the pairs where the boolean (B, B) mask ``pairs``
-    is set, and zero elsewhere.
-
-    Only the listed pairs go through the distance formula and its backward;
-    values and gradients equal those of ``sq_dist_matrix(feats, feats, ...)``
-    on the listed pairs. ``kmag`` is as in :func:`sq_dist_matrix`. Without
-    an input that requires gradients no graph is built, only the tiles that
-    hold a listed pair are visited, and a mostly listed tile is measured on
-    every entry (see :func:`_measure`): the previous-step model's context
-    lists a fifth to all of the upper triangle of up to B = 400 rows in a
-    run.
-    """
-    feats = ad.as_tensor(feats)
-    kmag = None if kmag is None else ad.as_tensor(kmag)
-    want = _wanted(feats, feats, kmag, None)
-    fv = feats.value
-    out, blocks = _measure(fv, fv, space, None if kmag is None else kmag.value, None, pairs,
-                           want)
-    return Tensor(out) if want is None else _node(out, feats, feats, kmag, None, want, blocks)
 
 
 def _tiles(n: int, size: int) -> list[tuple[int, int]]:

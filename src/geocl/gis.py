@@ -56,8 +56,7 @@ def classifier_warmup(pool: MixedSpace, feats: np.ndarray, labels: np.ndarray,
     w = classifier.copy()
     for batch in batches(len(labels), batch_size, rng):
         wt = Tensor(w, requires_grad=True)
-        loss = mdl.ce_loss_t(Tensor(feats[batch]), wt, labels[batch], pool,
-                             weights=Tensor(uniform))
+        loss = mdl.ce_loss_t(feats[batch], wt, labels[batch], pool, weights=uniform)
         loss.backward()
         w = w - lr * wt.grad
     return w
@@ -82,8 +81,8 @@ def gis_optimize(pool: MixedSpace, feats: np.ndarray, labels: np.ndarray,
         for batch in batches(len(labels), batch_size, rng):
             wt = Tensor(weights, requires_grad=True)
             kt = Tensor(mags, requires_grad=True)
-            loss = mdl.ce_loss_t(Tensor(feats[batch]), Tensor(classifier),
-                                 labels[batch], pool, kmag=kt, weights=wt)
+            loss = mdl.ce_loss_t(feats[batch], classifier, labels[batch], pool, kmag=kt,
+                                 weights=wt)
             if not np.isfinite(loss.value):
                 raise NumericalDomainError("weight-sum loss diverged (NaN/Inf)")
             loss.backward()

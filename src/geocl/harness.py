@@ -325,7 +325,7 @@ def _prev_affinity(prev_feats: np.ndarray, space: MixedSpace, labels: np.ndarray
     # Measured above the diagonal only and mirrored (the rest is zero): the
     # forward-only matrix is symmetric bit for bit, since a tile product and
     # that of its transpose are transposes of each other.
-    prev_d2 = diffgeo.pair_sq_dist(prev_feats, np.triu(read), space).value
+    prev_d2 = diffgeo.sq_dist_matrix(prev_feats, prev_feats, space, pairs=np.triu(read)).value
     prev_d2 += prev_d2.T  # NumPy reads the overlapping transpose from a copy
     prev_d2[~read] = np.inf
     tau2 = mdl.tau2_same_class_mean(prev_d2, labels)

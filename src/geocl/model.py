@@ -5,11 +5,11 @@ is sliced into the factors of the current mixed space. Classification is a
 softmax over negated squared product distances to per-class prototype rows.
 
 Training, evaluation and the frozen previous-step model all measure with
-the one product-distance kernel in :mod:`geocl.diffgeo`: ``sq_dist_matrix_t``
-records its routine for autodiff, ``sq_dist_matrix_np`` runs the routine
+the one op of the product-distance kernel, :func:`geocl.diffgeo.sq_dist_matrix`:
+``sq_dist_matrix_t`` records it for autodiff, ``sq_dist_matrix_np`` runs it
 forward only, and the neighbor loss measures only the pairs it weights, the
-within- and between-class neighbors, with ``diffgeo.pair_sq_dist``. The
-previous-step model's distances also come from ``diffgeo.pair_sq_dist``,
+within- and between-class neighbors, through its ``pairs`` mask. The
+previous-step model's distances also come from that op with a mask,
 forward only, on the tiles that hold a listed pair: a step draws main
 training's batches and buffer rows before it measures that model, so only
 the same-class pairs and the pairs within a batch's rows are measured (see
@@ -81,10 +81,9 @@ def class_probs_np(feats: np.ndarray, protos: np.ndarray, space: MixedSpace) -> 
     return p / p.sum(axis=1, keepdims=True)
 
 
-def sq_dist_matrix_t(feats: Tensor, protos: Tensor, space: MixedSpace,
-                     kmag: Tensor | None = None,
-                     weights: Tensor | None = None) -> Tensor:
+def sq_dist_matrix_t(feats, protos, space: MixedSpace, kmag=None, weights=None) -> Tensor:
     """Differentiable :func:`sq_dist_matrix_np`; see :func:`diffgeo.sq_dist_matrix`.
+    Each input is a Tensor or a plain array.
 
     ``kmag`` optionally supplies trainable curvature magnitudes indexed by
     pool index; ``weights`` optionally supplies per-factor selection
@@ -93,8 +92,8 @@ def sq_dist_matrix_t(feats: Tensor, protos: Tensor, space: MixedSpace,
     return diffgeo.sq_dist_matrix(feats, protos, space, kmag=kmag, weights=weights)
 
 
-def ce_loss_t(feats: Tensor, protos: Tensor, labels: np.ndarray, space: MixedSpace,
-              kmag: Tensor | None = None, weights: Tensor | None = None) -> Tensor:
+def ce_loss_t(feats, protos, labels: np.ndarray, space: MixedSpace, kmag=None,
+              weights=None) -> Tensor:
     labels = np.asarray(labels)
     if labels.max(initial=-1) >= protos.shape[0]:
         raise ContractViolation("label outside the seen classes")
@@ -184,13 +183,14 @@ def neighbor_robustness_loss_t(cur_feats: Tensor, cur_space: MixedSpace,
     """Signed sum of current pairwise squared distances, weighted by affinity.
 
     Only the pairs i < j with a nonzero affinity (the within- and
-    between-class neighbors) are measured, by :func:`diffgeo.pair_sq_dist`;
-    every other pair has weight 0. The sum is averaged over all b(b-1)/2
-    pairs of the batch.
+    between-class neighbors) are measured, through the ``pairs`` mask of
+    :func:`diffgeo.sq_dist_matrix`; every other pair has weight 0. The sum
+    is averaged over all b(b-1)/2 pairs of the batch.
     """
     b = cur_feats.shape[0]
     weight = np.triu(np.ones((b, b)), k=1) * affinity
-    psi2 = diffgeo.pair_sq_dist(cur_feats, weight != 0, cur_space, kmag=kmag)
+    psi2 = diffgeo.sq_dist_matrix(cur_feats, cur_feats, cur_space, kmag=kmag,
+                                  pairs=weight != 0)
     if repulsion_cap is not None:
         # Stop pushing apart pairs already separated past the cap.
         capped = (weight < 0) & (psi2.value > repulsion_cap)

@@ -10,7 +10,7 @@ import pytest
 from geocl import autodiff as ad
 from geocl import diffgeo, geometry
 from geocl.autodiff import Tensor
-from geocl.errors import ConfigurationError
+from geocl.errors import ConfigurationError, ContractViolation
 from geocl.gis import build_pool
 from geocl.product import FactorSpec, MixedSpace
 
@@ -221,7 +221,7 @@ class TestPairs:
         pairs[0, 1] = True
         g = rng.normal(size=(b, b)) * pairs
         got = []
-        for op in (lambda f, k: diffgeo.pair_sq_dist(f, pairs, space, kmag=k),
+        for op in (lambda f, k: diffgeo.sq_dist_matrix(f, f, space, kmag=k, pairs=pairs),
                    lambda f, k: diffgeo.sq_dist_matrix(f, f, space, kmag=k)):
             f, k = Tensor(feats, requires_grad=True), Tensor(kmag, requires_grad=True)
             d = op(f, k)
@@ -234,10 +234,67 @@ class TestPairs:
 
     def test_no_pairs(self):
         f = Tensor(np.random.default_rng(0).normal(size=(4, 6)), requires_grad=True)
-        d = diffgeo.pair_sq_dist(f, np.zeros((4, 4), dtype=bool), MIXED)
+        d = diffgeo.sq_dist_matrix(f, f, MIXED, pairs=np.zeros((4, 4), dtype=bool))
         ad.sum_(d).backward()
         assert np.array_equal(d.value, np.zeros((4, 4)))
         assert np.array_equal(f.grad, np.zeros((4, 6)))
+
+
+class TestPlainOperands:
+    """The one op takes plain arrays as they are: only its result is a new
+    Tensor, and a frozen operand given as an array counts as one given as a
+    frozen Tensor."""
+
+    @pytest.mark.parametrize("record", [False, True], ids=["forward", "recorded"])
+    @pytest.mark.parametrize("rows, weights", [(6, np.ones(MIXED.size)), (5, None)],
+                             ids=["weighted", "misshapen"])
+    def test_pairs_checked(self, record, rows, weights):
+        """A mask takes no weights, and must be (B, N): a smaller one would
+        put its listed entries at other places."""
+        feats = np.random.default_rng(51).normal(0.0, 0.6, (6, 6))
+        f = Tensor(feats, requires_grad=True) if record else feats
+        pairs = np.zeros((rows, rows), dtype=bool)
+        pairs[1, 2] = True
+        with pytest.raises(ContractViolation):
+            diffgeo.sq_dist_matrix(f, f, MIXED, weights=weights, pairs=pairs)
+
+    def test_forward_only_call_makes_only_its_result(self, monkeypatch):
+        made = []
+        init = Tensor.__init__
+
+        def counted(t, *args, **kwargs):
+            made.append(t)
+            init(t, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counted)
+        rng = np.random.default_rng(52)
+        out = diffgeo.sq_dist_matrix(rng.normal(0.0, 0.6, (5, 6)), rng.normal(0.0, 0.6, (4, 6)),
+                                     MIXED, kmag=np.ones(MIXED.size), weights=np.ones(MIXED.size))
+        assert made == [out]
+
+    @pytest.mark.parametrize("op", ["matrix", "pairs"])
+    def test_plain_frozen_operand_gives_frozen_tensor_gradients(self, op):
+        rng = np.random.default_rng(53)
+        feats, protos = rng.normal(0.0, 0.6, (7, 6)), rng.normal(0.0, 0.6, (5, 6))
+        kmag, weights = rng.uniform(0.3, 2.0, (2, MIXED.size))
+        pairs = np.triu(rng.random((7, 7)) < 0.5, k=1)
+        g = rng.normal(size=(7, 5)) if op == "matrix" else rng.normal(size=(7, 7)) * pairs
+
+        def grads(wrap):
+            if op == "matrix":
+                p, w = Tensor(protos, requires_grad=True), Tensor(weights, requires_grad=True)
+                d = diffgeo.sq_dist_matrix(wrap(feats), p, MIXED, kmag=wrap(kmag), weights=w)
+                trained = (p, w)
+            else:
+                k = Tensor(kmag, requires_grad=True)
+                f = wrap(feats)
+                d = diffgeo.sq_dist_matrix(f, f, MIXED, kmag=k, pairs=pairs)
+                trained = (k,)
+            ad.sum_(d * g).backward()
+            return [t.grad for t in trained]
+
+        for a, b in zip(grads(lambda v: v), grads(Tensor)):
+            assert np.array_equal(a, b)
 
 
 def _masks(b, rng):
@@ -264,11 +321,11 @@ class TestForwardPairs:
         for kv in (None, kmag):
             dense = diffgeo.sq_dist_matrix(feats, feats.copy(), space, kmag=kv).value
             for name, pairs in _masks(b, rng).items():
-                got = diffgeo.pair_sq_dist(feats, pairs, space, kmag=kv)
+                got = diffgeo.sq_dist_matrix(feats, feats, space, kmag=kv, pairs=pairs)
                 assert not got.requires_grad and got._parents == ()
                 assert np.array_equal(got.value, np.where(pairs, dense, 0.0)), name
-                recorded = diffgeo.pair_sq_dist(Tensor(feats, requires_grad=True), pairs,
-                                                space, kmag=kv)
+                both = Tensor(feats, requires_grad=True)
+                recorded = diffgeo.sq_dist_matrix(both, both, space, kmag=kv, pairs=pairs)
                 assert np.array_equal(got.value, recorded.value), name
 
     def test_tiles_without_pairs_run_no_core(self, monkeypatch):
@@ -283,11 +340,11 @@ class TestForwardPairs:
         feats = np.random.default_rng(5).normal(0.0, 0.6, (129, 6))
         n_groups = len(diffgeo._layout(MIXED, 6))
         pairs = np.zeros((129, 129), dtype=bool)
-        assert not diffgeo.pair_sq_dist(feats, pairs, MIXED).value.any()
+        assert not diffgeo.sq_dist_matrix(feats, feats, MIXED, pairs=pairs).value.any()
         assert calls == []
         # Tiles are rows and columns [0, 64) and [64, 129): two of four hold pairs.
         pairs[3, 70] = pairs[100, 128] = pairs[64, 127] = True
-        diffgeo.pair_sq_dist(feats, pairs, MIXED)
+        diffgeo.sq_dist_matrix(feats, feats, MIXED, pairs=pairs)
         assert sorted(shape[-1] for shape in calls) == [1] * n_groups + [2] * n_groups
 
 
@@ -304,11 +361,11 @@ class TestForwardPairs:
         b = 400
         feats = rng.normal(0.0, 1.0, (b, 32))
         pairs = np.triu(rng.random((b, b)) < share, k=1)
-        diffgeo.pair_sq_dist(feats, pairs, space)
+        diffgeo.sq_dist_matrix(feats, feats, space, pairs=pairs)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            diffgeo.pair_sq_dist(feats, pairs, space)
+            diffgeo.sq_dist_matrix(feats, feats, space, pairs=pairs)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -374,7 +431,7 @@ class TestSignBlocks:
 
         t = tensors()
         d = (diffgeo.sq_dist_matrix(*t[:2], space, kmag=t[2]) if op == "matrix"
-             else diffgeo.pair_sq_dist(t[0], pairs, space, kmag=t[2]))
+             else diffgeo.sq_dist_matrix(t[0], t[0], space, kmag=t[2], pairs=pairs))
         ad.sum_(d * Tensor(g)).backward()
         separate = tensors()
         for sub in group_spaces(space):
@@ -404,7 +461,7 @@ class TestSignBlocks:
         pairs = np.zeros((129, 129), dtype=bool)
         pairs[:64, 64:] = True
         pairs[3, 5] = True
-        diffgeo.pair_sq_dist(feats, pairs, POOL)
+        diffgeo.sq_dist_matrix(feats, feats, POOL, pairs=pairs)
         # Tiles are rows and columns [0, 64) and [64, 129): the one listed
         # pair of the first runs on its own, the fully listed second on
         # every entry, and the other two hold no pair.
@@ -438,6 +495,24 @@ class TestSharedLift:
                 gram = np.empty((len(block.k), b, b))
                 np.matmul(x, shared.transpose(0, 2, 1), out=gram[part.span])
                 assert np.array_equal(gram[part.span], x @ y.transpose(0, 2, 1))
+
+
+    @pytest.mark.parametrize("record", [False, True], ids=["forward", "recorded"])
+    def test_one_operand_lifts_once(self, record, monkeypatch):
+        """One array or Tensor given as both operands is lifted once per part."""
+        calls = []
+        lifted = diffgeo._lifted
+
+        def counted(a, *args):
+            calls.append(len(a))
+            return lifted(a, *args)
+
+        monkeypatch.setattr(diffgeo, "_lifted", counted)
+        feats = np.random.default_rng(54).normal(0.0, 0.6, (9, 6))
+        f = Tensor(feats, requires_grad=True) if record else feats
+        pairs = np.triu(np.ones((9, 9), dtype=bool), k=1)
+        diffgeo.sq_dist_matrix(f, f, MIXED, pairs=pairs)
+        assert calls == [9] * sum(len(block.parts) for block in diffgeo._layout(MIXED, 6))
 
 
 def _loss(space, g, same=False):
@@ -569,8 +644,8 @@ class TestPrunedBackward:
         g = rng.normal(size=(7, 7)) * pairs
 
         def op(t):
-            return ad.sum_(diffgeo.pair_sq_dist(t["feats"], pairs, space, kmag=t["kmag"])
-                           * Tensor(g))
+            d = diffgeo.sq_dist_matrix(t["feats"], t["feats"], space, kmag=t["kmag"], pairs=pairs)
+            return ad.sum_(d * Tensor(g))
 
         got = self.grads(op, values, trained)
         full = self.grads(op, values, ("feats", "kmag"))
@@ -692,7 +767,7 @@ class TestRunScatter:
                 d = diffgeo.sq_dist_matrix(t[0], t[1], self.SPACE, kmag=t[2], weights=t[3])
                 used = t
             else:
-                d = diffgeo.pair_sq_dist(t[0], pairs, self.SPACE, kmag=t[2])
+                d = diffgeo.sq_dist_matrix(t[0], t[0], self.SPACE, kmag=t[2], pairs=pairs)
                 used = [t[0], t[2]]
             ad.sum_(d * g).backward()
             return [x.grad for x in used]
