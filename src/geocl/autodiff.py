@@ -1,22 +1,23 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-A ``Tensor`` wraps an ndarray and remembers how it was produced; calling
-``backward`` on a scalar loss fills ``grad`` on every reachable tensor
-that requires gradients. The op set is deliberately closed to what the
-engine calls: arithmetic, matmul, square, sqrt, elementwise tanh,
-transpose, a column gather, sums, norms, log-sum-exp cross-entropy and
-Huber. A fused op with a hand-written backward (the product-distance
-kernel in ``geocl.diffgeo``) reads its operands with ``_value`` and
-``_wants``, builds its node with ``_make`` and hands its gradients to
-``_accum``.
+A ``Tensor`` is a node that a backward reaches: a leaf to train, or the
+result of an op over one. It wraps an ndarray and remembers how it was
+produced; calling ``backward`` on a scalar loss fills ``grad`` on every
+Tensor it reaches. The op set is deliberately closed to what the engine
+calls: arithmetic, matmul, square, sqrt, elementwise tanh, transpose, a
+column gather, sums, norms, log-sum-exp cross-entropy and Huber. A fused op
+with a hand-written backward (the product-distance kernel in
+``geocl.diffgeo``) reads its operands with ``_value``, builds its node with
+``_make`` and hands its gradients to ``_accum``.
 
-Constants are plain values: either operand of an arithmetic op, ``matmul``
-or ``huber``, and every operand of the distance kernel, may be a float or
-an ndarray, and a node keeps as parents only its operands that require
-gradients, so a constant makes no Tensor. A node's backward computes the
-gradients of those parents and of no other operand: a product with frozen
-weights forms no gradient for them. A column gather's backward adds run by
-run (``col_runs``, ``add_cols``), in the order ``np.add.at`` would.
+Whatever does not train is a plain value: every operand of an op may be
+an ndarray, and either operand of an arithmetic op a float. A node keeps
+as parents only its operands that are Tensors, and an op given none
+returns a plain array, so forward-only work (evaluation, a frozen model's
+features) makes no Tensor. A node's backward computes the gradients of its
+Tensor operands and of no other: a product with frozen weights forms no
+gradient for them. A column gather's backward adds run by run
+(``col_runs``, ``add_cols``), in the order ``np.add.at`` would.
 
 Graphs are per-step and single-threaded; accumulation order is fixed, so
 identical inputs give bit-identical gradients.
@@ -42,12 +43,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("value", "grad", "_parents", "_backward")
 
-    def __init__(self, value, requires_grad=False, parents=(), backward=None):
+    def __init__(self, value, parents=(), backward=None):
         self.value = np.asarray(value, dtype=float)
         self.grad = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = parents
         self._backward = backward
 
@@ -91,7 +91,7 @@ class Tensor:
                 continue
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in seen and p.requires_grad:
+                if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.value)
         for node in reversed(order):
@@ -100,22 +100,17 @@ class Tensor:
 
 
 def _value(x):
-    """The array of a Tensor, or a plain operand as it is."""
+    """The array of a Tensor, or a plain operand as it is: what an op
+    computes with, whether or not the operand trains."""
     return x.value if isinstance(x, Tensor) else x
 
 
-def _wants(x) -> bool:
-    """Whether an operand, Tensor or plain value, requires a gradient."""
-    return isinstance(x, Tensor) and x.requires_grad
-
-
 def _make(value, parents, backward):
-    """The node of ``value`` over the ``parents`` that require gradients
-    (Tensors, plain values or None); a bare Tensor when none does."""
-    reqs = tuple(p for p in parents if _wants(p))
-    if not reqs:
-        return Tensor(value)
-    return Tensor(value, True, reqs, backward)
+    """The node of ``value`` over those of its operands ``parents`` that are
+    Tensors (the others are plain values or None); ``value`` itself when
+    none is."""
+    nodes = tuple(p for p in parents if isinstance(p, Tensor))
+    return Tensor(value, nodes, backward) if nodes else value
 
 
 def _accum(t: Tensor, g: np.ndarray):
@@ -125,60 +120,61 @@ def _accum(t: Tensor, g: np.ndarray):
 
 # -- arithmetic; either operand may be a plain value --------------------
 
-def add(a, b) -> Tensor:
+def add(a, b):
     def bwd(g):
-        if _wants(a):
+        if isinstance(a, Tensor):
             _accum(a, g)
-        if _wants(b):
+        if isinstance(b, Tensor):
             _accum(b, g)
 
     return _make(_value(a) + _value(b), (a, b), bwd)
 
 
-def sub(a, b) -> Tensor:
+def sub(a, b):
     def bwd(g):
-        if _wants(a):
+        if isinstance(a, Tensor):
             _accum(a, g)
-        if _wants(b):
+        if isinstance(b, Tensor):
             _accum(b, -g)
 
     return _make(_value(a) - _value(b), (a, b), bwd)
 
 
-def mul(a, b) -> Tensor:
+def mul(a, b):
     av, bv = _value(a), _value(b)
 
     def bwd(g):
-        if _wants(a):
+        if isinstance(a, Tensor):
             _accum(a, g * bv)
-        if _wants(b):
+        if isinstance(b, Tensor):
             _accum(b, g * av)
 
     return _make(av * bv, (a, b), bwd)
 
 
-def div(a, b) -> Tensor:
+def div(a, b):
     av, bv = _value(a), _value(b)
 
     def bwd(g):
-        if _wants(a):
+        if isinstance(a, Tensor):
             _accum(a, g / bv)
-        if _wants(b):
+        if isinstance(b, Tensor):
             _accum(b, -g * av / (bv * bv))
 
     return _make(av / bv, (a, b), bwd)
 
 
-def neg(a: Tensor) -> Tensor:
-    return _make(-a.value, (a,), lambda g: _accum(a, -g))
+def neg(a):
+    return _make(-_value(a), (a,), lambda g: _accum(a, -g))
 
 
-def square(a: Tensor) -> Tensor:
-    return _make(a.value * a.value, (a,), lambda g: _accum(a, 2.0 * g * a.value))
+def square(a):
+    av = _value(a)
+    return _make(av * av, (a,), lambda g: _accum(a, 2.0 * g * av))
 
 
-def sqrt(a: Tensor) -> Tensor:
-    out = np.sqrt(a.value)
+def sqrt(a):
+    out = np.sqrt(_value(a))
 
     def bwd(g):
         _accum(a, g / (2.0 * out))
@@ -186,13 +182,13 @@ def sqrt(a: Tensor) -> Tensor:
     return _make(out, (a,), bwd)
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b):
     av, bv = _value(a), _value(b)
 
     def bwd(g):
-        if _wants(a):
+        if isinstance(a, Tensor):
             _accum(a, g @ bv.T)
-        if _wants(b):
+        if isinstance(b, Tensor):
             _accum(b, av.T @ g)
 
     return _make(av @ bv, (a, b), bwd)
@@ -200,8 +196,8 @@ def matmul(a, b) -> Tensor:
 
 # -- elementwise tanh --------------------------------------------------
 
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.value)
+def tanh(a):
+    out = np.tanh(_value(a))
 
     def bwd(g):
         _accum(a, g * (1.0 - out * out))
@@ -211,8 +207,8 @@ def tanh(a: Tensor) -> Tensor:
 
 # -- shape ops ----------------------------------------------------------
 
-def transpose2d(a: Tensor) -> Tensor:
-    return _make(a.value.T, (a,), lambda g: _accum(a, g.T))
+def transpose2d(a):
+    return _make(_value(a).T, (a,), lambda g: _accum(a, g.T))
 
 
 def col_runs(cols: np.ndarray) -> tuple[tuple[slice, slice], ...]:
@@ -235,10 +231,10 @@ def add_cols(full: np.ndarray, runs, g: np.ndarray) -> None:
         full[:, columns] += g[:, entries]
 
 
-def take_cols(a: Tensor, cols: np.ndarray) -> Tensor:
-    """Gather the columns ``cols`` of a 2-D tensor; a column may repeat."""
+def take_cols(a, cols: np.ndarray):
+    """Gather the columns ``cols`` of a 2-D operand; a column may repeat."""
     # np.take keeps C order, which a[:, cols] does not.
-    out = np.take(a.value, cols, axis=1)
+    out = np.take(_value(a), cols, axis=1)
 
     def bwd(g):
         full = np.zeros_like(a.value)
@@ -248,8 +244,8 @@ def take_cols(a: Tensor, cols: np.ndarray) -> Tensor:
     return _make(out, (a,), bwd)
 
 
-def sum_(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    out = a.value.sum(axis=axis, keepdims=keepdims)
+def sum_(a, axis=None, keepdims=False):
+    out = _value(a).sum(axis=axis, keepdims=keepdims)
 
     def bwd(g):
         g = np.asarray(g, dtype=float)
@@ -260,18 +256,19 @@ def sum_(a: Tensor, axis=None, keepdims=False) -> Tensor:
     return _make(out, (a,), bwd)
 
 
-def mean(a: Tensor) -> Tensor:
-    return sum_(a) * (1.0 / a.value.size)
+def mean(a):
+    return sum_(a) * (1.0 / np.size(_value(a)))
 
 
-def norm(a: Tensor) -> Tensor:
+def norm(a):
     """Zero-safe Euclidean norm along the last axis, which is kept."""
     return sqrt(sum_(square(a), axis=-1, keepdims=True) + 1e-30)
 
 
-def logsumexp(a: Tensor, axis=-1) -> Tensor:
-    m = a.value.max(axis=axis, keepdims=True)
-    shifted = np.exp(a.value - m)
+def logsumexp(a, axis=-1):
+    av = _value(a)
+    m = av.max(axis=axis, keepdims=True)
+    shifted = np.exp(av - m)
     total = shifted.sum(axis=axis)
     out = np.squeeze(m, axis=axis) + np.log(total)
     soft = shifted / np.expand_dims(total, axis)
@@ -282,21 +279,21 @@ def logsumexp(a: Tensor, axis=-1) -> Tensor:
     return _make(out, (a,), bwd)
 
 
-def take_rows(a: Tensor, indices) -> Tensor:
-    """a[i, indices[i]] for a 2-D tensor; used for true-class logits."""
-    idx = np.asarray(indices)
-    rows = np.arange(a.value.shape[0])
-    out = a.value[rows, idx]
+def take_rows(a, indices):
+    """a[i, indices[i]] for a 2-D operand; used for true-class logits."""
+    av, idx = _value(a), np.asarray(indices)
+    rows = np.arange(av.shape[0])
+    out = av[rows, idx]
 
     def bwd(g):
-        full = np.zeros_like(a.value)
+        full = np.zeros_like(av)
         full[rows, idx] = g
         _accum(a, full)
 
     return _make(out, (a,), bwd)
 
 
-def huber(a, b) -> Tensor:
+def huber(a, b):
     """Branch at |a-b| = 1: quadratic inside, linear outside."""
     diff = _value(a) - _value(b)
     absd = np.abs(diff)
@@ -305,15 +302,15 @@ def huber(a, b) -> Tensor:
 
     def bwd(g):
         d = np.where(inside, diff, np.sign(diff))
-        if _wants(a):
+        if isinstance(a, Tensor):
             _accum(a, g * d)
-        if _wants(b):
+        if isinstance(b, Tensor):
             _accum(b, -g * d)
 
     return _make(out, (a, b), bwd)
 
 
-def cross_entropy(logits: Tensor, labels) -> Tensor:
+def cross_entropy(logits, labels):
     """Mean negative log softmax probability of the true labels."""
     return mean(logsumexp(logits, axis=-1) - take_rows(logits, labels))
 
@@ -324,7 +321,8 @@ def gradcheck(loss_builder, sampler, trials=1, h=1e-5, rng=None):
     """Worst relative error of reverse-mode vs central finite differences.
 
     ``sampler(rng)`` returns a dict of parameter arrays; ``loss_builder``
-    maps a dict of Tensors (all requiring grad) to a scalar Tensor.
+    maps a dict of operands to a scalar loss: Tensors to train, or the
+    plain arrays of the finite differences.
     """
     if trials < 1:
         raise ContractViolation("trials must be >= 1")
@@ -332,12 +330,7 @@ def gradcheck(loss_builder, sampler, trials=1, h=1e-5, rng=None):
     worst = 0.0
     for _ in range(trials):
         arrays = sampler(rng)
-
-        def eval_loss(vals) -> float:
-            t = {k: Tensor(v) for k, v in vals.items()}
-            return float(loss_builder(t).value)
-
-        tensors = {k: Tensor(v.copy(), requires_grad=True) for k, v in arrays.items()}
+        tensors = {k: Tensor(v.copy()) for k, v in arrays.items()}
         loss = loss_builder(tensors)
         loss.backward()
         for name, base in arrays.items():
@@ -348,9 +341,9 @@ def gradcheck(loss_builder, sampler, trials=1, h=1e-5, rng=None):
             for i in range(flat.size):
                 bumped = {k: v.copy() for k, v in arrays.items()}
                 bumped[name].reshape(-1)[i] += h
-                fp = eval_loss(bumped)
+                fp = float(loss_builder(bumped))
                 bumped[name].reshape(-1)[i] -= 2 * h
-                fm = eval_loss(bumped)
+                fm = float(loss_builder(bumped))
                 fd = (fp - fm) / (2 * h)
                 an = grad.reshape(-1)[i]
                 err = abs(an - fd) / max(abs(fd), abs(an), 1e-8)

@@ -34,7 +34,7 @@ lift backward. One routine, ``_measure``, runs them in the kernel's one
 walk: it lifts every part once, then per tile takes every part's Gram
 product and runs the core once per block, on every entry or on the listed
 entries only. The kernel's one op, ``sq_dist_matrix``, is one call of it,
-in one of four modes, by whether an input requires gradients and whether a
+in one of four modes, by whether an input is a Tensor and whether a
 ``pairs`` mask lists the entries to measure:
 
 - recorded, every entry (the classification and search losses): one tile,
@@ -51,7 +51,8 @@ in one of four modes, by whether an input requires gradients and whether a
   listed.
 
 The op takes plain arrays as they are and Tensors by their values; only an
-input that requires gradients joins its node.
+input that is a Tensor joins its node, and without one the op returns a
+plain array.
 
 Every path and tiling gives the same values bit for bit.
 
@@ -60,7 +61,7 @@ backward reads: the mask of positive numerators, the denominator, the
 ratio, its root and the angle, and the Gram entries and |x|^2 |y|^2 only
 when the curvature trains. A recorded node decides when it is built which
 backward pieces run, from which of feats (u), protos (v), kmag (k) and
-weights require gradients:
+weights are Tensors:
 
 - dL/dw needs only the forward distances, and no block backward; a node
   keeps them only when the weights train (the search), not for the
@@ -78,7 +79,7 @@ weights require gradients:
 
 The pieces that run are the same operations in the same order, so every
 gradient that is read is bit for bit the one of a call where every input
-requires gradients. The blocks of a space are built once per (space,
+is a Tensor. The blocks of a space are built once per (space,
 feature width).
 
 Training, evaluation and the previous-step model thus measure with one
@@ -311,7 +312,7 @@ def _clipped_z(n, sk, sign):
 
 class _Wanted(NamedTuple):
     """Which gradients a distance node's backward computes, decided when the
-    node is built from which inputs require gradients: those of the left
+    node is built from which inputs are Tensors: those of the left
     operand (``u``), the right operand (``v``), the curvature magnitudes
     (``k``) and the weights (``w``). The weights' gradient needs no block
     backward at all, only the unweighted distances."""
@@ -334,8 +335,8 @@ class _Wanted(NamedTuple):
 
 def _wanted(feats, protos, kmag, weights) -> _Wanted | None:
     """The :class:`_Wanted` of a distance op's node, or None when no input
-    requires gradients and the op builds no node."""
-    want = _Wanted(*(ad._wants(t) for t in (feats, protos, kmag, weights)))
+    is a Tensor and the op builds no node."""
+    want = _Wanted(*(isinstance(t, Tensor) for t in (feats, protos, kmag, weights)))
     return want if any(want) else None
 
 
@@ -390,9 +391,9 @@ def _block_backward(core_backward, block, k, lifts, shape, pairs=None):
 def _node(out, feats, protos, kmag, weights, want, blocks) -> Tensor:
     """The autodiff node of a distance op. ``blocks`` holds, per block, its
     :class:`_Block`, its weights (None when the op is unweighted), its
-    unweighted squared distances (None unless the weights require
-    gradients) and its backward from :func:`_block_backward`, which runs
-    only when an operand or ``kmag`` requires gradients.
+    unweighted squared distances (None unless the weights train) and its
+    backward from :func:`_block_backward`, which runs only when an operand
+    or ``kmag`` trains.
 
     A part's gradients reach the features and prototypes by one slice add
     per run of consecutive columns (:attr:`_Part.runs`), run after run and
@@ -403,7 +404,7 @@ def _node(out, feats, protos, kmag, weights, want, blocks) -> Tensor:
     b, n = feats.shape[0], protos.shape[0]
 
     def bwd(g):
-        gf, gp, gk, gw = (np.zeros_like(t.value) if ad._wants(t) else None
+        gf, gp, gk, gw = (np.zeros_like(t.value) if isinstance(t, Tensor) else None
                           for t in (feats, protos, kmag, weights))
         for block, w, dist2, block_backward in blocks:
             # The sums run per part: einsum's buffered sums round with the
@@ -521,7 +522,7 @@ def _gram(block, lifts, rows, cols):
 
 
 def sq_dist_matrix(feats, protos, space: MixedSpace, kmag=None, weights=None,
-                   pairs=None) -> Tensor:
+                   pairs=None):
     """(B, N) squared product distances between the lifts of the rows of
     ``feats`` (B, D) and ``protos`` (N, D): the kernel's one op. Each input
     is a Tensor or a plain array.
@@ -534,8 +535,8 @@ def sq_dist_matrix(feats, protos, space: MixedSpace, kmag=None, weights=None,
     gradients equal those of the unmasked op on the listed entries. A mask
     of another shape, or one given with weights, is rejected.
 
-    Without an input that requires gradients no graph is built, and the
-    routine walks tiles (see :func:`_measure`), skipping those that hold no
+    Without a Tensor input the result is a plain array, and the routine
+    walks tiles (see :func:`_measure`), skipping those that hold no
     listed pair. In a run these calls are evaluation, on up to 1000 test
     rows x 20 classes (five row tiles) or 409 x 40 (four), and the
     previous-step model's context, which lists a fifth to all of the upper
@@ -546,7 +547,7 @@ def sq_dist_matrix(feats, protos, space: MixedSpace, kmag=None, weights=None,
         raise ContractViolation("pairs must be a (B, N) mask, and take no weights")
     want = _wanted(feats, protos, kmag, weights)
     out, blocks = _measure(fv, pv, space, ad._value(kmag), ad._value(weights), pairs, want)
-    return Tensor(out) if want is None else _node(out, feats, protos, kmag, weights, want, blocks)
+    return out if want is None else _node(out, feats, protos, kmag, weights, want, blocks)
 
 
 def _tiles(n: int, size: int) -> list[tuple[int, int]]:

@@ -55,7 +55,7 @@ def classifier_warmup(pool: MixedSpace, feats: np.ndarray, labels: np.ndarray,
     uniform = np.full(pool.size, 1.0 / pool.size)
     w = classifier.copy()
     for batch in batches(len(labels), batch_size, rng):
-        wt = Tensor(w, requires_grad=True)
+        wt = Tensor(w)
         loss = mdl.ce_loss_t(feats[batch], wt, labels[batch], pool, weights=uniform)
         loss.backward()
         w = w - lr * wt.grad
@@ -79,8 +79,8 @@ def gis_optimize(pool: MixedSpace, feats: np.ndarray, labels: np.ndarray,
     # The kernel reads magnitudes from ``kt``; the pool gives slices and signs.
     for _ in range(epochs):
         for batch in batches(len(labels), batch_size, rng):
-            wt = Tensor(weights, requires_grad=True)
-            kt = Tensor(mags, requires_grad=True)
+            wt = Tensor(weights)
+            kt = Tensor(mags)
             loss = mdl.ce_loss_t(feats[batch], classifier, labels[batch], pool, kmag=kt,
                                  weights=wt)
             if not np.isfinite(loss.value):

@@ -325,7 +325,7 @@ def _prev_affinity(prev_feats: np.ndarray, space: MixedSpace, labels: np.ndarray
     # Measured above the diagonal only and mirrored (the rest is zero): the
     # forward-only matrix is symmetric bit for bit, since a tile product and
     # that of its transpose are transposes of each other.
-    prev_d2 = diffgeo.sq_dist_matrix(prev_feats, prev_feats, space, pairs=np.triu(read)).value
+    prev_d2 = diffgeo.sq_dist_matrix(prev_feats, prev_feats, space, pairs=np.triu(read))
     prev_d2 += prev_d2.T  # NumPy reads the overlapping transpose from a copy
     prev_d2[~read] = np.inf
     tau2 = mdl.tau2_same_class_mean(prev_d2, labels)
@@ -345,10 +345,10 @@ def _main_training(state: EngineState, task: StreamTask, y_train: np.ndarray,
         y_all = y_train
     rows = [None] * len(batches) if structure is None else structure["rows"]
     lr = cfg["lr_main"]
-    cap = cfg.get("repulsion_cap")
+    cap = cfg["repulsion_cap"]
     for batch, idx in zip(batches, rows):
-        tensors = {k: Tensor(v, requires_grad=True) for k, v in state.params.items()}
-        wt = Tensor(state.classifier, requires_grad=True)
+        tensors = {k: Tensor(v) for k, v in state.params.items()}
+        wt = Tensor(state.classifier)
         feats = mdl.features_t(tensors, x_all[batch])
         loss = mdl.ce_loss_t(feats, wt, y_all[batch], state.space)
         if structure is not None:

@@ -4,11 +4,13 @@ The backbone is a two-layer perceptron (affine, tanh, affine) whose output
 is sliced into the factors of the current mixed space. Classification is a
 softmax over negated squared product distances to per-class prototype rows.
 
-Training, evaluation and the frozen previous-step model all measure with
-the one op of the product-distance kernel, :func:`geocl.diffgeo.sq_dist_matrix`:
-``sq_dist_matrix_t`` records it for autodiff, ``sq_dist_matrix_np`` runs it
-forward only, and the neighbor loss measures only the pairs it weights, the
-within- and between-class neighbors, through its ``pairs`` mask. The
+A ``*_t`` function records its ops for autodiff when an input is a Tensor,
+and given plain arrays only returns a plain array and makes no Tensor; a
+``*_np`` function is such a call on plain arrays, for evaluation and the
+frozen previous-step model. All of them measure with the one op of the
+product-distance kernel, :func:`geocl.diffgeo.sq_dist_matrix`, and the
+neighbor loss measures only the pairs it weights, the within- and
+between-class neighbors, through its ``pairs`` mask. The
 previous-step model's distances also come from that op with a mask,
 forward only, on the tiles that hold a listed pair: a step draws main
 training's batches and buffer rows before it measures that model, so only
@@ -55,11 +57,12 @@ def features_np(params: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
         raise ContractViolation(
             f"input dim {x.shape[1]} != backbone dim {params['w1'].shape[0]}"
         )
-    return features_t(params, x).value
+    return features_t(params, x)
 
 
-def features_t(params: dict[str, Tensor | np.ndarray], x: np.ndarray) -> Tensor:
-    """Backbone features; ``params`` are Tensors to train, or plain arrays."""
+def features_t(params: dict[str, Tensor | np.ndarray], x: np.ndarray):
+    """Backbone features; ``params`` are Tensors to train, or plain arrays,
+    which give a plain array."""
     h = ad.tanh(ad.matmul(np.atleast_2d(x), params["w1"]) + params["b1"])
     return ad.matmul(h, params["w2"]) + params["b2"]
 
@@ -68,7 +71,7 @@ def features_t(params: dict[str, Tensor | np.ndarray], x: np.ndarray) -> Tensor:
 
 def sq_dist_matrix_np(feats: np.ndarray, protos: np.ndarray, space: MixedSpace) -> np.ndarray:
     """(batch, n_proto) matrix of squared product distances."""
-    return diffgeo.sq_dist_matrix(np.atleast_2d(feats), np.atleast_2d(protos), space).value
+    return diffgeo.sq_dist_matrix(np.atleast_2d(feats), np.atleast_2d(protos), space)
 
 
 def class_probs_np(feats: np.ndarray, protos: np.ndarray, space: MixedSpace) -> np.ndarray:
@@ -81,9 +84,9 @@ def class_probs_np(feats: np.ndarray, protos: np.ndarray, space: MixedSpace) -> 
     return p / p.sum(axis=1, keepdims=True)
 
 
-def sq_dist_matrix_t(feats, protos, space: MixedSpace, kmag=None, weights=None) -> Tensor:
-    """Differentiable :func:`sq_dist_matrix_np`; see :func:`diffgeo.sq_dist_matrix`.
-    Each input is a Tensor or a plain array.
+def sq_dist_matrix_t(feats, protos, space: MixedSpace, kmag=None, weights=None):
+    """:func:`sq_dist_matrix_np` recorded for autodiff; see
+    :func:`diffgeo.sq_dist_matrix`. Each input is a Tensor or a plain array.
 
     ``kmag`` optionally supplies trainable curvature magnitudes indexed by
     pool index; ``weights`` optionally supplies per-factor selection
@@ -93,7 +96,7 @@ def sq_dist_matrix_t(feats, protos, space: MixedSpace, kmag=None, weights=None) 
 
 
 def ce_loss_t(feats, protos, labels: np.ndarray, space: MixedSpace, kmag=None,
-              weights=None) -> Tensor:
+              weights=None):
     labels = np.asarray(labels)
     if labels.max(initial=-1) >= protos.shape[0]:
         raise ContractViolation("label outside the seen classes")
@@ -103,7 +106,7 @@ def ce_loss_t(feats, protos, labels: np.ndarray, space: MixedSpace, kmag=None,
 
 # -- structure preservation ---------------------------------------------
 
-def tangent_concat_t(feats: Tensor, space: MixedSpace) -> Tensor:
+def tangent_concat_t(feats, space: MixedSpace):
     """Concatenated origin-tangent coordinates of the lifted representation.
 
     Inside the injectivity radius log0(exp0(v)) is exactly v, so the
@@ -111,30 +114,30 @@ def tangent_concat_t(feats: Tensor, space: MixedSpace) -> Tensor:
     one gather of the space's columns; computing it this way keeps the
     result exactly curvature-free.
     """
-    space.check_width(feats.value.shape[-1])
+    space.check_width(np.shape(feats)[-1])
     return ad.take_cols(feats, space.columns)
 
 
 def tangent_concat_np(feats: np.ndarray, space: MixedSpace) -> np.ndarray:
-    return tangent_concat_t(Tensor(np.atleast_2d(feats)), space).value
+    return tangent_concat_t(np.atleast_2d(feats), space)
 
 
-def _tangent_cosines(q: Tensor) -> tuple[Tensor, np.ndarray]:
+def _tangent_cosines(q) -> tuple:
     """All-pairs cosines of the rows of a 2-D tangent batch, and which rows
     have a nonzero norm (a zero row gets cosine 0 with every row)."""
     n = ad.norm(q)
     unit = q / n
-    return ad.matmul(unit, ad.transpose2d(unit)), n.value[:, 0] > geometry.ZERO_TOL
+    return ad.matmul(unit, ad.transpose2d(unit)), ad._value(n)[:, 0] > geometry.ZERO_TOL
 
 
 def cosine_matrix_np(tangents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All-pairs cosine matrix plus a validity mask (nonzero-norm rows)."""
-    cos, ok = _tangent_cosines(Tensor(tangents))
-    return cos.value, np.outer(ok, ok)
+    cos, ok = _tangent_cosines(tangents)
+    return cos, np.outer(ok, ok)
 
 
-def angular_reg_loss_t(cur_feats: Tensor, cur_space: MixedSpace,
-                       prev_cos: np.ndarray, valid: np.ndarray) -> Tensor:
+def angular_reg_loss_t(cur_feats, cur_space: MixedSpace, prev_cos: np.ndarray,
+                       valid: np.ndarray):
     """Huber penalty on changes of pairwise origin-tangent cosines.
 
     ``prev_cos``/``valid`` come from the frozen previous-step model; pairs
@@ -177,9 +180,8 @@ def tau2_same_class_mean(sq_dists: np.ndarray, labels: np.ndarray) -> float:
     return float(sq_dists[same].mean())
 
 
-def neighbor_robustness_loss_t(cur_feats: Tensor, cur_space: MixedSpace,
-                               affinity: np.ndarray, kmag: Tensor | None = None,
-                               repulsion_cap: float | None = None) -> Tensor:
+def neighbor_robustness_loss_t(cur_feats, cur_space: MixedSpace, affinity: np.ndarray,
+                               kmag=None, repulsion_cap: float | None = None):
     """Signed sum of current pairwise squared distances, weighted by affinity.
 
     Only the pairs i < j with a nonzero affinity (the within- and
@@ -193,7 +195,7 @@ def neighbor_robustness_loss_t(cur_feats: Tensor, cur_space: MixedSpace,
                                   pairs=weight != 0)
     if repulsion_cap is not None:
         # Stop pushing apart pairs already separated past the cap.
-        capped = (weight < 0) & (psi2.value > repulsion_cap)
+        capped = (weight < 0) & (ad._value(psi2) > repulsion_cap)
         weight = np.where(capped, 0.0, weight)
     n_pairs = b * (b - 1) / 2.0
     return ad.sum_(psi2 * weight) * (1.0 / max(n_pairs, 1.0))

@@ -7,7 +7,7 @@ from geocl.gis import build_pool
 
 
 def scalar(x):
-    return ad.Tensor(np.array(x), requires_grad=True)
+    return ad.Tensor(np.array(x))
 
 
 class TestBasics:
@@ -26,22 +26,22 @@ class TestBasics:
         assert x.grad == pytest.approx(2.0, abs=1e-12)
 
     def test_broadcasting_unbroadcast(self):
-        a = ad.Tensor(np.ones((3, 4)), requires_grad=True)
-        b = ad.Tensor(np.ones(4), requires_grad=True)
+        a = ad.Tensor(np.ones((3, 4)))
+        b = ad.Tensor(np.ones(4))
         ad.sum_(a * b).backward()
         assert a.grad.shape == (3, 4)
         assert b.grad.shape == (4,)
         np.testing.assert_allclose(b.grad, 3.0)
 
     def test_nonscalar_backward_rejected(self):
-        t = ad.Tensor(np.zeros(3), requires_grad=True)
+        t = ad.Tensor(np.zeros(3))
         with pytest.raises(ContractViolation):
             t.backward()
 
     def test_matmul(self):
         rng = np.random.default_rng(0)
-        a = ad.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        b = ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        a = ad.Tensor(rng.normal(size=(2, 3)))
+        b = ad.Tensor(rng.normal(size=(3, 2)))
         ad.sum_(ad.matmul(a, b)).backward()
         np.testing.assert_allclose(a.grad, np.ones((2, 2)) @ b.value.T, atol=1e-12)
         np.testing.assert_allclose(b.grad, a.value.T @ np.ones((2, 2)), atol=1e-12)
@@ -53,14 +53,14 @@ class TestTakeCols:
 
     def test_equals_concatenated_slices_in_c_order(self):
         x = np.random.default_rng(0).normal(size=(5, 32))
-        out = ad.take_cols(ad.Tensor(x), self.COLS).value
+        out = ad.take_cols(x, self.COLS)
         want = np.concatenate([x[:, f.slice_start - 1:f.slice_end]
                                for f in build_pool(32, [4, 8, 16]).factors], axis=1)
         assert out.flags.c_contiguous
         np.testing.assert_array_equal(out, want)
 
     def test_gradcheck(self):
-        scale = ad.Tensor(np.random.default_rng(1).normal(size=(3, len(self.COLS))))
+        scale = np.random.default_rng(1).normal(size=(3, len(self.COLS)))
 
         def build(t):
             return ad.sum_(ad.square(ad.take_cols(t["x"], self.COLS)) * scale)
@@ -76,7 +76,7 @@ class TestTakeCols:
     def test_backward_equals_add_at(self, cols):
         cols = np.array(cols)
         rng = np.random.default_rng(3)
-        x = ad.Tensor(rng.normal(size=(16, 32)), requires_grad=True)
+        x = ad.Tensor(rng.normal(size=(16, 32)))
         g = rng.normal(size=(16, len(cols)))
         ad.sum_(ad.take_cols(x, cols) * g).backward()
         want = np.zeros((16, 32))
@@ -86,8 +86,7 @@ class TestTakeCols:
 
 class TestConstants:
     """A float or an array operand is a plain value: it makes no Tensor and
-    gets no gradient, and the results are those of a frozen Tensor operand
-    bit for bit."""
+    gets no gradient."""
 
     ARRAY = np.random.default_rng(4).normal(size=(3, 4))
     OPS = {
@@ -99,7 +98,7 @@ class TestConstants:
     @pytest.mark.parametrize("name", OPS)
     def test_one_tensor(self, name, monkeypatch):
         op, const = self.OPS[name]
-        t = ad.Tensor(np.ones((3, 4)), requires_grad=True)
+        t = ad.Tensor(np.ones((3, 4)))
         made = []
         init = ad.Tensor.__init__
 
@@ -112,29 +111,16 @@ class TestConstants:
         assert made == [out] and out._parents == (t,)
 
     def test_operator_sugar_takes_plain_values(self):
-        t = ad.Tensor(np.ones(3), requires_grad=True)
+        t = ad.Tensor(np.ones(3))
         for out in (2.0 * t, t + self.ARRAY[0, :3], t - 1.0, t / 4.0):
             assert out._parents == (t,)
-
-    @pytest.mark.parametrize("name", OPS)
-    def test_equals_tensor_constant(self, name):
-        op, const = self.OPS[name]
-        rng = np.random.default_rng(5)
-        x, g = rng.normal(size=(3, 4)) * 2.0, rng.normal(size=(3, 4))
-        plain, wrapped = (ad.Tensor(x, requires_grad=True) for _ in range(2))
-        out_plain = op(plain, const)
-        out_wrapped = op(wrapped, ad.Tensor(const))
-        ad.sum_(out_plain * g).backward()
-        ad.sum_(out_wrapped * g).backward()
-        assert np.array_equal(out_plain.value, out_wrapped.value)
-        assert np.array_equal(plain.grad, wrapped.grad)
 
     @pytest.mark.parametrize("op", [ad.mul, ad.div, ad.matmul])
     @pytest.mark.parametrize("frozen", [0, 1], ids=["left-frozen", "right-frozen"])
     def test_frozen_operand_gradient_not_computed(self, op, frozen, monkeypatch):
         rng = np.random.default_rng(6)
-        a, b = (ad.Tensor(rng.uniform(0.5, 2.0, (3, 3)), requires_grad=side != frozen)
-                for side in (0, 1))
+        a, b = (ad.Tensor(v) if side != frozen else v
+                for side, v in enumerate(rng.uniform(0.5, 2.0, (2, 3, 3))))
         reached = []
         accum = ad._accum
 
@@ -145,7 +131,7 @@ class TestConstants:
         monkeypatch.setattr(ad, "_accum", spy)
         ad.sum_(op(a, b)).backward()
         trained = (a, b)[1 - frozen]
-        assert trained.grad is not None and (a, b)[frozen].grad is None
+        assert trained.grad is not None and not isinstance((a, b)[frozen], ad.Tensor)
         assert not any(t is (a, b)[frozen] for t in reached)
 
 
@@ -155,43 +141,40 @@ class TestElementwiseGradients:
         (ad.square, lambda x: 2 * x),
     ])
     def test_closed_form(self, op, ref):
-        x = ad.Tensor(np.array([0.1, -0.3, 0.45]), requires_grad=True)
+        x = ad.Tensor(np.array([0.1, -0.3, 0.45]))
         ad.sum_(op(x)).backward()
         np.testing.assert_allclose(x.grad, ref(x.value), atol=1e-10)
 
     def test_sqrt(self):
-        x = ad.Tensor(np.array([0.25, 4.0]), requires_grad=True)
+        x = ad.Tensor(np.array([0.25, 4.0]))
         ad.sum_(ad.sqrt(x)).backward()
         np.testing.assert_allclose(x.grad, 0.5 / np.sqrt(x.value), atol=1e-12)
 
     def test_norm_zero_safe(self):
-        x = ad.Tensor(np.zeros((1, 3)), requires_grad=True)
+        x = ad.Tensor(np.zeros((1, 3)))
         ad.sum_(ad.norm(x)).backward()
         assert np.all(np.isfinite(x.grad))
 
 
 class TestHuber:
     def test_values_at_branch(self):
-        a = ad.Tensor(np.array([0.5, 3.0, 1.0]))
-        b = ad.Tensor(np.zeros(3))
-        out = ad.huber(a, b).value
+        out = ad.huber(np.array([0.5, 3.0, 1.0]), np.zeros(3))
         np.testing.assert_allclose(out, [0.125, 2.5, 0.5], atol=1e-12)
 
     def test_gradient_both_branches(self):
-        a = ad.Tensor(np.array([0.5, -3.0]), requires_grad=True)
-        ad.sum_(ad.huber(a, ad.Tensor(np.zeros(2)))).backward()
+        a = ad.Tensor(np.array([0.5, -3.0]))
+        ad.sum_(ad.huber(a, np.zeros(2))).backward()
         np.testing.assert_allclose(a.grad, [0.5, -1.0], atol=1e-12)
 
 
 class TestSoftmaxCE:
     def test_logsumexp_stability(self):
-        x = ad.Tensor(np.array([[1000.0, 1001.0]]))
-        out = ad.logsumexp(x).value
+        out = ad.logsumexp(np.array([[1000.0, 1001.0]]))
         assert out == pytest.approx(1001.0 + np.log(1 + np.e ** -1), abs=1e-9)
 
     def test_cross_entropy_oracle(self):
         # logits (-1, -4): p = (0.95257, 0.04743); -log p0 = 0.04859
-        logits = ad.Tensor(np.array([[-1.0, -4.0]]), requires_grad=True)
+        logits = ad.Tensor(np.array([[-1.0, -4.0]]))
         loss = ad.cross_entropy(logits, np.array([0]))
         assert float(loss.value) == pytest.approx(0.04859, abs=1e-5)
         loss.backward()

@@ -71,7 +71,7 @@ class TestForward:
         feats = rng.normal(0.0, 0.4, (7, 6))
         protos = rng.normal(0.0, 0.4, (5, 6))
         weights = rng.uniform(0.2, 1.5, MIXED.size) if weighted else None
-        got = diffgeo.sq_dist_matrix(feats, protos, MIXED, weights=weights).value
+        got = diffgeo.sq_dist_matrix(feats, protos, MIXED, weights=weights)
         np.testing.assert_allclose(got, oracle(feats, protos, MIXED, weights),
                                    rtol=0, atol=1e-10)
 
@@ -81,7 +81,7 @@ class TestForward:
         feats = rng.normal(0.0, 0.4, (4, 6))
         protos = rng.normal(0.0, 0.4, (3, 6))
         kmag = rng.uniform(0.3, 2.0, MIXED.size)
-        got = diffgeo.sq_dist_matrix(feats, protos, MIXED, kmag=kmag).value
+        got = diffgeo.sq_dist_matrix(feats, protos, MIXED, kmag=kmag)
         live = with_curvatures(MIXED, [np.sign(f.curvature) * kmag[f.pool_index]
                                        for f in MIXED.factors])
         np.testing.assert_allclose(got, oracle(feats, protos, live), rtol=0, atol=1e-10)
@@ -91,14 +91,13 @@ class TestForward:
         rng = np.random.default_rng(2)
         u = rng.normal(0.0, 0.4, (3, 4))
         v = rng.normal(0.0, 0.4, (2, 4))
-        got = diffgeo.lifted_sq_distance(Tensor(u), Tensor(v), Tensor([abs(curvature)]),
-                                         np.sign(curvature)).value
+        got = diffgeo.lifted_sq_distance(u, v, np.array([abs(curvature)]), np.sign(curvature))
         space = MixedSpace((FactorSpec(0, 1, 4, curvature),))
         np.testing.assert_allclose(got, oracle(u, v, space), rtol=0, atol=1e-10)
 
     def test_self_distance_is_zero_and_symmetric(self):
         feats = np.random.default_rng(3).normal(0.0, 0.4, (6, 6))
-        d = diffgeo.sq_dist_matrix(feats, feats, MIXED).value
+        d = diffgeo.sq_dist_matrix(feats, feats, MIXED)
         assert np.abs(np.diag(d)).max() <= 1e-12
         assert (d >= 0.0).all()
         np.testing.assert_allclose(d, d.T, rtol=0, atol=1e-12)
@@ -108,9 +107,8 @@ class TestForward:
         rng = np.random.default_rng(13)
         feats = rng.normal(0.0, 0.4, (500, 6))
         kmag, weights = rng.uniform(0.3, 2.0, (2, MIXED.size))
-        blocked = diffgeo.sq_dist_matrix(feats, feats, MIXED, kmag, weights).value
-        whole = diffgeo.sq_dist_matrix(Tensor(feats, requires_grad=True), feats, MIXED,
-                                       kmag, weights).value
+        blocked = diffgeo.sq_dist_matrix(feats, feats, MIXED, kmag, weights)
+        whole = diffgeo.sq_dist_matrix(Tensor(feats), feats, MIXED, kmag, weights).value
         np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=1e-12)
 
     def test_feature_width_checked(self):
@@ -119,12 +117,10 @@ class TestForward:
 
     def test_no_graph_without_gradients(self):
         rng = np.random.default_rng(4)
-        feats = Tensor(rng.normal(size=(3, 6)))
-        protos = Tensor(rng.normal(size=(2, 6)))
-        out = diffgeo.sq_dist_matrix(feats, protos, MIXED, kmag=Tensor(np.ones(6)),
-                                     weights=Tensor(np.ones(6)))
-        assert not out.requires_grad
-        assert out._parents == () and out._backward is None
+        feats = rng.normal(size=(3, 6))
+        protos = rng.normal(size=(2, 6))
+        out = diffgeo.sq_dist_matrix(feats, protos, MIXED, kmag=np.ones(6), weights=np.ones(6))
+        assert type(out) is np.ndarray
 
 
 class TestTiles:
@@ -133,9 +129,9 @@ class TestTiles:
         rng = np.random.default_rng(b)
         feats = rng.normal(0.0, 0.6, (b, 6))
         kmag, weights = rng.uniform(0.3, 2.0, (2, MIXED.size))
-        d = diffgeo.sq_dist_matrix(feats, feats, MIXED, kmag, weights).value
-        rect = diffgeo.sq_dist_matrix(feats, feats.copy(), MIXED, kmag, weights).value
-        both = Tensor(feats, requires_grad=True)
+        d = diffgeo.sq_dist_matrix(feats, feats, MIXED, kmag, weights)
+        rect = diffgeo.sq_dist_matrix(feats, feats.copy(), MIXED, kmag, weights)
+        both = Tensor(feats)
         recorded = diffgeo.sq_dist_matrix(both, both, MIXED, kmag, weights).value
         assert np.array_equal(d, rect)
         assert np.array_equal(recorded, rect)
@@ -187,8 +183,8 @@ class TestTiles:
         the core's mask, denominator, ratio, root and angle, the lifts and
         the output). A core that kept its intermediates held about 8.9."""
         rng = np.random.default_rng(0)
-        feats = Tensor(rng.normal(0.0, 1.0, (64, 32)), requires_grad=True)
-        protos = Tensor(rng.normal(0.0, 1.0, (40, 32)), requires_grad=True)
+        feats = Tensor(rng.normal(0.0, 1.0, (64, 32)))
+        protos = Tensor(rng.normal(0.0, 1.0, (40, 32)))
         diffgeo.sq_dist_matrix(feats, protos, POOL)
         tracemalloc.start()
         try:
@@ -223,9 +219,9 @@ class TestPairs:
         got = []
         for op in (lambda f, k: diffgeo.sq_dist_matrix(f, f, space, kmag=k, pairs=pairs),
                    lambda f, k: diffgeo.sq_dist_matrix(f, f, space, kmag=k)):
-            f, k = Tensor(feats, requires_grad=True), Tensor(kmag, requires_grad=True)
+            f, k = Tensor(feats), Tensor(kmag)
             d = op(f, k)
-            ad.sum_(d * Tensor(g)).backward()
+            ad.sum_(d * g).backward()
             got.append((d.value, f.grad, k.grad))
         (d, gf, gk), (dense, want_gf, want_gk) = got
         assert np.array_equal(d, np.where(pairs, dense, 0.0))
@@ -233,7 +229,7 @@ class TestPairs:
         assert np.array_equal(gk, want_gk)
 
     def test_no_pairs(self):
-        f = Tensor(np.random.default_rng(0).normal(size=(4, 6)), requires_grad=True)
+        f = Tensor(np.random.default_rng(0).normal(size=(4, 6)))
         d = diffgeo.sq_dist_matrix(f, f, MIXED, pairs=np.zeros((4, 4), dtype=bool))
         ad.sum_(d).backward()
         assert np.array_equal(d.value, np.zeros((4, 4)))
@@ -241,9 +237,8 @@ class TestPairs:
 
 
 class TestPlainOperands:
-    """The one op takes plain arrays as they are: only its result is a new
-    Tensor, and a frozen operand given as an array counts as one given as a
-    frozen Tensor."""
+    """The one op takes plain arrays as they are: given no Tensor, it makes
+    none and returns a plain array."""
 
     @pytest.mark.parametrize("record", [False, True], ids=["forward", "recorded"])
     @pytest.mark.parametrize("rows, weights", [(6, np.ones(MIXED.size)), (5, None)],
@@ -252,7 +247,7 @@ class TestPlainOperands:
         """A mask takes no weights, and must be (B, N): a smaller one would
         put its listed entries at other places."""
         feats = np.random.default_rng(51).normal(0.0, 0.6, (6, 6))
-        f = Tensor(feats, requires_grad=True) if record else feats
+        f = Tensor(feats) if record else feats
         pairs = np.zeros((rows, rows), dtype=bool)
         pairs[1, 2] = True
         with pytest.raises(ContractViolation):
@@ -270,31 +265,7 @@ class TestPlainOperands:
         rng = np.random.default_rng(52)
         out = diffgeo.sq_dist_matrix(rng.normal(0.0, 0.6, (5, 6)), rng.normal(0.0, 0.6, (4, 6)),
                                      MIXED, kmag=np.ones(MIXED.size), weights=np.ones(MIXED.size))
-        assert made == [out]
-
-    @pytest.mark.parametrize("op", ["matrix", "pairs"])
-    def test_plain_frozen_operand_gives_frozen_tensor_gradients(self, op):
-        rng = np.random.default_rng(53)
-        feats, protos = rng.normal(0.0, 0.6, (7, 6)), rng.normal(0.0, 0.6, (5, 6))
-        kmag, weights = rng.uniform(0.3, 2.0, (2, MIXED.size))
-        pairs = np.triu(rng.random((7, 7)) < 0.5, k=1)
-        g = rng.normal(size=(7, 5)) if op == "matrix" else rng.normal(size=(7, 7)) * pairs
-
-        def grads(wrap):
-            if op == "matrix":
-                p, w = Tensor(protos, requires_grad=True), Tensor(weights, requires_grad=True)
-                d = diffgeo.sq_dist_matrix(wrap(feats), p, MIXED, kmag=wrap(kmag), weights=w)
-                trained = (p, w)
-            else:
-                k = Tensor(kmag, requires_grad=True)
-                f = wrap(feats)
-                d = diffgeo.sq_dist_matrix(f, f, MIXED, kmag=k, pairs=pairs)
-                trained = (k,)
-            ad.sum_(d * g).backward()
-            return [t.grad for t in trained]
-
-        for a, b in zip(grads(lambda v: v), grads(Tensor)):
-            assert np.array_equal(a, b)
+        assert made == [] and type(out) is np.ndarray
 
 
 def _masks(b, rng):
@@ -319,14 +290,14 @@ class TestForwardPairs:
         feats = rng.normal(0.0, 0.6, (b, 6))
         kmag = rng.uniform(0.3, 2.0, len(space.factors))
         for kv in (None, kmag):
-            dense = diffgeo.sq_dist_matrix(feats, feats.copy(), space, kmag=kv).value
+            dense = diffgeo.sq_dist_matrix(feats, feats.copy(), space, kmag=kv)
             for name, pairs in _masks(b, rng).items():
                 got = diffgeo.sq_dist_matrix(feats, feats, space, kmag=kv, pairs=pairs)
-                assert not got.requires_grad and got._parents == ()
-                assert np.array_equal(got.value, np.where(pairs, dense, 0.0)), name
-                both = Tensor(feats, requires_grad=True)
+                assert not isinstance(got, Tensor)
+                assert np.array_equal(got, np.where(pairs, dense, 0.0)), name
+                both = Tensor(feats)
                 recorded = diffgeo.sq_dist_matrix(both, both, space, kmag=kv, pairs=pairs)
-                assert np.array_equal(got.value, recorded.value), name
+                assert np.array_equal(got, recorded.value), name
 
     def test_tiles_without_pairs_run_no_core(self, monkeypatch):
         calls = []
@@ -340,7 +311,7 @@ class TestForwardPairs:
         feats = np.random.default_rng(5).normal(0.0, 0.6, (129, 6))
         n_groups = len(diffgeo._layout(MIXED, 6))
         pairs = np.zeros((129, 129), dtype=bool)
-        assert not diffgeo.sq_dist_matrix(feats, feats, MIXED, pairs=pairs).value.any()
+        assert not diffgeo.sq_dist_matrix(feats, feats, MIXED, pairs=pairs).any()
         assert calls == []
         # Tiles are rows and columns [0, 64) and [64, 129): two of four hold pairs.
         pairs[3, 70] = pairs[100, 128] = pairs[64, 127] = True
@@ -401,8 +372,8 @@ class TestSignBlocks:
         feats, protos = rng.normal(0.0, 0.6, (40, 6)), rng.normal(0.0, 0.6, (30, 6))
         total = np.zeros((40, 30))
         for sub in group_spaces(MIXED):
-            total += diffgeo.sq_dist_matrix(feats, protos, sub).value
-        assert np.array_equal(diffgeo.sq_dist_matrix(feats, protos, MIXED).value, total)
+            total += diffgeo.sq_dist_matrix(feats, protos, sub)
+        assert np.array_equal(diffgeo.sq_dist_matrix(feats, protos, MIXED), total)
 
     @pytest.mark.parametrize("op", ["matrix", "pairs"])
     def test_interleaved_signs_scatter_in_block_order(self, op):
@@ -427,16 +398,16 @@ class TestSignBlocks:
             g = rng.normal(size=(7, 7)) * pairs
 
         def tensors():
-            return [Tensor(v, requires_grad=True) for v in (feats, protos, kmag)]
+            return [Tensor(v) for v in (feats, protos, kmag)]
 
         t = tensors()
         d = (diffgeo.sq_dist_matrix(*t[:2], space, kmag=t[2]) if op == "matrix"
              else diffgeo.sq_dist_matrix(t[0], t[0], space, kmag=t[2], pairs=pairs))
-        ad.sum_(d * Tensor(g)).backward()
+        ad.sum_(d * g).backward()
         separate = tensors()
         for sub in group_spaces(space):
             ad.sum_(diffgeo.sq_dist_matrix(*separate[:2], sub, kmag=separate[2])
-                    * Tensor(g)).backward()
+                    * g).backward()
         got, want = [x.grad for x in t], [x.grad for x in separate]
         if op == "pairs":
             got, want = [got[0], got[2]], [want[0] + want[1], want[2]]
@@ -445,7 +416,7 @@ class TestSignBlocks:
 
     def test_recorded_matrix(self, core_calls):
         rng = np.random.default_rng(0)
-        feats = Tensor(rng.normal(0.0, 1.0, (64, 32)), requires_grad=True)
+        feats = Tensor(rng.normal(0.0, 1.0, (64, 32)))
         diffgeo.sq_dist_matrix(feats, rng.normal(0.0, 1.0, (40, 32)), POOL)
         assert core_calls == [(7, 64, 40), (7, 64, 40)]
 
@@ -509,7 +480,7 @@ class TestSharedLift:
 
         monkeypatch.setattr(diffgeo, "_lifted", counted)
         feats = np.random.default_rng(54).normal(0.0, 0.6, (9, 6))
-        f = Tensor(feats, requires_grad=True) if record else feats
+        f = Tensor(feats) if record else feats
         pairs = np.triu(np.ones((9, 9), dtype=bool), k=1)
         diffgeo.sq_dist_matrix(f, f, MIXED, pairs=pairs)
         assert calls == [9] * sum(len(block.parts) for block in diffgeo._layout(MIXED, 6))
@@ -521,7 +492,7 @@ def _loss(space, g, same=False):
         protos = t["feats"] if same else t["protos"]
         d = diffgeo.sq_dist_matrix(t["feats"], protos, space, kmag=t.get("kmag"),
                                    weights=t.get("weights"))
-        return ad.sum_(d * Tensor(g))
+        return ad.sum_(d * g)
     return build
 
 
@@ -569,7 +540,7 @@ class TestBackward:
         # Past the cap the lift keeps only the direction of a row, so scaling
         # that row changes no distance and its gradient is orthogonal to it.
         space = MixedSpace((FactorSpec(0, 1, 3, curvature),))
-        u = Tensor(np.array([[8.0, -3.0, 1.0]]), requires_grad=True)
+        u = Tensor(np.array([[8.0, -3.0, 1.0]]))
         v = np.random.default_rng(11).normal(0.0, 0.3, (4, 3))
         ad.sum_(diffgeo.sq_dist_matrix(u, v, space)).backward()
         grad = u.grad[0]
@@ -580,11 +551,11 @@ class TestBackward:
         rng = np.random.default_rng(12)
         f = rng.normal(0.0, 0.5, (4, 6))
         g = rng.normal(size=(4, 4))
-        both = Tensor(f, requires_grad=True)
-        ad.sum_(diffgeo.sq_dist_matrix(both, both, MIXED) * Tensor(g)).backward()
-        left = Tensor(f, requires_grad=True)
-        right = Tensor(f, requires_grad=True)
-        ad.sum_(diffgeo.sq_dist_matrix(left, right, MIXED) * Tensor(g)).backward()
+        both = Tensor(f)
+        ad.sum_(diffgeo.sq_dist_matrix(both, both, MIXED) * g).backward()
+        left = Tensor(f)
+        right = Tensor(f)
+        ad.sum_(diffgeo.sq_dist_matrix(left, right, MIXED) * g).backward()
         np.testing.assert_allclose(both.grad, left.grad + right.grad, rtol=1e-12, atol=1e-12)
 
 
@@ -595,21 +566,21 @@ def _subsets(names):
     return [s for r in range(1, len(names) + 1) for s in itertools.combinations(names, r)]
 
 
-# (same tensor as both operands, inputs that require gradients)
+# (same tensor as both operands, inputs that are Tensors)
 MATRIX_CASES = ([(False, s) for s in _subsets(INPUTS)]
                 + [(True, s) for s in _subsets(("feats", "kmag", "weights"))])
 
 
 class TestPrunedBackward:
-    """The backward computes only the gradients of inputs that require them,
-    and each of those is bit for bit the one every input requiring
-    gradients gives."""
+    """The backward computes only the gradients of inputs that are Tensors,
+    and each of those is bit for bit the one of a call where every input is
+    a Tensor."""
 
     @staticmethod
     def grads(op, values, trained):
-        t = {k: Tensor(v, requires_grad=k in trained) for k, v in values.items()}
+        t = {k: Tensor(v) if k in trained else v for k, v in values.items()}
         op(t).backward()
-        assert all((t[k].grad is not None) == (k in trained) for k in t)
+        assert all(t[k].grad is not None for k in trained)
         return {k: t[k].grad for k in trained}
 
     @pytest.mark.parametrize("space", [MIXED, EUCLID], ids=["mixed", "euclidean"])
@@ -627,7 +598,7 @@ class TestPrunedBackward:
         def op(t):
             d = diffgeo.sq_dist_matrix(t["feats"], t["feats"] if same else t["protos"], space,
                                        kmag=t["kmag"], weights=t["weights"])
-            return ad.sum_(d * Tensor(g))
+            return ad.sum_(d * g)
 
         got = self.grads(op, values, trained)
         full = self.grads(op, values, tuple(values))
@@ -645,7 +616,7 @@ class TestPrunedBackward:
 
         def op(t):
             d = diffgeo.sq_dist_matrix(t["feats"], t["feats"], space, kmag=t["kmag"], pairs=pairs)
-            return ad.sum_(d * Tensor(g))
+            return ad.sum_(d * g)
 
         got = self.grads(op, values, trained)
         full = self.grads(op, values, ("feats", "kmag"))
@@ -673,8 +644,8 @@ class TestPrunedBackward:
         monkeypatch.setattr(diffgeo, "_block_backward", counted)
         rng = np.random.default_rng(23)
         n = len(space.factors)
-        kmag = Tensor(rng.uniform(0.3, 2.0, n), requires_grad=True)
-        weights = Tensor(rng.uniform(0.2, 1.0, n), requires_grad=True)
+        kmag = Tensor(rng.uniform(0.3, 2.0, n))
+        weights = Tensor(rng.uniform(0.2, 1.0, n))
         d = diffgeo.sq_dist_matrix(rng.normal(0.0, 0.6, (5, 6)), rng.normal(0.0, 0.6, (4, 6)),
                                    space, kmag=kmag, weights=weights)
         ad.sum_(d).backward()
@@ -701,7 +672,7 @@ def add_at_node(out, feats, protos, kmag, weights, want, blocks):
     b, n = feats.shape[0], protos.shape[0]
 
     def bwd(g):
-        gf, gp, gk, gw = (np.zeros_like(t.value) if t is not None and t.requires_grad else None
+        gf, gp, gk, gw = (np.zeros_like(t.value) if isinstance(t, Tensor) else None
                           for t in (feats, protos, kmag, weights))
         for block, w, dist2, block_backward in blocks:
             if gw is not None:
@@ -762,7 +733,7 @@ class TestRunScatter:
         g = rng.normal(size=(9, 6)) if op == "matrix" else rng.normal(size=(9, 9)) * pairs
 
         def grads():
-            t = [Tensor(v, requires_grad=True) for v in values]
+            t = [Tensor(v) for v in values]
             if op == "matrix":
                 d = diffgeo.sq_dist_matrix(t[0], t[1], self.SPACE, kmag=t[2], weights=t[3])
                 used = t
@@ -781,7 +752,7 @@ class TestRunScatter:
 
 class TestKeptDistances:
     """A recorded op keeps each block's unweighted distances for dL/dw only
-    when the weights require gradients."""
+    when the weights train."""
 
     @pytest.fixture
     def kept(self, monkeypatch):
@@ -798,16 +769,16 @@ class TestKeptDistances:
     def test_frozen_weights_keep_no_distances(self, kept):
         """The warm-up: trained prototypes under frozen uniform weights."""
         rng = np.random.default_rng(42)
-        protos = Tensor(rng.normal(0.0, 0.6, (5, 32)), requires_grad=True)
+        protos = Tensor(rng.normal(0.0, 0.6, (5, 32)))
         diffgeo.sq_dist_matrix(rng.normal(0.0, 0.6, (8, 32)), protos, POOL,
-                               weights=Tensor(np.full(POOL.size, 1.0 / POOL.size)))
+                               weights=np.full(POOL.size, 1.0 / POOL.size))
         assert kept == [[None, None]]
 
     def test_trained_weights_keep_distances(self, kept):
         """The search: trained weights and curvatures."""
         rng = np.random.default_rng(43)
-        kmag = Tensor(np.ones(POOL.size), requires_grad=True)
-        weights = Tensor(np.full(POOL.size, 0.05), requires_grad=True)
+        kmag = Tensor(np.ones(POOL.size))
+        weights = Tensor(np.full(POOL.size, 0.05))
         diffgeo.sq_dist_matrix(rng.normal(0.0, 0.6, (8, 32)), rng.normal(0.0, 0.6, (5, 32)),
                                POOL, kmag=kmag, weights=weights)
         assert [[d.shape for d in block] for block in kept] == [[(7, 8, 5), (7, 8, 5)]]

@@ -116,11 +116,9 @@ class TestGisOptimize:
         rng = np.random.default_rng(0)
         feats, labels, protos = _toy_problem(rng)
         pool = gis.build_pool(8, [4])
-        from geocl.autodiff import Tensor
-        plain = model.ce_loss_t(Tensor(feats), Tensor(protos), labels, pool)
-        weighted = model.ce_loss_t(Tensor(feats), Tensor(protos), labels, pool,
-                                   weights=Tensor(np.ones(pool.size)))
-        assert float(plain.value) == pytest.approx(float(weighted.value), abs=1e-12)
+        plain = model.ce_loss_t(feats, protos, labels, pool)
+        weighted = model.ce_loss_t(feats, protos, labels, pool, weights=np.ones(pool.size))
+        assert float(plain) == pytest.approx(float(weighted), abs=1e-12)
 
     def test_discriminative_factor_wins(self):
         # class signal lives in coordinates 1-4 only; the factor over that

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geocl import experiment, gis, harness, model
+from geocl.autodiff import Tensor
 from geocl.errors import ConfigurationError, ContractViolation
 from geocl.gis import build_pool
 
@@ -502,6 +503,30 @@ def test_structure_context_peak_memory():
     assert context["affinity"].dtype == np.int8
     assert np.count_nonzero(context["affinity"] == 1) and np.count_nonzero(context["affinity"] == -1)
     assert peak <= 4.5 * b * b * 8
+
+
+def test_forward_only_work_makes_no_tensor(monkeypatch):
+    """Evaluation, the structure context and the backbone's features on a
+    trained state take and give plain arrays, and build no Tensor."""
+    tasks = harness.generate_synthetic_stream(
+        classes=4, steps=2, samples_per_class=20, test_per_class=10,
+        ambient_dim=6, tree_fraction=0.5, noise=0.3, seed=0)
+    state, _ = harness.run_stream(tasks, small_cfg(), seed=0,
+                                  backbone=model.Backbone(6, 16, 8), pool=build_pool(8, [2, 4]))
+    made = []
+    init = Tensor.__init__
+
+    def counted(t, *args, **kwargs):
+        made.append(t)
+        init(t, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counted)
+    harness.evaluate(state, tasks)
+    rows = [np.arange(0, len(state.buffer), 2)]
+    context = harness._structure_context(state.params, state.space, state.buffer, rows)
+    feats = model.features_np(state.params, tasks[0].x_test)
+    assert made == []
+    assert type(feats) is np.ndarray and np.count_nonzero(context["affinity"])
 
 
 class TestEvaluate:

@@ -66,8 +66,7 @@ class TestDistanceLogits:
         space = MixedSpace((FactorSpec(0, 1, 2, -1.0),))
         f = np.array([[8.0, 0.0], [-8.0, 0.0], [0.0, 8.0]])
         evaluated = model.sq_dist_matrix_np(f, f, space)
-        trained = model.sq_dist_matrix_t(Tensor(f, requires_grad=True),
-                                         Tensor(f, requires_grad=True), space).value
+        trained = model.sq_dist_matrix_t(Tensor(f), Tensor(f), space).value
         np.testing.assert_array_equal(evaluated, trained)
         ball_margin_cap = (2.0 * np.arctanh(1.0 - 1e-5)) ** 2
         assert evaluated[0, 1] > 2.0 * ball_margin_cap
@@ -83,8 +82,7 @@ class TestDistanceLogits:
     def test_ce_rejects_unknown_label(self):
         space = euclidean_space(dim=2)
         with pytest.raises(ContractViolation):
-            model.ce_loss_t(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))),
-                            np.array([3]), space)
+            model.ce_loss_t(np.zeros((1, 2)), np.zeros((1, 2)), np.array([3]), space)
 
     def test_weighted_distance(self):
         space = mixed_space()
@@ -92,7 +90,7 @@ class TestDistanceLogits:
         f = rng.normal(0.0, 0.3, (2, 4))
         w = rng.normal(0.0, 0.3, (2, 4))
         wts = np.array([2.0, 0.5])
-        got = model.sq_dist_matrix_t(Tensor(f), Tensor(w), space, weights=Tensor(wts)).value
+        got = model.sq_dist_matrix_t(f, w, space, weights=wts)
         per = [model.sq_dist_matrix_np(f, w, MixedSpace((fac,))) for fac in space.factors]
         np.testing.assert_allclose(got, 2.0 * per[0] + 0.5 * per[1], atol=1e-10)
 
@@ -102,8 +100,8 @@ class TestAngularRegularization:
         space = mixed_space()
         feats = np.random.default_rng(5).normal(0.0, 0.3, (6, 4))
         cos, valid = model.cosine_matrix_np(model.tangent_concat_np(feats, space))
-        loss = model.angular_reg_loss_t(Tensor(feats), space, cos, valid)
-        assert float(loss.value) == pytest.approx(0.0, abs=1e-12)
+        loss = model.angular_reg_loss_t(feats, space, cos, valid)
+        assert float(loss) == pytest.approx(0.0, abs=1e-12)
 
     def test_curvature_invariance(self):
         # snapshot cosines are identical whatever curvatures the factors carry
@@ -124,8 +122,8 @@ class TestAngularRegularization:
         rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
         moved = feats.copy()
         moved[0] = feats[0] @ rot.T  # rotate one point only: pairwise angles change
-        loss = model.angular_reg_loss_t(Tensor(moved), space, cos, valid)
-        assert float(loss.value) > 1e-4
+        loss = model.angular_reg_loss_t(moved, space, cos, valid)
+        assert float(loss) > 1e-4
 
     def test_degenerate_rows_masked(self):
         space = euclidean_space(dim=2)
@@ -133,8 +131,8 @@ class TestAngularRegularization:
         tangents = model.tangent_concat_np(feats, space)
         cos, valid = model.cosine_matrix_np(tangents)
         assert not valid[0, 1] and valid[1, 2]
-        loss = model.angular_reg_loss_t(Tensor(feats), space, cos, valid)
-        assert np.isfinite(float(loss.value))
+        loss = model.angular_reg_loss_t(feats, space, cos, valid)
+        assert np.isfinite(float(loss))
 
 
 class TestNeighborRobustness:
@@ -172,7 +170,7 @@ class TestNeighborRobustness:
         labels = np.array([0, 0, 1, 1])
         sq = model.sq_dist_matrix_np(feats, feats, space)
         aff = model.affinity_matrix(sq, labels, model.tau2_same_class_mean(sq, labels))
-        t = Tensor(feats, requires_grad=True)
+        t = Tensor(feats)
         loss = model.neighbor_robustness_loss_t(t, space, aff)
         loss.backward()
         # the between-class pair (1, 2) contributes with negative sign:
@@ -183,9 +181,8 @@ class TestNeighborRobustness:
         space = euclidean_space(dim=2)
         feats = np.array([[0.0, 0.0], [10.0, 0.0]])
         aff = np.array([[0.0, -1.0], [-1.0, 0.0]])
-        loss = model.neighbor_robustness_loss_t(Tensor(feats), space, aff,
-                                                repulsion_cap=4.0)
-        assert float(loss.value) == pytest.approx(0.0, abs=1e-12)
+        loss = model.neighbor_robustness_loss_t(feats, space, aff, repulsion_cap=4.0)
+        assert float(loss) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestNeighborPairs:
@@ -200,14 +197,14 @@ class TestNeighborPairs:
         weight = np.triu(np.ones((b, b)), k=1) * affinity
         if cap is not None:
             weight = np.where((affinity < 0) & (psi2.value > cap), 0.0, weight)
-        return ad.sum_(psi2 * Tensor(weight)) * (1.0 / max(b * (b - 1) / 2.0, 1.0))
+        return ad.sum_(psi2 * weight) * (1.0 / max(b * (b - 1) / 2.0, 1.0))
 
     @staticmethod
     def both(feats, space, affinity, kmag, cap):
         """(loss, feats grad, kmag grad) of the pair path and of the dense form."""
         out = []
         for loss_fn in (model.neighbor_robustness_loss_t, TestNeighborPairs.dense_loss):
-            f, k = Tensor(feats, requires_grad=True), Tensor(kmag, requires_grad=True)
+            f, k = Tensor(feats), Tensor(kmag)
             loss = loss_fn(f, space, affinity, k, cap)
             loss.backward()
             out.append((loss.value, f.grad, k.grad))
@@ -256,7 +253,7 @@ class TestCallerGradients:
 
     @classmethod
     def ce_grads(cls, values, labels, trained, kmag, weights):
-        t = {k: Tensor(v, requires_grad=k in trained) for k, v in values.items()}
+        t = {k: Tensor(v) if k in trained else v for k, v in values.items()}
         model.ce_loss_t(t["feats"], t["protos"], labels, cls.SPACE,
                         kmag=t["kmag"] if kmag else None,
                         weights=t["weights"] if weights else None).backward()
@@ -285,9 +282,9 @@ class TestCallerGradients:
         kmag = rng.uniform(0.5, 1.5, len(self.SPACE.factors))
         grads = []
         for trainable in (False, True):
-            f = Tensor(feats, requires_grad=True)
+            f = Tensor(feats)
             model.neighbor_robustness_loss_t(f, self.SPACE, upper + upper.T,
-                                             kmag=Tensor(kmag, requires_grad=trainable),
+                                             kmag=Tensor(kmag) if trainable else kmag,
                                              repulsion_cap=5.0).backward()
             grads.append(f.grad)
         assert np.array_equal(grads[0], grads[1])
@@ -338,3 +335,66 @@ class TestTotalLoss:
         ce = Tensor(np.array(2.0))
         assert float(model.total_loss_t(ce, 1.0, None, 1.0, None).value) == 2.0
 
+
+
+class TestPlainInPlainOut:
+    """Given plain arrays only, a model op or the kernel returns a plain
+    array or NumPy scalar, equal bit for bit to the value of the same call
+    on Tensors."""
+
+    SPACE = gis.build_pool(8, [2, 4])
+    rng = np.random.default_rng(61)
+    PARAMS = model.Backbone(5, 7, 8).init_params(rng)
+    X = rng.normal(0.0, 1.0, (6, 5))
+    FEATS, PROTOS = rng.normal(0.0, 0.5, (6, 8)), rng.normal(0.0, 0.5, (3, 8))
+    LABELS = rng.integers(0, 3, 6)
+    KMAG, WEIGHTS = rng.uniform(0.5, 2.0, (2, SPACE.size))
+    PAIRS = np.triu(rng.random((6, 6)) < 0.5, k=1)
+    upper = np.triu(rng.choice([-1.0, 0.0, 1.0], (6, 6)), k=1)
+    AFFINITY = upper + upper.T
+    PREV_COS, PREV_VALID = model.cosine_matrix_np(
+        model.tangent_concat_np(rng.normal(0.0, 0.5, (6, 8)), SPACE))
+
+    # name -> (the call on plain arrays, the same call on Tensors)
+    CALLS = {
+        "features_t": (
+            lambda s: model.features_t(s.PARAMS, s.X),
+            lambda s: model.features_t({k: Tensor(v) for k, v in s.PARAMS.items()}, s.X)),
+        "tangent_concat_np": (
+            lambda s: model.tangent_concat_np(s.FEATS, s.SPACE),
+            lambda s: model.tangent_concat_t(Tensor(s.FEATS), s.SPACE)),
+        "cosine_matrix_np": (
+            lambda s: model.cosine_matrix_np(s.FEATS)[0],
+            lambda s: model._tangent_cosines(Tensor(s.FEATS))[0]),
+        "sq_dist_matrix": (
+            lambda s: diffgeo.sq_dist_matrix(s.FEATS, s.PROTOS, s.SPACE, s.KMAG, s.WEIGHTS),
+            lambda s: diffgeo.sq_dist_matrix(Tensor(s.FEATS), Tensor(s.PROTOS), s.SPACE,
+                                             Tensor(s.KMAG), Tensor(s.WEIGHTS))),
+        "sq_dist_matrix-pairs": (
+            lambda s: diffgeo.sq_dist_matrix(s.FEATS, s.FEATS, s.SPACE, s.KMAG, pairs=s.PAIRS),
+            lambda s: diffgeo.sq_dist_matrix(Tensor(s.FEATS), Tensor(s.FEATS), s.SPACE,
+                                             Tensor(s.KMAG), pairs=s.PAIRS)),
+        "ce_loss_t": (
+            lambda s: model.ce_loss_t(s.FEATS, s.PROTOS, s.LABELS, s.SPACE, s.KMAG, s.WEIGHTS),
+            lambda s: model.ce_loss_t(Tensor(s.FEATS), Tensor(s.PROTOS), s.LABELS, s.SPACE,
+                                      Tensor(s.KMAG), Tensor(s.WEIGHTS))),
+        "angular_reg_loss_t": (
+            lambda s: model.angular_reg_loss_t(s.FEATS, s.SPACE, s.PREV_COS, s.PREV_VALID),
+            lambda s: model.angular_reg_loss_t(Tensor(s.FEATS), s.SPACE, s.PREV_COS,
+                                               s.PREV_VALID)),
+        "neighbor_robustness_loss_t": (
+            lambda s: model.neighbor_robustness_loss_t(s.FEATS, s.SPACE, s.AFFINITY, s.KMAG,
+                                                       repulsion_cap=1.0),
+            lambda s: model.neighbor_robustness_loss_t(Tensor(s.FEATS), s.SPACE, s.AFFINITY,
+                                                       Tensor(s.KMAG), repulsion_cap=1.0)),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_plain_result_equals_tensor_value(self, name):
+        plain_call, tensor_call = self.CALLS[name]
+        plain = plain_call(self)
+        recorded = tensor_call(self)
+        assert type(plain) in (np.ndarray, np.float64)
+        assert isinstance(recorded, Tensor)
+        assert np.shape(plain) == recorded.value.shape
+        assert np.asarray(plain).tobytes() == recorded.value.tobytes()

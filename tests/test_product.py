@@ -57,8 +57,8 @@ class TestLift:
         # at tan(r), both at distance 2 * norm from the origin.
         space = two_factor_space()
         feat = np.array([[0.5, 0.0, 0.2, 0.1]])
-        per_factor = [diffgeo.sq_dist_matrix(np.zeros((1, 4)), feat, prod.MixedSpace((f,)))
-                      .value[0, 0] for f in space.factors]
+        per_factor = [diffgeo.sq_dist_matrix(np.zeros((1, 4)), feat, prod.MixedSpace((f,)))[0, 0]
+                      for f in space.factors]
         assert per_factor[0] == pytest.approx((2 * np.arctanh(np.tanh(0.5))) ** 2, abs=1e-10)
         assert per_factor[1] == pytest.approx(4 * 0.05, abs=1e-10)
 
@@ -83,7 +83,7 @@ class TestSqDistance:
         ))
         x = np.zeros((1, 4))
         y = np.array([[np.arctanh(0.625), 0.0, 0.625, 0.0]])
-        got = diffgeo.sq_dist_matrix(x, y, space).value[0, 0]
+        got = diffgeo.sq_dist_matrix(x, y, space)[0, 0]
         want = (2 * np.arctanh(0.625)) ** 2 + (2 * 0.625) ** 2
         assert got == pytest.approx(want, abs=1e-9)
 
