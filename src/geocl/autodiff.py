@@ -5,10 +5,10 @@ result of an op over one. It wraps an ndarray and remembers how it was
 produced; calling ``backward`` on a scalar loss fills ``grad`` on every
 Tensor it reaches. The op set is deliberately closed to what the engine
 calls: arithmetic, matmul, square, sqrt, elementwise tanh, transpose, a
-column gather, sums, norms, log-sum-exp cross-entropy and Huber. A fused op
-with a hand-written backward (the product-distance kernel in
-``geocl.diffgeo``) reads its operands with ``_value``, builds its node with
-``_make`` and hands its gradients to ``_accum``.
+column gather, sums, norms, softmax cross-entropy and Huber. A fused op
+with a hand-written backward (the cross-entropy, and the product-distance
+kernel in ``geocl.diffgeo``) reads its operands with ``_value``, builds its
+node with ``_make`` and hands its gradients to ``_accum``.
 
 Whatever does not train is a plain value: every operand of an op may be
 an ndarray, and either operand of an arithmetic op a float. A node keeps
@@ -44,6 +44,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 class Tensor:
     __slots__ = ("value", "grad", "_parents", "_backward")
+    # An ndarray left of + or * defers to the Tensor's operator (a node);
+    # left of - or / it raises TypeError instead of making object arrays.
+    __array_ufunc__ = None
 
     def __init__(self, value, parents=(), backward=None):
         self.value = np.asarray(value, dtype=float)
@@ -245,7 +248,8 @@ def take_cols(a, cols: np.ndarray):
 
 
 def sum_(a, axis=None, keepdims=False):
-    out = _value(a).sum(axis=axis, keepdims=keepdims)
+    # In C order: NumPy rounds a sum over an F-ordered array differently.
+    out = np.asarray(_value(a), order="C").sum(axis=axis, keepdims=keepdims)
 
     def bwd(g):
         g = np.asarray(g, dtype=float)
@@ -256,41 +260,9 @@ def sum_(a, axis=None, keepdims=False):
     return _make(out, (a,), bwd)
 
 
-def mean(a):
-    return sum_(a) * (1.0 / np.size(_value(a)))
-
-
 def norm(a):
     """Zero-safe Euclidean norm along the last axis, which is kept."""
     return sqrt(sum_(square(a), axis=-1, keepdims=True) + 1e-30)
-
-
-def logsumexp(a, axis=-1):
-    av = _value(a)
-    m = av.max(axis=axis, keepdims=True)
-    shifted = np.exp(av - m)
-    total = shifted.sum(axis=axis)
-    out = np.squeeze(m, axis=axis) + np.log(total)
-    soft = shifted / np.expand_dims(total, axis)
-
-    def bwd(g):
-        _accum(a, np.expand_dims(np.asarray(g, dtype=float), axis) * soft)
-
-    return _make(out, (a,), bwd)
-
-
-def take_rows(a, indices):
-    """a[i, indices[i]] for a 2-D operand; used for true-class logits."""
-    av, idx = _value(a), np.asarray(indices)
-    rows = np.arange(av.shape[0])
-    out = av[rows, idx]
-
-    def bwd(g):
-        full = np.zeros_like(av)
-        full[rows, idx] = g
-        _accum(a, full)
-
-    return _make(out, (a,), bwd)
 
 
 def huber(a, b):
@@ -311,8 +283,22 @@ def huber(a, b):
 
 
 def cross_entropy(logits, labels):
-    """Mean negative log softmax probability of the true labels."""
-    return mean(logsumexp(logits, axis=-1) - take_rows(logits, labels))
+    """Mean negative log softmax probability of the true labels of the rows
+    of 2-D ``logits``; its gradient is (softmax - one-hot) / n."""
+    lv = _value(logits)
+    n = lv.shape[0]
+    rows = np.arange(n)
+    m = lv.max(axis=-1, keepdims=True)
+    shifted = np.exp(lv - m)
+    total = shifted.sum(axis=-1)
+    out = (m[:, 0] + np.log(total) - lv[rows, labels]).sum() * (1.0 / n)
+
+    def bwd(g):
+        grad = (g * (1.0 / n)) * (shifted / total[:, None])
+        grad[rows, labels] -= g * (1.0 / n)
+        _accum(logits, grad)
+
+    return _make(out, (logits,), bwd)
 
 
 # -- finite-difference checking ----------------------------------------

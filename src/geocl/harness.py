@@ -111,7 +111,6 @@ def generate_synthetic_stream(classes: int, steps: int, samples_per_class: int,
             x_train=np.concatenate(xs_tr), y_train=np.concatenate(ys_tr).astype(int),
             x_test=np.concatenate(xs_te), y_test=np.concatenate(ys_te).astype(int),
         ))
-    _check_disjoint(tasks)
     return tasks
 
 
@@ -144,7 +143,6 @@ def stream_from_arrays(x: np.ndarray, y: np.ndarray, steps: int, train_ratio: fl
                                      f"at train_ratio {train_ratio}")
         tasks.append(StreamTask(step=t + 1, x_train=x[tr], y_train=y[tr].astype(int),
                                 x_test=x[te], y_test=y[te].astype(int)))
-    _check_disjoint(tasks)
     return tasks
 
 
@@ -154,15 +152,6 @@ def _hash_split(row: np.ndarray, label: int, seed: int, train_ratio: float) -> b
     digest = hashlib.sha256(payload.encode()).digest()
     frac = int.from_bytes(digest[:8], "big") / 2**64
     return frac < train_ratio
-
-
-def _check_disjoint(tasks):
-    seen: set[int] = set()
-    for task in tasks:
-        labs = set(task.labels)
-        if labs & seen:
-            raise ConfigurationError("label sets overlap across steps")
-        seen |= labs
 
 
 # -- memory buffer ------------------------------------------------------
@@ -377,11 +366,15 @@ def evaluate(state: EngineState, tasks: list[StreamTask]) -> list[float]:
     by task. A row's features and distances do not depend on the other rows
     of a pass, so the accuracies are those of one pass per task; only a
     task with a single test row could differ, in the last bit of its
-    distances, since a one-row pass takes BLAS's matrix-vector products."""
+    distances, since a one-row pass takes BLAS's matrix-vector products.
+    A row's prediction is its nearest prototype, the argmax of the softmax
+    over negated distances: equal distances give equal probabilities, and
+    both pick the first such class. They differ only where two distances
+    lie closer together than ``exp`` resolves near 1."""
     if state.space is None:
         raise ContractViolation("model has not been trained yet")
     feats = mdl.features_np(state.params, np.concatenate([task.x_test for task in tasks]))
-    pred = mdl.class_probs_np(feats, state.classifier, state.space).argmax(axis=1)
+    pred = mdl.sq_dist_matrix_np(feats, state.classifier, state.space).argmin(axis=1)
     truth = np.array([state.label_to_index[int(v)] for task in tasks for v in task.y_test])
     ends = np.cumsum([len(task.y_test) for task in tasks])[:-1]
     return [float(hits.mean()) for hits in np.split(pred == truth, ends)]

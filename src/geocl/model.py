@@ -6,16 +6,16 @@ softmax over negated squared product distances to per-class prototype rows.
 
 A ``*_t`` function records its ops for autodiff when an input is a Tensor,
 and given plain arrays only returns a plain array and makes no Tensor; a
-``*_np`` function is such a call on plain arrays, for evaluation and the
-frozen previous-step model. All of them measure with the one op of the
-product-distance kernel, :func:`geocl.diffgeo.sq_dist_matrix`, and the
-neighbor loss measures only the pairs it weights, the within- and
-between-class neighbors, through its ``pairs`` mask. The
-previous-step model's distances also come from that op with a mask,
-forward only, on the tiles that hold a listed pair: a step draws main
-training's batches and buffer rows before it measures that model, so only
-the same-class pairs and the pairs within a batch's rows are measured (see
-``harness._structure_context``).
+``*_np`` function is such a call on plain arrays, for evaluation (by
+nearest prototype) and the frozen previous-step model. All of them measure
+with the one op of the product-distance kernel,
+:func:`geocl.diffgeo.sq_dist_matrix`, and the neighbor loss measures only
+the pairs it weights, the within- and between-class neighbors, through its
+``pairs`` mask. The previous-step model's distances also come from that
+op with a mask, forward only, on the tiles that hold a listed pair: a step
+draws main training's batches and buffer rows before it measures that
+model, so only the same-class pairs and the pairs within a batch's rows
+are measured (see ``harness._structure_context``).
 """
 
 from __future__ import annotations
@@ -72,16 +72,6 @@ def features_t(params: dict[str, Tensor | np.ndarray], x: np.ndarray):
 def sq_dist_matrix_np(feats: np.ndarray, protos: np.ndarray, space: MixedSpace) -> np.ndarray:
     """(batch, n_proto) matrix of squared product distances."""
     return diffgeo.sq_dist_matrix(np.atleast_2d(feats), np.atleast_2d(protos), space)
-
-
-def class_probs_np(feats: np.ndarray, protos: np.ndarray, space: MixedSpace) -> np.ndarray:
-    """Softmax over negated squared product distances to the class prototypes."""
-    if protos.shape[0] == 0:
-        raise ContractViolation("no class prototypes")
-    logits = -sq_dist_matrix_np(feats, protos, space)
-    logits -= logits.max(axis=1, keepdims=True)
-    p = np.exp(logits)
-    return p / p.sum(axis=1, keepdims=True)
 
 
 def sq_dist_matrix_t(feats, protos, space: MixedSpace, kmag=None, weights=None):

@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,7 @@ class TestConstants:
         "mul-float": (lambda t, c: t * c, 2.0),
         "mul-array": (lambda t, c: t * c, ARRAY),
         "huber-array": (ad.huber, ARRAY),
+        "cross-entropy": (ad.cross_entropy, np.array([0, 3, 1])),
     }
 
     @pytest.mark.parametrize("name", OPS)
@@ -114,6 +117,19 @@ class TestConstants:
         t = ad.Tensor(np.ones(3))
         for out in (2.0 * t, t + self.ARRAY[0, :3], t - 1.0, t / 4.0):
             assert out._parents == (t,)
+
+    @pytest.mark.parametrize("op,grad", [(operator.add, lambda c: np.ones(3)),
+                                         (operator.mul, lambda c: c)], ids=["add", "mul"])
+    def test_ndarray_left_of_a_tensor_builds_a_node(self, op, grad):
+        const, t = self.ARRAY[0, :3], ad.Tensor(np.ones(3))
+        out = op(const, t)
+        ad.sum_(out).backward()
+        assert out._parents == (t,) and np.array_equal(t.grad, grad(const))
+
+    @pytest.mark.parametrize("op", [operator.sub, operator.truediv], ids=["sub", "div"])
+    def test_ndarray_left_of_a_tensor_without_reflected_op_raises(self, op):
+        with pytest.raises(TypeError):
+            op(self.ARRAY[0, :3], ad.Tensor(np.ones(3)))
 
     @pytest.mark.parametrize("op", [ad.mul, ad.div, ad.matmul])
     @pytest.mark.parametrize("frozen", [0, 1], ids=["left-frozen", "right-frozen"])
@@ -156,6 +172,18 @@ class TestElementwiseGradients:
         assert np.all(np.isfinite(x.grad))
 
 
+class TestMemoryOrder:
+    """A reduction gives the same bits on an F-ordered operand as on its
+    C-ordered copy."""
+
+    Q = np.random.default_rng(7).normal(size=(64, 96))
+
+    @pytest.mark.parametrize("op", [ad.norm, lambda a: ad.sum_(a, axis=-1)],
+                             ids=["norm", "sum"])
+    def test_fortran_order_gives_the_same_bits(self, op):
+        assert np.array_equal(op(np.asfortranarray(self.Q)), op(self.Q))
+
+
 class TestHuber:
     def test_values_at_branch(self):
         out = ad.huber(np.array([0.5, 3.0, 1.0]), np.zeros(3))
@@ -167,10 +195,61 @@ class TestHuber:
         np.testing.assert_allclose(a.grad, [0.5, -1.0], atol=1e-12)
 
 
+def chain_cross_entropy(logits, labels):
+    """``autodiff.cross_entropy`` as it was before the fused op: the mean of
+    the rows' log-sum-exp minus their true-class logit, five nodes."""
+    lv = ad._value(logits)
+    rows = np.arange(lv.shape[0])
+    m = lv.max(axis=-1, keepdims=True)
+    shifted = np.exp(lv - m)
+    total = shifted.sum(axis=-1)
+    soft = shifted / np.expand_dims(total, -1)
+    lse = ad._make(np.squeeze(m, axis=-1) + np.log(total), (logits,),
+                   lambda g: ad._accum(logits, np.expand_dims(g, -1) * soft))
+
+    def take_rows_bwd(g):
+        full = np.zeros_like(lv)
+        full[rows, labels] = g
+        ad._accum(logits, full)
+
+    per_row = lse - ad._make(lv[rows, labels], (logits,), take_rows_bwd)
+    return ad.sum_(per_row) * (1.0 / np.size(ad._value(per_row)))
+
+
+def one_hot_first_cross_entropy(logits, labels):
+    """The fused op with the one-hot subtracted before the 1/n scaling."""
+    lv = logits.value
+    n = lv.shape[0]
+    shifted = np.exp(lv - lv.max(axis=-1, keepdims=True))
+
+    def bwd(g):
+        grad = shifted / shifted.sum(axis=-1)[:, None]
+        grad[np.arange(n), labels] -= 1.0
+        ad._accum(logits, grad * (g * (1.0 / n)))
+
+    return ad._make(ad.cross_entropy(lv, labels), (logits,), bwd)
+
+
+def ce_case(n, offset=0.0):
+    """n rows of 9 logits on a grid of 0.5, so that rows hold ties, with the
+    last row a copy of the first, and their labels."""
+    rng = np.random.default_rng(n)
+    logits = np.round(rng.normal(0.0, 4.0, (n, 9))) / 2 + offset
+    logits[-1] = logits[0]
+    return logits, rng.integers(0, 9, n)
+
+
+def ce_value_and_grad(op, logits, labels, neg=False):
+    leaf = ad.Tensor(-logits if neg else logits)
+    loss = op(-leaf if neg else leaf, labels)
+    loss.backward()
+    return loss.value, leaf.grad
+
+
 class TestSoftmaxCE:
-    def test_logsumexp_stability(self):
-        out = ad.logsumexp(np.array([[1000.0, 1001.0]]))
-        assert out == pytest.approx(1001.0 + np.log(1 + np.e ** -1), abs=1e-9)
+    def test_cross_entropy_stability(self):
+        out = ad.cross_entropy(np.array([[1000.0, 1001.0]]), np.array([0]))
+        assert out == pytest.approx(1.0 + np.log(1 + np.e ** -1), abs=1e-9)
 
     def test_cross_entropy_oracle(self):
         # logits (-1, -4): p = (0.95257, 0.04743); -log p0 = 0.04859
@@ -181,6 +260,22 @@ class TestSoftmaxCE:
         p = np.exp([-1.0, -4.0])
         p /= p.sum()
         np.testing.assert_allclose(logits.grad[0], p - np.array([1.0, 0.0]), atol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("form", ["leaf", "+1000", "-1000", "neg"])
+    def test_equals_the_chain(self, n, form):
+        logits, labels = ce_case(n, {"+1000": 1000.0, "-1000": -1000.0}.get(form, 0.0))
+        got, want = (ce_value_and_grad(op, logits, labels, neg=form == "neg")
+                     for op in (ad.cross_entropy, chain_cross_entropy))
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+
+    def test_chain_tells_scaling_orders_apart(self):
+        # The comparison above fails an op that scales after the one-hot at
+        # n = 7; at 1 and 64, 1/n is a power of two and both orders agree.
+        logits, labels = ce_case(7)
+        _, got = ce_value_and_grad(one_hot_first_cross_entropy, logits, labels)
+        _, want = ce_value_and_grad(chain_cross_entropy, logits, labels)
+        assert not np.array_equal(got, want)
 
 
 class TestGradcheck:

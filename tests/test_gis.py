@@ -224,10 +224,10 @@ class TestWarmup:
         feats, labels, _ = _toy_problem(rng)
         pool = gis.build_pool(8, [4])
         w0 = rng.normal(0.0, 0.01, (2, 8))
-        before = (model.class_probs_np(feats, w0, pool).argmax(1) == labels).mean()
+        before = (model.sq_dist_matrix_np(feats, w0, pool).argmin(1) == labels).mean()
         w1 = gis.classifier_warmup(pool, feats, labels, w0, lr=0.1, batch_size=32,
                                    rng=np.random.default_rng(12))
-        after = (model.class_probs_np(feats, w1, pool).argmax(1) == labels).mean()
+        after = (model.sq_dist_matrix_np(feats, w1, pool).argmin(1) == labels).mean()
         assert after >= before
         assert after >= 0.9
 

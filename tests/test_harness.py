@@ -361,6 +361,15 @@ class TestRunStream:
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
 
+    def test_label_seen_at_an_earlier_step_rejected(self):
+        first, second = self.make_tasks(noise=0.3)
+        shared = first.labels[0]
+        y_train = np.where(second.y_train == second.labels[0], shared, second.y_train)
+        clash = harness.StreamTask(2, second.x_train, y_train, second.x_test, second.y_test)
+        with pytest.raises(ConfigurationError, match=f"label {shared} already seen"):
+            harness.run_stream([first, clash], small_cfg(), seed=0,
+                               backbone=model.Backbone(6, 16, 8), pool=build_pool(8, [4]))
+
     def test_selection_history_grows_monotonically(self):
         tasks = self.make_tasks(noise=0.3)
         backbone = model.Backbone(6, 16, 8)
@@ -539,7 +548,7 @@ class TestEvaluate:
         accs = []
         for task in tasks:
             feats = model.features_np(state.params, task.x_test)
-            pred = model.class_probs_np(feats, state.classifier, state.space).argmax(axis=1)
+            pred = model.sq_dist_matrix_np(feats, state.classifier, state.space).argmin(axis=1)
             truth = np.array([state.label_to_index[int(v)] for v in task.y_test])
             accs.append(float((pred == truth).mean()))
         return accs
@@ -561,7 +570,7 @@ class TestEvaluate:
             tasks.append(harness.StreamTask(step, x, labels, x, labels))
         want = self.per_task(state, tasks)
         calls = []
-        for name in ("features_np", "class_probs_np"):
+        for name in ("features_np", "sq_dist_matrix_np"):
             monkeypatch.setattr(harness.mdl, name, mock.Mock(wraps=getattr(model, name)))
             calls.append(getattr(harness.mdl, name))
         assert harness.evaluate(state, tasks) == want

@@ -71,14 +71,6 @@ class TestDistanceLogits:
         ball_margin_cap = (2.0 * np.arctanh(1.0 - 1e-5)) ** 2
         assert evaluated[0, 1] > 2.0 * ball_margin_cap
 
-    def test_softmax_oracle(self):
-        # distances^2 (1, 4) -> logits (-1, -4) -> p = (0.95257, 0.04743)
-        space = euclidean_space(dim=2)
-        f = np.array([[0.0, 0.0]])
-        w = np.array([[0.5, 0.0], [0.0, 1.0]])  # 4||f-w||^2 = 1 and 4
-        p = model.class_probs_np(f, w, space)
-        np.testing.assert_allclose(p[0], [0.95257, 0.04743], atol=1e-5)
-
     def test_ce_rejects_unknown_label(self):
         space = euclidean_space(dim=2)
         with pytest.raises(ContractViolation):
