@@ -3,7 +3,7 @@
 A ``Tensor`` is a node that a backward reaches: a leaf to train, or the
 result of an op over one. It wraps an ndarray and remembers how it was
 produced; calling ``backward`` on a scalar loss fills ``grad`` on every
-Tensor it reaches. The op set is deliberately closed to what the engine
+leaf it reaches. The op set is deliberately closed to what the engine
 calls: arithmetic, matmul, square, sqrt, elementwise tanh, transpose, a
 column gather, sums, norms, softmax cross-entropy and Huber. A fused op
 with a hand-written backward (the cross-entropy, and the product-distance
@@ -20,7 +20,11 @@ gradient for them. A column gather's backward adds run by run
 (``col_runs``, ``add_cols``), in the order ``np.add.at`` would.
 
 Graphs are per-step and single-threaded; accumulation order is fixed, so
-identical inputs give bit-identical gradients.
+identical inputs give bit-identical gradients. A backward consumes its
+graph: once a node with parents has passed its gradient on, it lets go of
+its backward closure (and with it the arrays the op kept for it), its
+parents and its gradient, so a spent loss holds no more than its value
+and the leaves keep only their gradients. A graph is backpropagated once.
 """
 
 from __future__ import annotations
@@ -79,6 +83,10 @@ class Tensor:
         return neg(self)
 
     def backward(self):
+        """Fill ``grad`` on every leaf this scalar root reaches, and release
+        the graph: each node with parents, this one included, drops its
+        backward, its parents and its gradient as soon as it has passed the
+        gradient on (or none reached it). Every node keeps its value."""
         if self.value.size != 1:
             raise ContractViolation("backward requires a scalar root")
         order: list[Tensor] = []
@@ -98,8 +106,11 @@ class Tensor:
                     stack.append((p, False))
         self.grad = np.ones_like(self.value)
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node._parents:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node.grad = node._backward = None
+                node._parents = ()
 
 
 def _value(x):
@@ -236,7 +247,6 @@ def add_cols(full: np.ndarray, runs, g: np.ndarray) -> None:
 
 def take_cols(a, cols: np.ndarray):
     """Gather the columns ``cols`` of a 2-D operand; a column may repeat."""
-    # np.take keeps C order, which a[:, cols] does not.
     out = np.take(_value(a), cols, axis=1)
 
     def bwd(g):

@@ -88,7 +88,7 @@ def sq_dist_matrix_t(feats, protos, space: MixedSpace, kmag=None, weights=None):
 def ce_loss_t(feats, protos, labels: np.ndarray, space: MixedSpace, kmag=None,
               weights=None):
     labels = np.asarray(labels)
-    if labels.max(initial=-1) >= protos.shape[0]:
+    if labels.min(initial=0) < 0 or labels.max(initial=-1) >= protos.shape[0]:
         raise ContractViolation("label outside the seen classes")
     logits = -sq_dist_matrix_t(feats, protos, space, kmag=kmag, weights=weights)
     return ad.cross_entropy(logits, labels)

@@ -1,11 +1,18 @@
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from geocl import autodiff as ad
+from geocl import model as mdl
 from geocl.errors import ContractViolation
 from geocl.gis import build_pool
+from geocl.model import Backbone
+
+# The default pool: seven hyperbolic factors of width 4, then one spherical
+# factor of width 4, four of width 8 and two of width 16.
+POOL = build_pool(32, [4, 8, 16])
 
 
 def scalar(x):
@@ -51,13 +58,13 @@ class TestBasics:
 
 class TestTakeCols:
     # The default pool's 14 factors cover every one of 32 columns three times.
-    COLS = build_pool(32, [4, 8, 16]).columns
+    COLS = POOL.columns
 
     def test_equals_concatenated_slices_in_c_order(self):
         x = np.random.default_rng(0).normal(size=(5, 32))
         out = ad.take_cols(x, self.COLS)
         want = np.concatenate([x[:, f.slice_start - 1:f.slice_end]
-                               for f in build_pool(32, [4, 8, 16]).factors], axis=1)
+                               for f in POOL.factors], axis=1)
         assert out.flags.c_contiguous
         np.testing.assert_array_equal(out, want)
 
@@ -123,8 +130,9 @@ class TestConstants:
     def test_ndarray_left_of_a_tensor_builds_a_node(self, op, grad):
         const, t = self.ARRAY[0, :3], ad.Tensor(np.ones(3))
         out = op(const, t)
+        assert out._parents == (t,)
         ad.sum_(out).backward()
-        assert out._parents == (t,) and np.array_equal(t.grad, grad(const))
+        assert np.array_equal(t.grad, grad(const))
 
     @pytest.mark.parametrize("op", [operator.sub, operator.truediv], ids=["sub", "div"])
     def test_ndarray_left_of_a_tensor_without_reflected_op_raises(self, op):
@@ -306,3 +314,93 @@ class TestGradcheck:
         runs = [ad.gradcheck(build, lambda rng: {"v": rng.normal(size=4)}, rng=42)
                 for _ in range(2)]
         assert runs[0] == runs[1]
+
+
+# A main-training batch on the default pool: the CE of 64 rows against 40
+# prototypes, plus the angular and neighbor terms over 64 buffer rows, as
+# ``harness._main_training`` builds it.
+def main_training_case():
+    rng = np.random.default_rng(0)
+    params = Backbone(16, 64, 32).init_params(rng)
+    classifier = rng.normal(0.0, 1.0, (40, 32))
+    x, labels, x_buf = rng.normal(size=(64, 16)), rng.integers(0, 40, 64), rng.normal(size=(64, 16))
+    cos = rng.uniform(-1.0, 1.0, (64, 64))
+    cos = (cos + cos.T) / 2
+    aff = np.triu(rng.choice([-1.0, 0.0, 1.0], (64, 64), p=[0.1, 0.8, 0.1]), k=1)
+    aff = aff + aff.T
+
+    def build(leaves):
+        *params_t, wt = leaves
+        params_t = dict(zip(params, params_t))
+        ce = mdl.ce_loss_t(mdl.features_t(params_t, x), wt, labels, POOL)
+        buf = mdl.features_t(params_t, x_buf)
+        g_term = mdl.angular_reg_loss_t(buf, POOL, cos, np.ones((64, 64)))
+        l_term = mdl.neighbor_robustness_loss_t(buf, POOL, aff)
+        return mdl.total_loss_t(ce, 1.0, g_term, 1.0, l_term)
+
+    return [*params.values(), classifier], build
+
+
+def topological_order(root):
+    """The nodes a backward from ``root`` reaches, parents before children,
+    in the order ``Tensor.backward`` walks them."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if id(node) in seen:
+            continue
+        if expanded:
+            seen.add(id(node))
+            order.append(node)
+            continue
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    return order
+
+
+def retaining_backward(root):
+    """A reference backward that keeps the graph: the same order and the
+    same accumulation as ``Tensor.backward``, with nothing released."""
+    root.grad = np.ones_like(root.value)
+    for node in reversed(topological_order(root)):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+class TestGraphRelease:
+    def test_backward_releases_interior_nodes_and_keeps_gradients(self):
+        arrays, build = main_training_case()
+        leaves, ref_leaves = ([ad.Tensor(a) for a in arrays] for _ in range(2))
+        loss, ref = build(leaves), build(ref_leaves)
+        interior = [n for n in topological_order(loss) if n._parents]
+        values = [n.value.copy() for n in interior]
+        assert len(interior) > 20
+        loss.backward()
+        retaining_backward(ref)
+        for node, value in zip(interior, values):
+            assert node._parents == () and node._backward is None and node.grad is None
+            assert np.array_equal(node.value, value)
+        for leaf, want in zip(leaves, ref_leaves):
+            assert leaf.grad.tobytes() == want.grad.tobytes()
+
+    def test_spent_graph_holds_only_leaf_gradients(self):
+        """After its backward, a loss the caller still holds keeps at most
+        the leaves' gradients plus 5 % of what its forward allocated; a
+        backward that keeps the graph holds about 120 %."""
+        arrays, build = main_training_case()
+        build([ad.Tensor(a) for a in arrays])
+        leaves = [ad.Tensor(a) for a in arrays]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            loss = build(leaves)
+            forward = tracemalloc.get_traced_memory()[0] - start
+            loss.backward()
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        grads = sum(leaf.grad.nbytes for leaf in leaves)
+        assert loss.value.size == 1
+        assert held <= grads + 0.05 * forward

@@ -76,6 +76,13 @@ class TestDistanceLogits:
         with pytest.raises(ContractViolation):
             model.ce_loss_t(np.zeros((1, 2)), np.zeros((1, 2)), np.array([3]), space)
 
+    def test_ce_rejects_negative_label(self):
+        # Read from the end, label -1 would give the loss of label 1, 4.01815.
+        space = euclidean_space(dim=2)
+        with pytest.raises(ContractViolation):
+            model.ce_loss_t(np.zeros((1, 2)), np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([-1]),
+                            space)
+
     def test_weighted_distance(self):
         space = mixed_space()
         rng = np.random.default_rng(4)
