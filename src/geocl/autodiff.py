@@ -3,12 +3,15 @@
 A ``Tensor`` is a node that a backward reaches: a leaf to train, or the
 result of an op over one. It wraps an ndarray and remembers how it was
 produced; calling ``backward`` on a scalar loss fills ``grad`` on every
-leaf it reaches. The op set is deliberately closed to what the engine
-calls: arithmetic, matmul, square, sqrt, elementwise tanh, transpose, a
-column gather, sums, norms, softmax cross-entropy and Huber. A fused op
-with a hand-written backward (the cross-entropy, and the product-distance
-kernel in ``geocl.diffgeo``) reads its operands with ``_value``, builds its
-node with ``_make`` and hands its gradients to ``_accum``.
+leaf it reaches. The op set is deliberately closed to what the engine and
+its checks call: arithmetic, sums and the softmax cross-entropy. The rest
+of the engine's math is fused ops with a hand-written backward (the
+product-distance kernel in ``geocl.diffgeo``; the backbone, the angular
+loss, the neighbor loss's weighted mean and the total loss in
+``geocl.model``); such an op reads its operands with ``_value``, builds its
+node with ``_make`` and hands its gradients to ``_accum``. A gather of
+columns adds its gradient back run by run (``col_runs``, ``add_cols``), in
+the order ``np.add.at`` would.
 
 Whatever does not train is a plain value: every operand of an op may be
 an ndarray, and either operand of an arithmetic op a float. A node keeps
@@ -16,15 +19,15 @@ as parents only its operands that are Tensors, and an op given none
 returns a plain array, so forward-only work (evaluation, a frozen model's
 features) makes no Tensor. A node's backward computes the gradients of its
 Tensor operands and of no other: a product with frozen weights forms no
-gradient for them. A column gather's backward adds run by run
-(``col_runs``, ``add_cols``), in the order ``np.add.at`` would.
+gradient for them.
 
 Graphs are per-step and single-threaded; accumulation order is fixed, so
 identical inputs give bit-identical gradients. A backward consumes its
 graph: once a node with parents has passed its gradient on, it lets go of
 its backward closure (and with it the arrays the op kept for it), its
 parents and its gradient, so a spent loss holds no more than its value
-and the leaves keep only their gradients. A graph is backpropagated once.
+and the leaves keep only their gradients. A graph is backpropagated once:
+a backward that reaches a spent node raises ``ContractViolation``.
 """
 
 from __future__ import annotations
@@ -86,7 +89,9 @@ class Tensor:
         """Fill ``grad`` on every leaf this scalar root reaches, and release
         the graph: each node with parents, this one included, drops its
         backward, its parents and its gradient as soon as it has passed the
-        gradient on (or none reached it). Every node keeps its value."""
+        gradient on (or none reached it), and its parents read as None from
+        then on. Every node keeps its value. A root that reaches a released
+        node raises ``ContractViolation`` and changes no gradient."""
         if self.value.size != 1:
             raise ContractViolation("backward requires a scalar root")
         order: list[Tensor] = []
@@ -100,6 +105,8 @@ class Tensor:
                 seen.add(id(node))
                 order.append(node)
                 continue
+            if node._parents is None:
+                raise ContractViolation("backward through a spent graph")
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen:
@@ -109,8 +116,7 @@ class Tensor:
             if node._parents:
                 if node.grad is not None:
                     node._backward(node.grad)
-                node.grad = node._backward = None
-                node._parents = ()
+                node.grad = node._backward = node._parents = None
 
 
 def _value(x):
@@ -182,48 +188,7 @@ def neg(a):
     return _make(-_value(a), (a,), lambda g: _accum(a, -g))
 
 
-def square(a):
-    av = _value(a)
-    return _make(av * av, (a,), lambda g: _accum(a, 2.0 * g * av))
-
-
-def sqrt(a):
-    out = np.sqrt(_value(a))
-
-    def bwd(g):
-        _accum(a, g / (2.0 * out))
-
-    return _make(out, (a,), bwd)
-
-
-def matmul(a, b):
-    av, bv = _value(a), _value(b)
-
-    def bwd(g):
-        if isinstance(a, Tensor):
-            _accum(a, g @ bv.T)
-        if isinstance(b, Tensor):
-            _accum(b, av.T @ g)
-
-    return _make(av @ bv, (a, b), bwd)
-
-
-# -- elementwise tanh --------------------------------------------------
-
-def tanh(a):
-    out = np.tanh(_value(a))
-
-    def bwd(g):
-        _accum(a, g * (1.0 - out * out))
-
-    return _make(out, (a,), bwd)
-
-
-# -- shape ops ----------------------------------------------------------
-
-def transpose2d(a):
-    return _make(_value(a).T, (a,), lambda g: _accum(a, g.T))
-
+# -- column runs, for a gather's backward ------------------------------
 
 def col_runs(cols: np.ndarray) -> tuple[tuple[slice, slice], ...]:
     """The runs of consecutive columns in ``cols``, in order: per run, its
@@ -245,17 +210,7 @@ def add_cols(full: np.ndarray, runs, g: np.ndarray) -> None:
         full[:, columns] += g[:, entries]
 
 
-def take_cols(a, cols: np.ndarray):
-    """Gather the columns ``cols`` of a 2-D operand; a column may repeat."""
-    out = np.take(_value(a), cols, axis=1)
-
-    def bwd(g):
-        full = np.zeros_like(a.value)
-        add_cols(full, col_runs(cols), g)
-        _accum(a, full)
-
-    return _make(out, (a,), bwd)
-
+# -- reductions ---------------------------------------------------------
 
 def sum_(a, axis=None, keepdims=False):
     # In C order: NumPy rounds a sum over an F-ordered array differently.
@@ -268,28 +223,6 @@ def sum_(a, axis=None, keepdims=False):
         _accum(a, np.broadcast_to(g, a.value.shape).copy())
 
     return _make(out, (a,), bwd)
-
-
-def norm(a):
-    """Zero-safe Euclidean norm along the last axis, which is kept."""
-    return sqrt(sum_(square(a), axis=-1, keepdims=True) + 1e-30)
-
-
-def huber(a, b):
-    """Branch at |a-b| = 1: quadratic inside, linear outside."""
-    diff = _value(a) - _value(b)
-    absd = np.abs(diff)
-    inside = absd <= 1.0
-    out = np.where(inside, 0.5 * diff * diff, absd - 0.5)
-
-    def bwd(g):
-        d = np.where(inside, diff, np.sign(diff))
-        if isinstance(a, Tensor):
-            _accum(a, g * d)
-        if isinstance(b, Tensor):
-            _accum(b, -g * d)
-
-    return _make(out, (a, b), bwd)
 
 
 def cross_entropy(logits, labels):

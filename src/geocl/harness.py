@@ -127,8 +127,7 @@ def stream_from_arrays(x: np.ndarray, y: np.ndarray, steps: int, train_ratio: fl
     if len(labels) % steps != 0:
         raise ConfigurationError(f"{len(labels)} classes do not divide into {steps} steps")
     per_step = len(labels) // steps
-    is_train = np.array([_hash_split(row, int(lab), seed, train_ratio)
-                         for row, lab in zip(x, y)])
+    is_train = _hash_split(x, y, seed, train_ratio)
     for lab in labels:
         if not is_train[y == lab].any():
             raise ConfigurationError(f"class {lab} has no train row at train_ratio {train_ratio}")
@@ -146,12 +145,17 @@ def stream_from_arrays(x: np.ndarray, y: np.ndarray, steps: int, train_ratio: fl
     return tasks
 
 
-def _hash_split(row: np.ndarray, label: int, seed: int, train_ratio: float) -> bool:
-    # One %-format per row; its "%.9g" is "{:.9g}" of each value.
-    payload = f"{seed}:{label}:" + ",".join(["%.9g"] * len(row)) % tuple(row.tolist())
-    digest = hashlib.sha256(payload.encode()).digest()
-    frac = int.from_bytes(digest[:8], "big") / 2**64
-    return frac < train_ratio
+def _hash_split(x: np.ndarray, y: np.ndarray, seed: int, train_ratio: float) -> np.ndarray:
+    """Which rows of ``x`` (labels ``y``) go to train: those whose content
+    hash falls below ``train_ratio``."""
+    # One %-format per row, built once; its "%.9g" is "{:.9g}" of each value.
+    row_format = ",".join(["%.9g"] * x.shape[1])
+    is_train = []
+    for row, lab in zip(x, y):
+        payload = f"{seed}:{int(lab)}:" + row_format % tuple(row.tolist())
+        digest = hashlib.sha256(payload.encode()).digest()
+        is_train.append(int.from_bytes(digest[:8], "big") / 2**64 < train_ratio)
+    return np.array(is_train)
 
 
 # -- memory buffer ------------------------------------------------------
@@ -341,15 +345,14 @@ def _main_training(state: EngineState, task: StreamTask, y_train: np.ndarray,
         feats = mdl.features_t(tensors, x_all[batch])
         loss = mdl.ce_loss_t(feats, wt, y_all[batch], state.space)
         if structure is not None:
+            pairs = np.ix_(idx, idx)
             buf_feats = mdl.features_t(tensors, state.buffer.x[idx])
-            g_term = mdl.angular_reg_loss_t(
-                buf_feats, state.space,
-                structure["prev_cos"][np.ix_(idx, idx)],
-                structure["prev_valid"][np.ix_(idx, idx)])
+            g_term = mdl.angular_reg_loss_t(buf_feats, state.space, structure["prev_cos"][pairs],
+                                            structure["prev_valid"][pairs])
             cap_val = None if not cap else cap * structure["tau2"]
             l_term = mdl.neighbor_robustness_loss_t(
-                buf_feats, state.space,
-                structure["affinity"][np.ix_(idx, idx)].astype(float), repulsion_cap=cap_val)
+                buf_feats, state.space, structure["affinity"][pairs].astype(float),
+                repulsion_cap=cap_val)
             loss = mdl.total_loss_t(loss, cfg["lambda1"], g_term, cfg["lambda2"], l_term)
         if not np.isfinite(loss.value):
             raise NumericalDomainError(

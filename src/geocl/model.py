@@ -4,11 +4,14 @@ The backbone is a two-layer perceptron (affine, tanh, affine) whose output
 is sliced into the factors of the current mixed space. Classification is a
 softmax over negated squared product distances to per-class prototype rows.
 
-A ``*_t`` function records its ops for autodiff when an input is a Tensor,
-and given plain arrays only returns a plain array and makes no Tensor; a
-``*_np`` function is such a call on plain arrays, for evaluation (by
-nearest prototype) and the frozen previous-step model. All of them measure
-with the one op of the product-distance kernel,
+A ``*_t`` function given a Tensor input adds one autodiff node with a
+hand-written backward, on top of the distance op's node where it measures
+(the CE also negates the distances, in a node of its own); given plain
+arrays only it returns a plain array and makes no Tensor. A ``*_np``
+function is plain NumPy, for evaluation (by nearest prototype) and the
+frozen previous-step model. The tangent cosines have one helper, which the
+angular loss and :func:`cosine_matrix_np` share. Every distance comes from
+the one op of the product-distance kernel,
 :func:`geocl.diffgeo.sq_dist_matrix`, and the neighbor loss measures only
 the pairs it weights, the within- and between-class neighbors, through its
 ``pairs`` mask. The previous-step model's distances also come from that
@@ -61,10 +64,28 @@ def features_np(params: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
 
 
 def features_t(params: dict[str, Tensor | np.ndarray], x: np.ndarray):
-    """Backbone features; ``params`` are Tensors to train, or plain arrays,
-    which give a plain array."""
-    h = ad.tanh(ad.matmul(np.atleast_2d(x), params["w1"]) + params["b1"])
-    return ad.matmul(h, params["w2"]) + params["b2"]
+    """Backbone features tanh(x w1 + b1) w2 + b2, one node over the params
+    that are Tensors; plain params give a plain array. The backward forms
+    the gradient of no plain param, and that of the hidden layer only when
+    ``w1`` or ``b1`` trains."""
+    x = np.atleast_2d(x)
+    w1, b1, w2, b2 = (params[k] for k in ("w1", "b1", "w2", "b2"))
+    h = np.tanh(x @ ad._value(w1) + ad._value(b1))
+    w2v = ad._value(w2)
+
+    def bwd(g):
+        if isinstance(b2, Tensor):
+            ad._accum(b2, g)
+        if isinstance(w2, Tensor):
+            ad._accum(w2, h.T @ g)
+        if isinstance(w1, Tensor) or isinstance(b1, Tensor):
+            gz = (g @ w2v.T) * (1.0 - h * h)
+            if isinstance(b1, Tensor):
+                ad._accum(b1, gz)
+            if isinstance(w1, Tensor):
+                ad._accum(w1, x.T @ gz)
+
+    return ad._make(h @ w2v + ad._value(b2), (w1, b1, w2, b2), bwd)
 
 
 # -- distance logits ----------------------------------------------------
@@ -96,7 +117,7 @@ def ce_loss_t(feats, protos, labels: np.ndarray, space: MixedSpace, kmag=None,
 
 # -- structure preservation ---------------------------------------------
 
-def tangent_concat_t(feats, space: MixedSpace):
+def tangent_concat_np(feats: np.ndarray, space: MixedSpace) -> np.ndarray:
     """Concatenated origin-tangent coordinates of the lifted representation.
 
     Inside the injectivity radius log0(exp0(v)) is exactly v, so the
@@ -104,42 +125,61 @@ def tangent_concat_t(feats, space: MixedSpace):
     one gather of the space's columns; computing it this way keeps the
     result exactly curvature-free.
     """
-    space.check_width(np.shape(feats)[-1])
-    return ad.take_cols(feats, space.columns)
+    feats = np.atleast_2d(feats)
+    space.check_width(feats.shape[-1])
+    return np.take(feats, space.columns, axis=1)
 
 
-def tangent_concat_np(feats: np.ndarray, space: MixedSpace) -> np.ndarray:
-    return tangent_concat_t(np.atleast_2d(feats), space)
-
-
-def _tangent_cosines(q) -> tuple:
-    """All-pairs cosines of the rows of a 2-D tangent batch, and which rows
-    have a nonzero norm (a zero row gets cosine 0 with every row)."""
-    n = ad.norm(q)
-    unit = q / n
-    return ad.matmul(unit, ad.transpose2d(unit)), ad._value(n)[:, 0] > geometry.ZERO_TOL
+def _cosines(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All-pairs cosines of the rows of a 2-D tangent batch, its unit rows
+    and its (rows, 1) zero-safe norms; a zero row gets cosine 0 with every
+    row. The squares are summed in C order, so the result does not depend
+    on the memory order of ``q``."""
+    norm = np.sqrt(np.asarray(q * q, order="C").sum(axis=-1, keepdims=True) + 1e-30)
+    unit = q / norm
+    return unit @ unit.T, unit, norm
 
 
 def cosine_matrix_np(tangents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All-pairs cosine matrix plus a validity mask (nonzero-norm rows)."""
-    cos, ok = _tangent_cosines(tangents)
+    cos, _, norm = _cosines(tangents)
+    ok = norm[:, 0] > geometry.ZERO_TOL
     return cos, np.outer(ok, ok)
 
 
 def angular_reg_loss_t(cur_feats, cur_space: MixedSpace, prev_cos: np.ndarray,
                        valid: np.ndarray):
-    """Huber penalty on changes of pairwise origin-tangent cosines.
+    """Huber penalty on changes of pairwise origin-tangent cosines, one node
+    over ``cur_feats``.
 
     ``prev_cos``/``valid`` come from the frozen previous-step model; pairs
-    with a degenerate tangent on either side are skipped via the mask.
+    with a degenerate tangent on either side are skipped via the mask. The
+    Huber branch is at a cosine change of 1: quadratic inside, linear
+    outside. The backward runs the float ops of the gather, norm, cosine,
+    Huber and masked-mean chain it stands for, in their order.
     """
-    q = tangent_concat_t(cur_feats, cur_space)
-    cos_cur, cur_ok = _tangent_cosines(q)
+    q = tangent_concat_np(ad._value(cur_feats), cur_space)
+    cos, unit, norm = _cosines(q)
+    ok = norm[:, 0] > geometry.ZERO_TOL
     b = q.shape[0]
-    mask = np.triu(np.ones((b, b)), k=1) * valid * np.outer(cur_ok, cur_ok)
-    per_pair = ad.huber(cos_cur, prev_cos)
+    mask = np.triu(np.ones((b, b)), k=1) * valid * np.outer(ok, ok)
+    diff = cos - prev_cos
+    absd = np.abs(diff)
+    inside = absd <= 1.0
+    per_pair = np.where(inside, 0.5 * diff * diff, absd - 0.5)
     # Averaged over pairs so the batch-pair count does not set the scale.
-    return ad.sum_(per_pair * mask) * (1.0 / max(mask.sum(), 1.0))
+    scale = 1.0 / max(mask.sum(), 1.0)
+
+    def bwd(g):
+        g_cos = g * scale * mask * np.where(inside, diff, np.sign(diff))
+        g_unit = g_cos @ unit + (unit.T @ g_cos).T
+        g_norm = (-g_unit * q / (norm * norm)).sum(axis=-1, keepdims=True)
+        g_q = g_unit / norm + 2.0 * (g_norm / (2.0 * norm)) * q
+        g_feats = np.zeros_like(cur_feats.value)
+        ad.add_cols(g_feats, ad.col_runs(cur_space.columns), g_q)
+        ad._accum(cur_feats, g_feats)
+
+    return ad._make(np.asarray(per_pair * mask, order="C").sum() * scale, (cur_feats,), bwd)
 
 
 def affinity_matrix(sq_dists: np.ndarray, labels: np.ndarray, tau2: float) -> np.ndarray:
@@ -177,26 +217,34 @@ def neighbor_robustness_loss_t(cur_feats, cur_space: MixedSpace, affinity: np.nd
     Only the pairs i < j with a nonzero affinity (the within- and
     between-class neighbors) are measured, through the ``pairs`` mask of
     :func:`diffgeo.sq_dist_matrix`; every other pair has weight 0. The sum
-    is averaged over all b(b-1)/2 pairs of the batch.
+    is averaged over all b(b-1)/2 pairs of the batch, in one node over the
+    distances.
     """
     b = cur_feats.shape[0]
     weight = np.triu(np.ones((b, b)), k=1) * affinity
     psi2 = diffgeo.sq_dist_matrix(cur_feats, cur_feats, cur_space, kmag=kmag,
                                   pairs=weight != 0)
+    d2 = ad._value(psi2)
     if repulsion_cap is not None:
         # Stop pushing apart pairs already separated past the cap.
-        capped = (weight < 0) & (ad._value(psi2) > repulsion_cap)
-        weight = np.where(capped, 0.0, weight)
-    n_pairs = b * (b - 1) / 2.0
-    return ad.sum_(psi2 * weight) * (1.0 / max(n_pairs, 1.0))
+        weight = np.where((weight < 0) & (d2 > repulsion_cap), 0.0, weight)
+    scale = 1.0 / max(b * (b - 1) / 2.0, 1.0)
+    return ad._make(np.asarray(d2 * weight, order="C").sum() * scale, (psi2,),
+                    lambda g: ad._accum(psi2, g * scale * weight))
 
 
-def total_loss_t(ce: Tensor, lam1: float, global_term: Tensor | None,
-                 lam2: float, local_term: Tensor | None) -> Tensor:
-    loss = ce
+def total_loss_t(ce, lam1: float, global_term, lam2: float, local_term):
+    """ce + lam1 * global_term + lam2 * local_term, one node; a term given as
+    None is left out."""
+    value = ad._value(ce)
     if global_term is not None:
-        loss = loss + lam1 * global_term
+        value = value + lam1 * ad._value(global_term)
     if local_term is not None:
-        loss = loss + lam2 * local_term
-    return loss
+        value = value + lam2 * ad._value(local_term)
 
+    def bwd(g):
+        for term, lam in ((ce, 1.0), (global_term, lam1), (local_term, lam2)):
+            if isinstance(term, Tensor):
+                ad._accum(term, g * lam)
+
+    return ad._make(value, (ce, global_term, local_term), bwd)

@@ -9,10 +9,12 @@ from geocl import model as mdl
 from geocl.errors import ContractViolation
 from geocl.gis import build_pool
 from geocl.model import Backbone
+from geocl.product import FactorSpec, MixedSpace
 
 # The default pool: seven hyperbolic factors of width 4, then one spherical
 # factor of width 4, four of width 8 and two of width 16.
 POOL = build_pool(32, [4, 8, 16])
+EUCLID2, EUCLID4 = (MixedSpace((FactorSpec(0, 1, d, 0.0),)) for d in (2, 4))
 
 
 def scalar(x):
@@ -28,9 +30,9 @@ class TestBasics:
         assert abs(x.grad - 3.0) <= 1e-10
 
     def test_chain_and_fanout(self):
-        # f = x^2 + x * x -> f' = 4x
+        # f = x * x + x * x -> f' = 4x
         x = scalar(0.5)
-        y = ad.sum_(ad.square(x) + x * x)
+        y = ad.sum_(x * x + x * x)
         y.backward()
         assert x.grad == pytest.approx(2.0, abs=1e-12)
 
@@ -47,32 +49,29 @@ class TestBasics:
         with pytest.raises(ContractViolation):
             t.backward()
 
-    def test_matmul(self):
-        rng = np.random.default_rng(0)
-        a = ad.Tensor(rng.normal(size=(2, 3)))
-        b = ad.Tensor(rng.normal(size=(3, 2)))
-        ad.sum_(ad.matmul(a, b)).backward()
-        np.testing.assert_allclose(a.grad, np.ones((2, 2)) @ b.value.T, atol=1e-12)
-        np.testing.assert_allclose(b.grad, a.value.T @ np.ones((2, 2)), atol=1e-12)
-
 
 class TestTakeCols:
+    """The angular loss's gather of a space's columns: ``np.take`` forward,
+    and a backward that adds the columns back run by run."""
+
     # The default pool's 14 factors cover every one of 32 columns three times.
     COLS = POOL.columns
 
     def test_equals_concatenated_slices_in_c_order(self):
         x = np.random.default_rng(0).normal(size=(5, 32))
-        out = ad.take_cols(x, self.COLS)
+        out = mdl.tangent_concat_np(x, POOL)
         want = np.concatenate([x[:, f.slice_start - 1:f.slice_end]
                                for f in POOL.factors], axis=1)
         assert out.flags.c_contiguous
         np.testing.assert_array_equal(out, want)
 
     def test_gradcheck(self):
-        scale = np.random.default_rng(1).normal(size=(3, len(self.COLS)))
+        rng = np.random.default_rng(1)
+        prev_cos, valid = mdl.cosine_matrix_np(mdl.tangent_concat_np(rng.normal(size=(3, 32)),
+                                                                     POOL))
 
         def build(t):
-            return ad.sum_(ad.square(ad.take_cols(t["x"], self.COLS)) * scale)
+            return mdl.angular_reg_loss_t(t["x"], POOL, prev_cos, valid)
 
         err = ad.gradcheck(build, lambda rng: {"x": rng.normal(size=(3, 32))}, rng=2)
         assert err <= 1e-6
@@ -85,12 +84,12 @@ class TestTakeCols:
     def test_backward_equals_add_at(self, cols):
         cols = np.array(cols)
         rng = np.random.default_rng(3)
-        x = ad.Tensor(rng.normal(size=(16, 32)))
         g = rng.normal(size=(16, len(cols)))
-        ad.sum_(ad.take_cols(x, cols) * g).backward()
+        got = np.zeros((16, 32))
+        ad.add_cols(got, ad.col_runs(cols), g)
         want = np.zeros((16, 32))
         np.add.at(want, (slice(None), cols), g)
-        assert np.array_equal(x.grad, want)
+        assert np.array_equal(got, want)
 
 
 class TestConstants:
@@ -101,7 +100,10 @@ class TestConstants:
     OPS = {
         "mul-float": (lambda t, c: t * c, 2.0),
         "mul-array": (lambda t, c: t * c, ARRAY),
-        "huber-array": (ad.huber, ARRAY),
+        # The angular loss's Huber penalty against plain previous cosines.
+        "huber-array": (lambda t, c: mdl.angular_reg_loss_t(t, EUCLID4, c, np.ones((3, 3))),
+                        ARRAY[:, :3]),
+        "total-loss-plain-term": (lambda t, c: mdl.total_loss_t(t, 0.5, c, 2.0, None), ARRAY),
         "cross-entropy": (ad.cross_entropy, np.array([0, 3, 1])),
     }
 
@@ -139,7 +141,7 @@ class TestConstants:
         with pytest.raises(TypeError):
             op(self.ARRAY[0, :3], ad.Tensor(np.ones(3)))
 
-    @pytest.mark.parametrize("op", [ad.mul, ad.div, ad.matmul])
+    @pytest.mark.parametrize("op", [ad.mul, ad.div])
     @pytest.mark.parametrize("frozen", [0, 1], ids=["left-frozen", "right-frozen"])
     def test_frozen_operand_gradient_not_computed(self, op, frozen, monkeypatch):
         rng = np.random.default_rng(6)
@@ -159,48 +161,38 @@ class TestConstants:
         assert not any(t is (a, b)[frozen] for t in reached)
 
 
-class TestElementwiseGradients:
-    @pytest.mark.parametrize("op,ref", [
-        (ad.tanh, lambda x: 1 - np.tanh(x) ** 2),
-        (ad.square, lambda x: 2 * x),
-    ])
-    def test_closed_form(self, op, ref):
-        x = ad.Tensor(np.array([0.1, -0.3, 0.45]))
-        ad.sum_(op(x)).backward()
-        np.testing.assert_allclose(x.grad, ref(x.value), atol=1e-10)
-
-    def test_sqrt(self):
-        x = ad.Tensor(np.array([0.25, 4.0]))
-        ad.sum_(ad.sqrt(x)).backward()
-        np.testing.assert_allclose(x.grad, 0.5 / np.sqrt(x.value), atol=1e-12)
-
-    def test_norm_zero_safe(self):
-        x = ad.Tensor(np.zeros((1, 3)))
-        ad.sum_(ad.norm(x)).backward()
-        assert np.all(np.isfinite(x.grad))
-
-
 class TestMemoryOrder:
     """A reduction gives the same bits on an F-ordered operand as on its
     C-ordered copy."""
 
     Q = np.random.default_rng(7).normal(size=(64, 96))
 
-    @pytest.mark.parametrize("op", [ad.norm, lambda a: ad.sum_(a, axis=-1)],
+    @pytest.mark.parametrize("op", [lambda a: mdl._cosines(a)[2], lambda a: ad.sum_(a, axis=-1)],
                              ids=["norm", "sum"])
     def test_fortran_order_gives_the_same_bits(self, op):
         assert np.array_equal(op(np.asfortranarray(self.Q)), op(self.Q))
 
 
 class TestHuber:
+    """The angular loss's Huber penalty on one pair of orthogonal rows
+    (cosine 0) against a previous cosine ``prev``: the loss is the penalty
+    of the change -prev, and each row's gradient is the penalty's slope
+    along the other row."""
+
+    @staticmethod
+    def loss(feats, prev):
+        return mdl.angular_reg_loss_t(feats, EUCLID2, np.array([[1.0, prev], [prev, 1.0]]),
+                                      np.ones((2, 2)))
+
     def test_values_at_branch(self):
-        out = ad.huber(np.array([0.5, 3.0, 1.0]), np.zeros(3))
+        out = [self.loss(np.eye(2), prev) for prev in (0.5, -3.0, 1.0)]
         np.testing.assert_allclose(out, [0.125, 2.5, 0.5], atol=1e-12)
 
     def test_gradient_both_branches(self):
-        a = ad.Tensor(np.array([0.5, -3.0]))
-        ad.sum_(ad.huber(a, np.zeros(2))).backward()
-        np.testing.assert_allclose(a.grad, [0.5, -1.0], atol=1e-12)
+        for prev, slope in ((0.5, -0.5), (-3.0, 1.0)):
+            feats = ad.Tensor(np.eye(2))
+            self.loss(feats, prev).backward()
+            np.testing.assert_allclose(feats.grad, [[0.0, slope], [slope, 0.0]], atol=1e-12)
 
 
 def chain_cross_entropy(logits, labels):
@@ -289,8 +281,8 @@ class TestSoftmaxCE:
 class TestGradcheck:
     def test_distance_style_loss(self):
         def build(t):
-            d2 = ad.sum_(ad.square(t["x"] - t["w"]), axis=-1)
-            return ad.sum_(ad.sqrt(d2 + 1e-12))
+            d2 = ad.sum_((t["x"] - t["w"]) * (t["x"] - t["w"]), axis=-1)
+            return ad.sum_(d2 / (d2 + 1.0))
 
         err = ad.gradcheck(
             build,
@@ -300,16 +292,18 @@ class TestGradcheck:
         assert err <= 1e-6
 
     def test_transcendental_chain(self):
-        def build(t):
-            h = ad.tanh(t["v"]) * 0.9
-            return ad.sum_(ad.sqrt(ad.square(h) + 1.0) / ad.norm(h))
+        # tanh in the backbone, exp and log in the cross-entropy
+        x = np.random.default_rng(1).normal(size=(4, 3))
 
-        err = ad.gradcheck(build, lambda rng: {"v": rng.normal(size=5)}, trials=3, rng=1)
+        def build(t):
+            return ad.cross_entropy(mdl.features_t(t, x), np.array([0, 2, 1, 2]))
+
+        err = ad.gradcheck(build, Backbone(3, 5, 3).init_params, trials=3, rng=1)
         assert err <= 1e-6
 
     def test_deterministic_given_seed(self):
         def build(t):
-            return ad.sum_(ad.square(t["v"]))
+            return ad.sum_(t["v"] * t["v"])
 
         runs = [ad.gradcheck(build, lambda rng: {"v": rng.normal(size=4)}, rng=42)
                 for _ in range(2)]
@@ -374,16 +368,34 @@ class TestGraphRelease:
         arrays, build = main_training_case()
         leaves, ref_leaves = ([ad.Tensor(a) for a in arrays] for _ in range(2))
         loss, ref = build(leaves), build(ref_leaves)
-        interior = [n for n in topological_order(loss) if n._parents]
+        order = topological_order(loss)
+        interior = [n for n in order if n._parents]
         values = [n.value.copy() for n in interior]
-        assert len(interior) > 20
+        # Five leaves and nine ops: two backbone passes; the CE's distances,
+        # negation and cross-entropy; the angular loss; the neighbor loss's
+        # distances and weighted mean; the total.
+        assert (len(order), len(interior)) == (14, 9)
         loss.backward()
         retaining_backward(ref)
         for node, value in zip(interior, values):
-            assert node._parents == () and node._backward is None and node.grad is None
+            assert node._parents is None and node._backward is None and node.grad is None
             assert np.array_equal(node.value, value)
         for leaf, want in zip(leaves, ref_leaves):
             assert leaf.grad.tobytes() == want.grad.tobytes()
+
+    @pytest.mark.parametrize("second", [
+        lambda y, root: root,                    # the spent root again
+        lambda y, root: ad.sum_(y * 3.0),        # a new root over a spent node
+    ], ids=["root", "interior"])
+    def test_backward_through_a_spent_graph_raises(self, second):
+        x = ad.Tensor(np.ones(3))
+        y = x * 2.0
+        root = ad.sum_(y)
+        root.backward()
+        again = second(y, root)
+        with pytest.raises(ContractViolation):
+            again.backward()
+        assert np.array_equal(x.grad, np.full(3, 2.0))
 
     def test_spent_graph_holds_only_leaf_gradients(self):
         """After its backward, a loss the caller still holds keeps at most

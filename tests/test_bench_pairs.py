@@ -69,14 +69,36 @@ def test_pair_lines_alternate_which_tree_goes_first():
 def test_summary_of_four_pairs():
     pairs = pairs_of([(1.6, 1.4), (1.5, 1.3), (1.7, 1.45), (1.4, 1.5)], failed_pair=3)
     lines = bench_pairs.summarize(pairs, BETTER)
-    assert len(lines) == 3 + 1
+    assert len(lines) == 2 * 3 + 1
     # Parent 1.4 1.5 1.6 1.7 and change 1.3 1.4 1.45 1.5, linear interpolation.
     assert lines[0].startswith("run_s (s, lower is better): parent median 1.55 "
                                "[q1 1.475, q3 1.625], change median 1.425 [q1 1.375, q3 1.4625];")
     assert "median difference -0.125 against parent IQR 0.15" in lines[0]
     assert lines[0].endswith("change better in 3/4 pairs")
-    assert lines[1].endswith("change better in 0/4 pairs")  # equal set-up times
+    assert lines[1] == ("run_s: gain rule not met (>= 10 pairs, better in >= 9/10, median gain "
+                        "> parent IQR): 4 pairs, better in 3, median gain +0.125 against "
+                        "parent IQR 0.15")
+    assert lines[2].endswith("change better in 0/4 pairs")  # equal set-up times
     assert lines[-1] == "failed runs: parent 0 of 32, change 1 of 32"
+
+
+@pytest.mark.parametrize("runs, better, met", [
+    ([(1.0 + i / 100, 0.9 + i / 100) for i in range(10)], "lower", True),
+    # Nine wins and one loss: nine tenths.
+    ([(1.0 + i / 100, 0.9 + i / 100) for i in range(9)] + [(1.0, 1.2)], "lower", True),
+    # Eight wins and a tie.
+    ([(1.0 + i / 100, 0.9 + i / 100) for i in range(8)] + [(1.0, 1.2), (1.1, 1.1)],
+     "lower", False),
+    # Every pair better, but by less than the parent's spread.
+    ([(1.0 + i / 10, 0.99 + i / 10) for i in range(10)], "lower", False),
+    ([(1.0 + i / 100, 0.9 + i / 100) for i in range(9)], "lower", False),  # nine pairs
+    ([(0.9 + i / 100, 1.0 + i / 100) for i in range(10)], "higher", True),
+    ([(1.0 + i / 100, 0.9 + i / 100) for i in range(10)], "higher", False),
+], ids=["ten-of-ten", "nine-of-ten", "eight-and-a-tie", "within-iqr", "nine-pairs",
+        "higher-better", "higher-worse"])
+def test_gain_rule(runs, better, met):
+    line = bench_pairs.summarize(pairs_of(runs), {"run_s": better})[1]
+    assert line.startswith(f"run_s: gain rule {'met' if met else 'not met'} (")
 
 
 def test_summary_skips_a_pair_without_result():
@@ -87,7 +109,7 @@ def test_summary_skips_a_pair_without_result():
     lines = bench_pairs.summarize(pairs, {"run_s": "lower"})
     assert lines[0].startswith("run_s (s, lower is better): parent median 1 [q1 1, q3 1]")
     assert lines[0].endswith("change better in 1/1 pairs")
-    assert lines[1] == "failed runs: parent 0 of 16, change 0 of 8"
+    assert lines[2] == "failed runs: parent 0 of 16, change 0 of 8"
 
 
 def write_children(tree, workload, seed, children):
@@ -131,5 +153,5 @@ def test_run_bench_adds_the_wall_clock_medians(tmp_path):
     assert result["metrics"]["wall_clock.setup_s"]["value"] == pytest.approx(0.15)
     better = dict(BETTER, **dict.fromkeys(bench_pairs.WALL_CLOCK, "lower"))
     lines = bench_pairs.summarize([(result, result)], better)
-    assert lines[3].startswith("wall_clock.run_s (s, lower is better): parent median 0.5 ")
-    assert lines[4].startswith("wall_clock.setup_s (s, lower is better): parent median 0.15 ")
+    assert lines[6].startswith("wall_clock.run_s (s, lower is better): parent median 0.5 ")
+    assert lines[8].startswith("wall_clock.setup_s (s, lower is better): parent median 0.15 ")

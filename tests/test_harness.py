@@ -240,7 +240,7 @@ def test_hash_split_payload_is_per_scalar_formatting(row, monkeypatch):
     real = harness.hashlib.sha256
     monkeypatch.setattr(harness.hashlib, "sha256",
                         lambda data: payloads.append(data) or real(data))
-    harness._hash_split(row, 3, 7, 0.8)
+    harness._hash_split(row[None], [3], 7, 0.8)
     assert payloads == [("7:3:" + ",".join(f"{v:.9g}" for v in row)).encode()]
 
 
@@ -255,7 +255,7 @@ def test_hash_split_payload_equals_per_value_format(values):
     real = hashlib.sha256
     with mock.patch.object(harness.hashlib, "sha256",
                            lambda data: payloads.append(data) or real(data)):
-        harness._hash_split(row, 3, 7, 0.8)
+        harness._hash_split(row[None], [3], 7, 0.8)
     assert payloads == [("7:3:" + ",".join(map("{:.9g}".format, row.tolist()))).encode()]
 
 

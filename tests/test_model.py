@@ -322,6 +322,121 @@ class TestOverlappingSlices:
         assert err <= 1e-4
 
 
+class TestFusedOps:
+    """The backbone, the angular loss, the neighbor loss's weighted mean and
+    the total loss are one node each, with a hand-written backward."""
+
+    SPACE = gis.build_pool(8, [2, 4])
+    rng = np.random.default_rng(71)
+    X = rng.normal(0.0, 1.0, (5, 3))
+    FEATS = rng.normal(0.0, 0.5, (5, 8))
+    ZERO_ROW = 2
+    KEEP = np.ones((5, 1))
+    KEEP[ZERO_ROW] = 0.0
+    # Previous cosines that put each pair's change at 0.4 (the Huber
+    # penalty's quadratic branch) or 1.5 (its linear branch) at FEATS.
+    upper = np.triu(np.where(rng.random((5, 5)) < 0.5, 0.4, 1.5), k=1)
+    PREV_COS = (model.cosine_matrix_np(model.tangent_concat_np(FEATS * KEEP, SPACE))[0]
+                - upper - upper.T)
+    upper = np.triu(rng.choice([-1.0, 0.0, 1.0], (5, 5)), k=1)
+    AFFINITY = upper + upper.T
+
+    def angular(self, feats):
+        """The angular loss with row ZERO_ROW held at zero, so that it has a
+        zero tangent and no valid pair."""
+        return model.angular_reg_loss_t(feats * self.KEEP, self.SPACE, self.PREV_COS,
+                                        np.ones((5, 5)))
+
+    # name -> (loss over a dict of operands, sampler of those operands)
+    CASES = {
+        "features": (
+            lambda s, t: ad.sum_(model.features_t(t, s.X) * s.FEATS[:, :4]),
+            lambda s, rng: model.Backbone(3, 6, 4).init_params(rng)),
+        "angular": (
+            lambda s, t: s.angular(t["feats"]),
+            lambda s, rng: {"feats": s.FEATS.copy()}),
+        "neighbor": (
+            lambda s, t: model.neighbor_robustness_loss_t(t["feats"], s.SPACE, s.AFFINITY,
+                                                          kmag=t["kmag"], repulsion_cap=4.0),
+            lambda s, rng: {"feats": rng.normal(0.0, 0.5, (5, 8)),
+                            "kmag": rng.uniform(0.5, 2.0, s.SPACE.size)}),
+        "total": (
+            lambda s, t: model.total_loss_t(t["ce"], 0.7, t["g"], 1.3, t["l"]),
+            lambda s, rng: {k: rng.normal(size=()) for k in ("ce", "g", "l")}),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_gradcheck(self, name):
+        build, sampler = self.CASES[name]
+        err = ad.gradcheck(lambda t: build(self, t), lambda rng: sampler(self, rng),
+                           trials=2, rng=72)
+        assert err <= 1e-6
+
+    def test_angular_covers_both_huber_branches(self):
+        cos, valid = model.cosine_matrix_np(model.tangent_concat_np(self.FEATS * self.KEEP,
+                                                                     self.SPACE))
+        change = np.abs(cos - self.PREV_COS)[np.triu(valid, k=1)]
+        assert (change < 0.5).any() and (change > 1.4).any()
+
+    def test_angular_zero_norm_row(self):
+        feats = Tensor(self.FEATS)
+        loss = self.angular(feats)
+        loss.backward()
+        assert np.isfinite(loss.value) and np.isfinite(feats.grad).all()
+        assert not feats.grad[self.ZERO_ROW].any() and feats.grad.any()
+
+    @pytest.mark.parametrize("frozen", [("w1",), ("b1",), ("w1", "b1"), ("w2", "b2"),
+                                        ("w1", "b1", "b2")], ids="-".join)
+    def test_features_frozen_params(self, frozen, monkeypatch):
+        """A plain param gets no gradient, and the trained ones get those of
+        the call with every param trained, bit for bit."""
+        params = model.Backbone(3, 6, 4).init_params(np.random.default_rng(73))
+        g = self.FEATS[:, :4]
+        full = {k: Tensor(v) for k, v in params.items()}
+        ad.sum_(model.features_t(full, self.X) * g).backward()
+        reached = []
+        accum = ad._accum
+        monkeypatch.setattr(ad, "_accum", lambda t, grad: reached.append(t) or accum(t, grad))
+        t = {k: v if k in frozen else Tensor(v) for k, v in params.items()}
+        ad.sum_(model.features_t(t, self.X) * g).backward()
+        leaves = {id(v): k for k, v in t.items()}
+        assert sorted(leaves[id(r)] for r in reached if id(r) in leaves) == sorted(
+            k for k in params if k not in frozen)
+        for k in params:
+            if k not in frozen:
+                assert np.array_equal(t[k].grad, full[k].grad), k
+
+    @pytest.mark.parametrize("trained, reads", [(("b2",), 0), (("b1", "b2"), 1)],
+                             ids=["second-layer", "first-layer"])
+    def test_features_hidden_gradient_only_when_the_first_layer_trains(self, trained, reads):
+        """The backward reads w2's transpose only to form the hidden layer's
+        gradient, which only w1 and b1 need."""
+        class Watched(np.ndarray):
+            reads = 0
+
+            @property
+            def T(self):
+                Watched.reads += 1
+                return super().T
+
+        params = model.Backbone(3, 6, 4).init_params(np.random.default_rng(74))
+        params["w2"] = params["w2"].view(Watched)
+        t = {k: Tensor(v) if k in trained else v for k, v in params.items()}
+        ad.sum_(model.features_t(t, self.X)).backward()
+        assert Watched.reads == reads
+
+    def test_total_loss_plain_term(self, monkeypatch):
+        ce, local = Tensor(1.5), Tensor(-0.5)
+        reached = []
+        accum = ad._accum
+        monkeypatch.setattr(ad, "_accum", lambda t, grad: reached.append(t) or accum(t, grad))
+        loss = model.total_loss_t(ce, 0.7, np.float64(2.0), 1.3, local)
+        assert loss._parents == (ce, local)
+        loss.backward()
+        assert reached == [ce, local]
+        assert (float(ce.grad), float(local.grad)) == (1.0, 1.3)
+
+
 class TestTotalLoss:
     def test_weighted_sum(self):
         ce = Tensor(np.array(2.0))
@@ -359,12 +474,6 @@ class TestPlainInPlainOut:
         "features_t": (
             lambda s: model.features_t(s.PARAMS, s.X),
             lambda s: model.features_t({k: Tensor(v) for k, v in s.PARAMS.items()}, s.X)),
-        "tangent_concat_np": (
-            lambda s: model.tangent_concat_np(s.FEATS, s.SPACE),
-            lambda s: model.tangent_concat_t(Tensor(s.FEATS), s.SPACE)),
-        "cosine_matrix_np": (
-            lambda s: model.cosine_matrix_np(s.FEATS)[0],
-            lambda s: model._tangent_cosines(Tensor(s.FEATS))[0]),
         "sq_dist_matrix": (
             lambda s: diffgeo.sq_dist_matrix(s.FEATS, s.PROTOS, s.SPACE, s.KMAG, s.WEIGHTS),
             lambda s: diffgeo.sq_dist_matrix(Tensor(s.FEATS), Tensor(s.PROTOS), s.SPACE,
@@ -386,12 +495,22 @@ class TestPlainInPlainOut:
                                                        repulsion_cap=1.0),
             lambda s: model.neighbor_robustness_loss_t(Tensor(s.FEATS), s.SPACE, s.AFFINITY,
                                                        Tensor(s.KMAG), repulsion_cap=1.0)),
+        "total_loss_t": (
+            lambda s: model.total_loss_t(np.float64(0.5), 0.7, np.float64(2.0), 0.3,
+                                         np.float64(-1.0)),
+            lambda s: model.total_loss_t(Tensor(0.5), 0.7, Tensor(2.0), 0.3, Tensor(-1.0))),
     }
 
     @pytest.mark.parametrize("name", CALLS)
-    def test_plain_result_equals_tensor_value(self, name):
+    def test_plain_result_equals_tensor_value(self, name, monkeypatch):
         plain_call, tensor_call = self.CALLS[name]
+        made = []
+        init = Tensor.__init__
+        monkeypatch.setattr(Tensor, "__init__",
+                            lambda obj, *args, **kwargs: made.append(obj) or init(obj, *args,
+                                                                                  **kwargs))
         plain = plain_call(self)
+        assert made == []
         recorded = tensor_call(self)
         assert type(plain) in (np.ndarray, np.float64)
         assert isinstance(recorded, Tensor)

@@ -14,7 +14,11 @@ both trees' end-to-end metrics and failed/attempted run counts. Then, per
 metric, it gives each tree's median and quartiles (linear interpolation)
 over the pairs, the change's median over the parent's, the parent's
 interquartile range, and in how many pairs the change was better, in the
-direction CHANGE's ``BENCHMARK.json`` declares.
+direction CHANGE's ``BENCHMARK.json`` declares. A second line per metric
+says whether the change meets the gain rule: at least ten pairs, the
+change better in at least nine tenths of them (a tie counts as not
+better), and its median better than the parent's by more than the parent's
+interquartile range.
 
 Beside the runner's ``run_s`` and ``setup_s``, which are scaled by each
 child's calibration samples, it prints the raw wall-clock medians
@@ -119,9 +123,10 @@ def pair_line(index: int, seed: int, pair: tuple[dict, dict], names) -> str:
 
 
 def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[str]:
-    """Summary lines over the (parent, change) results of all pairs, one per
-    metric and one of failed runs; ``better`` maps each end-to-end metric to
-    ``"lower"`` or ``"higher"``."""
+    """Summary lines over the (parent, change) results of all pairs, two per
+    metric (its summary, then the gain rule's verdict) and one of failed
+    runs; ``better`` maps each end-to-end metric to ``"lower"`` or
+    ``"higher"``."""
     lines = []
     for name, direction in better.items():
         both = [(_value(p, name), _value(c, name)) for p, c in pairs]
@@ -133,6 +138,7 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[st
                     if name in r["metrics"])
         (pq1, pmed, pq3), (cq1, cmed, cq3) = (_quartiles(list(column)) for column in zip(*both))
         wins = sum((c < p) if direction == "lower" else (c > p) for p, c in both)
+        gain = pmed - cmed if direction == "lower" else cmed - pmed
         ratio = f"{cmed / pmed:.4g}" if pmed else "-"
         lines.append(
             f"{name} ({unit}, {direction} is better): parent median {pmed:.6g} "
@@ -140,6 +146,11 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[st
             f"[q1 {cq1:.6g}, q3 {cq3:.6g}]; change/parent {ratio}; "
             f"median difference {cmed - pmed:+.6g} against parent IQR {pq3 - pq1:.6g}; "
             f"change better in {wins}/{len(both)} pairs")
+        met = len(both) >= 10 and 10 * wins >= 9 * len(both) and gain > pq3 - pq1
+        lines.append(
+            f"{name}: gain rule {'met' if met else 'not met'} (>= 10 pairs, better in "
+            f">= 9/10, median gain > parent IQR): {len(both)} pairs, better in {wins}, "
+            f"median gain {gain:+.6g} against parent IQR {pq3 - pq1:.6g}")
     failed = [sum(r["failed"] or 0 for r in column) for column in zip(*pairs)]
     attempted = [sum(r["attempted"] or 0 for r in column) for column in zip(*pairs)]
     lines.append(f"failed runs: parent {failed[0]} of {attempted[0]}, "
