@@ -3,23 +3,23 @@
 A ``Tensor`` is a node that a backward reaches: a leaf to train, or the
 result of an op over one. It wraps an ndarray and remembers how it was
 produced; calling ``backward`` on a scalar loss fills ``grad`` on every
-leaf it reaches. The op set is deliberately closed to what the engine and
-its checks call: arithmetic, sums and the softmax cross-entropy. The rest
-of the engine's math is fused ops with a hand-written backward (the
-product-distance kernel in ``geocl.diffgeo``; the backbone, the angular
-loss, the neighbor loss's weighted mean and the total loss in
-``geocl.model``); such an op reads its operands with ``_value``, builds its
-node with ``_make`` and hands its gradients to ``_accum``. A gather of
-columns adds its gradient back run by run (``col_runs``, ``add_cols``), in
-the order ``np.add.at`` would.
+leaf it reaches. A Tensor has no arithmetic: an expression over one
+raises ``TypeError``. The op set is closed to what the engine and its
+checks call: the softmax cross-entropy over squared distances and the sum
+that probes a gradient check. The rest of the engine's math is fused ops
+with a hand-written backward (the product-distance kernel in
+``geocl.diffgeo``; the backbone, the angular loss, the neighbor loss's
+weighted mean and the total loss in ``geocl.model``); such an op reads its
+operands with ``_value``, builds its node with ``_make`` and hands its
+gradients to ``_accum``. A gather of columns adds its gradient back run by
+run (``col_runs``, ``add_cols``), in the order ``np.add.at`` would.
 
 Whatever does not train is a plain value: every operand of an op may be
-an ndarray, and either operand of an arithmetic op a float. A node keeps
-as parents only its operands that are Tensors, and an op given none
-returns a plain array, so forward-only work (evaluation, a frozen model's
-features) makes no Tensor. A node's backward computes the gradients of its
-Tensor operands and of no other: a product with frozen weights forms no
-gradient for them.
+an ndarray. A node keeps as parents only its operands that are Tensors,
+and an op given none returns a plain array, so forward-only work
+(evaluation, a frozen model's features) makes no Tensor. A node's backward
+computes the gradients of its Tensor operands and of no other: a
+distance to frozen prototypes forms no gradient for them.
 
 Graphs are per-step and single-threaded; accumulation order is fixed, so
 identical inputs give bit-identical gradients. A backward consumes its
@@ -51,9 +51,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 class Tensor:
     __slots__ = ("value", "grad", "_parents", "_backward")
-    # An ndarray left of + or * defers to the Tensor's operator (a node);
-    # left of - or / it raises TypeError instead of making object arrays.
-    __array_ufunc__ = None
 
     def __init__(self, value, parents=(), backward=None):
         self.value = np.asarray(value, dtype=float)
@@ -64,26 +61,6 @@ class Tensor:
     @property
     def shape(self):
         return self.value.shape
-
-    # -- operator sugar; the other operand may be a plain value ----------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
     def backward(self):
         """Fill ``grad`` on every leaf this scalar root reaches, and release
@@ -138,56 +115,6 @@ def _accum(t: Tensor, g: np.ndarray):
     t.grad = g if t.grad is None else t.grad + g
 
 
-# -- arithmetic; either operand may be a plain value --------------------
-
-def add(a, b):
-    def bwd(g):
-        if isinstance(a, Tensor):
-            _accum(a, g)
-        if isinstance(b, Tensor):
-            _accum(b, g)
-
-    return _make(_value(a) + _value(b), (a, b), bwd)
-
-
-def sub(a, b):
-    def bwd(g):
-        if isinstance(a, Tensor):
-            _accum(a, g)
-        if isinstance(b, Tensor):
-            _accum(b, -g)
-
-    return _make(_value(a) - _value(b), (a, b), bwd)
-
-
-def mul(a, b):
-    av, bv = _value(a), _value(b)
-
-    def bwd(g):
-        if isinstance(a, Tensor):
-            _accum(a, g * bv)
-        if isinstance(b, Tensor):
-            _accum(b, g * av)
-
-    return _make(av * bv, (a, b), bwd)
-
-
-def div(a, b):
-    av, bv = _value(a), _value(b)
-
-    def bwd(g):
-        if isinstance(a, Tensor):
-            _accum(a, g / bv)
-        if isinstance(b, Tensor):
-            _accum(b, -g * av / (bv * bv))
-
-    return _make(av / bv, (a, b), bwd)
-
-
-def neg(a):
-    return _make(-_value(a), (a,), lambda g: _accum(a, -g))
-
-
 # -- column runs, for a gather's backward ------------------------------
 
 def col_runs(cols: np.ndarray) -> tuple[tuple[slice, slice], ...]:
@@ -210,25 +137,22 @@ def add_cols(full: np.ndarray, runs, g: np.ndarray) -> None:
         full[:, columns] += g[:, entries]
 
 
-# -- reductions ---------------------------------------------------------
+# -- the probe and the loss ---------------------------------------------
 
-def sum_(a, axis=None, keepdims=False):
+def sum_(a):
+    """The sum of every entry of ``a``, one node: the scalar probe of a
+    gradient check."""
     # In C order: NumPy rounds a sum over an F-ordered array differently.
-    out = np.asarray(_value(a), order="C").sum(axis=axis, keepdims=keepdims)
-
-    def bwd(g):
-        g = np.asarray(g, dtype=float)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.value.shape).copy())
-
-    return _make(out, (a,), bwd)
+    out = np.asarray(_value(a), order="C").sum()
+    return _make(out, (a,), lambda g: _accum(a, np.broadcast_to(g, a.value.shape).copy()))
 
 
-def cross_entropy(logits, labels):
-    """Mean negative log softmax probability of the true labels of the rows
-    of 2-D ``logits``; its gradient is (softmax - one-hot) / n."""
-    lv = _value(logits)
+def cross_entropy(sq_dists, labels):
+    """Mean negative log softmax probability of the true labels, the logits
+    being the negated squared distances ``sq_dists`` (rows, classes); its
+    gradient is (one-hot - softmax) / n. Negation is exact, so the value and
+    gradient are those of the CE of the logits bit for bit."""
+    lv = -_value(sq_dists)
     n = lv.shape[0]
     rows = np.arange(n)
     m = lv.max(axis=-1, keepdims=True)
@@ -239,9 +163,9 @@ def cross_entropy(logits, labels):
     def bwd(g):
         grad = (g * (1.0 / n)) * (shifted / total[:, None])
         grad[rows, labels] -= g * (1.0 / n)
-        _accum(logits, grad)
+        _accum(sq_dists, -grad)
 
-    return _make(out, (logits,), bwd)
+    return _make(out, (sq_dists,), bwd)
 
 
 # -- finite-difference checking ----------------------------------------

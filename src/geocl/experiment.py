@@ -240,12 +240,11 @@ def write_aggregate(report: dict, out_dir: str | Path):
 
 def write_accuracy_curve(run_dirs: list[str | Path], out_dir: str | Path):
     """Per-run (step, all-seen accuracy) points for external plotting; every
-    accuracy matrix is read and checked before the file is written."""
+    run's accuracy matrix is read and checked before the file is written, and
+    a missing one is as much an error as a malformed one."""
     points = []
     for d in run_dirs:
         path = Path(d) / "accuracy_matrix.csv"
-        if not path.exists():
-            continue
         try:
             with open(path, newline="", encoding="utf-8") as fh:
                 header, *rows = csv.reader(fh)

@@ -6,8 +6,8 @@ softmax over negated squared product distances to per-class prototype rows.
 
 A ``*_t`` function given a Tensor input adds one autodiff node with a
 hand-written backward, on top of the distance op's node where it measures
-(the CE also negates the distances, in a node of its own); given plain
-arrays only it returns a plain array and makes no Tensor. A ``*_np``
+(the CE negates the distances inside its own node); given plain arrays
+only it returns a plain array and makes no Tensor. A ``*_np``
 function is plain NumPy, for evaluation (by nearest prototype) and the
 frozen previous-step model. The tangent cosines have one helper, which the
 angular loss and :func:`cosine_matrix_np` share. Every distance comes from
@@ -108,11 +108,17 @@ def sq_dist_matrix_t(feats, protos, space: MixedSpace, kmag=None, weights=None):
 
 def ce_loss_t(feats, protos, labels: np.ndarray, space: MixedSpace, kmag=None,
               weights=None):
+    """Softmax cross-entropy of the rows of ``feats`` against the prototype
+    rows ``protos``, the logits being the negated squared product distances:
+    two nodes, the distance op's and the CE's, which negates the distances
+    in its forward and the logit gradient in its backward. ``kmag`` and
+    ``weights`` are as for :func:`sq_dist_matrix_t`; a label must name a
+    prototype row."""
     labels = np.asarray(labels)
     if labels.min(initial=0) < 0 or labels.max(initial=-1) >= protos.shape[0]:
         raise ContractViolation("label outside the seen classes")
-    logits = -sq_dist_matrix_t(feats, protos, space, kmag=kmag, weights=weights)
-    return ad.cross_entropy(logits, labels)
+    sq_dists = sq_dist_matrix_t(feats, protos, space, kmag=kmag, weights=weights)
+    return ad.cross_entropy(sq_dists, labels)
 
 
 # -- structure preservation ---------------------------------------------

@@ -102,13 +102,17 @@ def check_angle_conformality(tolerance=1e-12, seed=3) -> CheckResult:
 
 
 def _gradcheck_distance(sign: float, trials: int, rng) -> float:
-    """Finite differences against the backward of the distance kernel."""
+    """Finite differences against the backward of the distance kernel on one
+    factor of curvature sign ``sign``, with both points and the curvature
+    magnitude trained."""
+    space = MixedSpace((FactorSpec(0, 1, 4, sign),))
+
     def sampler(r):
         return {"v": r.normal(0.0, 0.5, (1, 4)), "w": r.normal(0.0, 0.5, (1, 4)),
                 "k": r.uniform(0.3, 1.5, (1,))}
 
     def loss(t):
-        return ad.sum_(diffgeo.lifted_sq_distance(t["v"], t["w"], t["k"], sign))
+        return ad.sum_(diffgeo.sq_dist_matrix(t["v"], t["w"], space, kmag=t["k"]))
 
     return ad.gradcheck(loss, sampler, trials=trials, rng=rng)
 

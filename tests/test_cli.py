@@ -229,15 +229,17 @@ class TestReport:
     @staticmethod
     def write_run_dir(path, edit=None, matrix="step,task_1\n1,0.5\n"):
         """A run directory as `run` leaves it, written by hand; ``edit`` is
-        a text for report.json or a function that changes the report."""
+        a text for report.json or a function that changes the report, and
+        ``matrix`` the accuracy matrix's contents, or None for no matrix."""
         path.mkdir()
         report = {"config": load_config(overrides=tiny_overrides(path)),
                   "metrics": {name: 0.5 for name in harness.SUMMARY_METRICS}}
         if callable(edit):
             edit(report)
         (path / "report.json").write_text(edit if isinstance(edit, str) else json.dumps(report))
-        (path / "accuracy_matrix.csv").write_bytes(
-            matrix if isinstance(matrix, bytes) else matrix.encode())
+        if matrix is not None:
+            (path / "accuracy_matrix.csv").write_bytes(
+                matrix if isinstance(matrix, bytes) else matrix.encode())
         return str(path)
 
     def test_handwritten_run_dir_accepted(self, tmp_path, capsys):
@@ -273,9 +275,9 @@ class TestReport:
 
     @pytest.mark.parametrize("matrix", [
         "", "\n", "task,task_1\n1,0.5\n", "step,task_1\n1,abc\n", "step,task_1\n1,\n",
-        "step,task_1\n\n", "step,task_1\n1,nan\n", b"step,task_1\n1,\xff\n",
+        "step,task_1\n\n", "step,task_1\n1,nan\n", b"step,task_1\n1,\xff\n", None,
     ], ids=["empty", "blank", "bad-header", "non-numeric", "no-accuracy", "blank-row",
-            "nan", "not-utf8"])
+            "nan", "not-utf8", "missing"])
     def test_malformed_accuracy_matrix_exit_code_1_with_one_line(self, tmp_path, capsys,
                                                                  matrix):
         run = self.write_run_dir(tmp_path / "run", matrix=matrix)

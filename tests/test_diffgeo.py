@@ -30,6 +30,13 @@ EUCLID = MixedSpace((FactorSpec(0, 1, 6, 0.0),))
 POOL = build_pool(32, [4, 8, 16])
 
 
+def weighted_sum(d, g):
+    """sum(d * g), one node over ``d``: a fixed linear functional of a
+    distance matrix, the scalar probe of the kernel's backward."""
+    return ad._make(np.asarray(ad._value(d) * g, order="C").sum(), (d,),
+                    lambda grad: ad._accum(d, grad * g))
+
+
 def oracle(feats, protos, space, weights=None):
     """Sum over factors of squared `geometry.distance` between exp0 lifts."""
     total = np.zeros((len(feats), len(protos)))
@@ -221,7 +228,7 @@ class TestPairs:
                    lambda f, k: diffgeo.sq_dist_matrix(f, f, space, kmag=k)):
             f, k = Tensor(feats), Tensor(kmag)
             d = op(f, k)
-            ad.sum_(d * g).backward()
+            weighted_sum(d, g).backward()
             got.append((d.value, f.grad, k.grad))
         (d, gf, gk), (dense, want_gf, want_gk) = got
         assert np.array_equal(d, np.where(pairs, dense, 0.0))
@@ -403,11 +410,11 @@ class TestSignBlocks:
         t = tensors()
         d = (diffgeo.sq_dist_matrix(*t[:2], space, kmag=t[2]) if op == "matrix"
              else diffgeo.sq_dist_matrix(t[0], t[0], space, kmag=t[2], pairs=pairs))
-        ad.sum_(d * g).backward()
+        weighted_sum(d, g).backward()
         separate = tensors()
         for sub in group_spaces(space):
-            ad.sum_(diffgeo.sq_dist_matrix(*separate[:2], sub, kmag=separate[2])
-                    * g).backward()
+            weighted_sum(diffgeo.sq_dist_matrix(*separate[:2], sub, kmag=separate[2]),
+                         g).backward()
         got, want = [x.grad for x in t], [x.grad for x in separate]
         if op == "pairs":
             got, want = [got[0], got[2]], [want[0] + want[1], want[2]]
@@ -492,7 +499,7 @@ def _loss(space, g, same=False):
         protos = t["feats"] if same else t["protos"]
         d = diffgeo.sq_dist_matrix(t["feats"], protos, space, kmag=t.get("kmag"),
                                    weights=t.get("weights"))
-        return ad.sum_(d * g)
+        return weighted_sum(d, g)
     return build
 
 
@@ -552,10 +559,10 @@ class TestBackward:
         f = rng.normal(0.0, 0.5, (4, 6))
         g = rng.normal(size=(4, 4))
         both = Tensor(f)
-        ad.sum_(diffgeo.sq_dist_matrix(both, both, MIXED) * g).backward()
+        weighted_sum(diffgeo.sq_dist_matrix(both, both, MIXED), g).backward()
         left = Tensor(f)
         right = Tensor(f)
-        ad.sum_(diffgeo.sq_dist_matrix(left, right, MIXED) * g).backward()
+        weighted_sum(diffgeo.sq_dist_matrix(left, right, MIXED), g).backward()
         np.testing.assert_allclose(both.grad, left.grad + right.grad, rtol=1e-12, atol=1e-12)
 
 
@@ -598,7 +605,7 @@ class TestPrunedBackward:
         def op(t):
             d = diffgeo.sq_dist_matrix(t["feats"], t["feats"] if same else t["protos"], space,
                                        kmag=t["kmag"], weights=t["weights"])
-            return ad.sum_(d * g)
+            return weighted_sum(d, g)
 
         got = self.grads(op, values, trained)
         full = self.grads(op, values, tuple(values))
@@ -616,7 +623,7 @@ class TestPrunedBackward:
 
         def op(t):
             d = diffgeo.sq_dist_matrix(t["feats"], t["feats"], space, kmag=t["kmag"], pairs=pairs)
-            return ad.sum_(d * g)
+            return weighted_sum(d, g)
 
         got = self.grads(op, values, trained)
         full = self.grads(op, values, ("feats", "kmag"))
@@ -740,7 +747,7 @@ class TestRunScatter:
             else:
                 d = diffgeo.sq_dist_matrix(t[0], t[0], self.SPACE, kmag=t[2], pairs=pairs)
                 used = [t[0], t[2]]
-            ad.sum_(d * g).backward()
+            weighted_sum(d, g).backward()
             return [x.grad for x in used]
 
         got = grads()

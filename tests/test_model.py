@@ -8,6 +8,13 @@ from geocl.errors import ContractViolation
 from geocl.product import FactorSpec, MixedSpace
 
 
+def weighted_sum(x, w):
+    """sum(x * w), one node over ``x``: a fixed linear functional, the scalar
+    probe of a backward."""
+    return ad._make(np.asarray(ad._value(x) * w, order="C").sum(), (x,),
+                    lambda g: ad._accum(x, g * w))
+
+
 def euclidean_space(dim=4):
     return MixedSpace((FactorSpec(0, 1, dim, 0.0),))
 
@@ -196,7 +203,9 @@ class TestNeighborPairs:
         weight = np.triu(np.ones((b, b)), k=1) * affinity
         if cap is not None:
             weight = np.where((affinity < 0) & (psi2.value > cap), 0.0, weight)
-        return ad.sum_(psi2 * weight) * (1.0 / max(b * (b - 1) / 2.0, 1.0))
+        scale = 1.0 / max(b * (b - 1) / 2.0, 1.0)
+        return ad._make(np.asarray(psi2.value * weight, order="C").sum() * scale, (psi2,),
+                        lambda g: ad._accum(psi2, g * scale * weight))
 
     @staticmethod
     def both(feats, space, affinity, kmag, cap):
@@ -344,13 +353,14 @@ class TestFusedOps:
     def angular(self, feats):
         """The angular loss with row ZERO_ROW held at zero, so that it has a
         zero tangent and no valid pair."""
-        return model.angular_reg_loss_t(feats * self.KEEP, self.SPACE, self.PREV_COS,
-                                        np.ones((5, 5)))
+        kept = ad._make(ad._value(feats) * self.KEEP, (feats,),
+                        lambda g: ad._accum(feats, g * self.KEEP))
+        return model.angular_reg_loss_t(kept, self.SPACE, self.PREV_COS, np.ones((5, 5)))
 
     # name -> (loss over a dict of operands, sampler of those operands)
     CASES = {
         "features": (
-            lambda s, t: ad.sum_(model.features_t(t, s.X) * s.FEATS[:, :4]),
+            lambda s, t: weighted_sum(model.features_t(t, s.X), s.FEATS[:, :4]),
             lambda s, rng: model.Backbone(3, 6, 4).init_params(rng)),
         "angular": (
             lambda s, t: s.angular(t["feats"]),
@@ -393,12 +403,12 @@ class TestFusedOps:
         params = model.Backbone(3, 6, 4).init_params(np.random.default_rng(73))
         g = self.FEATS[:, :4]
         full = {k: Tensor(v) for k, v in params.items()}
-        ad.sum_(model.features_t(full, self.X) * g).backward()
+        weighted_sum(model.features_t(full, self.X), g).backward()
         reached = []
         accum = ad._accum
         monkeypatch.setattr(ad, "_accum", lambda t, grad: reached.append(t) or accum(t, grad))
         t = {k: v if k in frozen else Tensor(v) for k, v in params.items()}
-        ad.sum_(model.features_t(t, self.X) * g).backward()
+        weighted_sum(model.features_t(t, self.X), g).backward()
         leaves = {id(v): k for k, v in t.items()}
         assert sorted(leaves[id(r)] for r in reached if id(r) in leaves) == sorted(
             k for k in params if k not in frozen)
