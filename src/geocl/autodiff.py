@@ -11,8 +11,11 @@ with a hand-written backward (the product-distance kernel in
 ``geocl.diffgeo``; the backbone, the angular loss, the neighbor loss's
 weighted mean and the total loss in ``geocl.model``); such an op reads its
 operands with ``_value``, builds its node with ``_make`` and hands its
-gradients to ``_accum``. A gather of columns adds its gradient back run by
-run (``col_runs``, ``add_cols``), in the order ``np.add.at`` would.
+gradients to ``_accum``. A gradient arrives in its operand's shape: an op
+states its own reductions (a bias sums its rows), and ``_accum`` raises
+``ContractViolation`` for a gradient of any other shape. A gather of
+columns adds its gradient back run by run (``col_runs``, ``add_cols``), in
+the order ``np.add.at`` would.
 
 Whatever does not train is a plain value: every operand of an op may be
 an ndarray. A node keeps as parents only its operands that are Tensors,
@@ -35,18 +38,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolation
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``grad`` down to ``shape`` (reverse of numpy broadcasting)."""
-    if grad.shape == shape:
-        return grad
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
 
 
 class Tensor:
@@ -111,7 +102,10 @@ def _make(value, parents, backward):
 
 
 def _accum(t: Tensor, g: np.ndarray):
-    g = _unbroadcast(np.asarray(g, dtype=float), t.value.shape)
+    """Add ``g``, a gradient of ``t``'s own shape, into ``t.grad``."""
+    g = np.asarray(g, dtype=float)
+    if g.shape != t.value.shape:
+        raise ContractViolation(f"gradient of shape {g.shape} for a {t.value.shape} operand")
     t.grad = g if t.grad is None else t.grad + g
 
 

@@ -75,13 +75,13 @@ def features_t(params: dict[str, Tensor | np.ndarray], x: np.ndarray):
 
     def bwd(g):
         if isinstance(b2, Tensor):
-            ad._accum(b2, g)
+            ad._accum(b2, g.sum(axis=0))
         if isinstance(w2, Tensor):
             ad._accum(w2, h.T @ g)
         if isinstance(w1, Tensor) or isinstance(b1, Tensor):
             gz = (g @ w2v.T) * (1.0 - h * h)
             if isinstance(b1, Tensor):
-                ad._accum(b1, gz)
+                ad._accum(b1, gz.sum(axis=0))
             if isinstance(w1, Tensor):
                 ad._accum(w1, x.T @ gz)
 

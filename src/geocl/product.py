@@ -59,15 +59,6 @@ class MixedSpace:
         if list(idx) != sorted(idx):
             object.__setattr__(self, "factors", tuple(sorted(self.factors, key=lambda f: f.pool_index)))
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        """The hash of the factors, taken once: the distance kernel looks a
-        space up in its caches on every op."""
-        return hash(self.factors)
-
     @property
     def size(self) -> int:
         return len(self.factors)

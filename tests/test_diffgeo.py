@@ -14,6 +14,8 @@ from geocl.errors import ConfigurationError, ContractViolation
 from geocl.gis import build_pool
 from geocl.product import FactorSpec, MixedSpace
 
+from probes import weighted_sum
+
 # Both signs, two magnitudes each, a Euclidean factor; slice widths 2-4,
 # overlapping, with the signs interleaved.
 MIXED = MixedSpace((
@@ -28,13 +30,6 @@ EUCLID = MixedSpace((FactorSpec(0, 1, 6, 0.0),))
 # The default 14-factor pool: seven hyperbolic factors of width 4, then one
 # spherical factor of width 4, four of width 8 and two of width 16.
 POOL = build_pool(32, [4, 8, 16])
-
-
-def weighted_sum(d, g):
-    """sum(d * g), one node over ``d``: a fixed linear functional of a
-    distance matrix, the scalar probe of the kernel's backward."""
-    return ad._make(np.asarray(ad._value(d) * g, order="C").sum(), (d,),
-                    lambda grad: ad._accum(d, grad * g))
 
 
 def oracle(feats, protos, space, weights=None):

@@ -7,12 +7,7 @@ from geocl.autodiff import Tensor
 from geocl.errors import ContractViolation
 from geocl.product import FactorSpec, MixedSpace
 
-
-def weighted_sum(x, w):
-    """sum(x * w), one node over ``x``: a fixed linear functional, the scalar
-    probe of a backward."""
-    return ad._make(np.asarray(ad._value(x) * w, order="C").sum(), (x,),
-                    lambda g: ad._accum(x, g * w))
+from probes import weighted_sum
 
 
 def euclidean_space(dim=4):
@@ -24,6 +19,21 @@ def mixed_space():
 
 
 class TestBackbone:
+    @pytest.mark.parametrize("rows", [64, 1])
+    def test_bias_gradients_are_row_sums(self, rows):
+        """b2's gradient is the row sum of the upstream gradient and b1's that
+        of the hidden layer's, bit for bit."""
+        rng = np.random.default_rng(75)
+        params = model.Backbone(32, 64, 32).init_params(rng)
+        params["b1"], params["b2"] = rng.normal(size=64), rng.normal(size=32)
+        x, g = rng.normal(size=(rows, 32)), rng.normal(size=(rows, 32))
+        t = {k: Tensor(v) for k, v in params.items()}
+        weighted_sum(model.features_t(t, x), g).backward()
+        h = np.tanh(x @ params["w1"] + params["b1"])
+        gz = (g @ params["w2"].T) * (1.0 - h * h)
+        assert np.array_equal(t["b2"].grad, g.sum(axis=0))
+        assert np.array_equal(t["b1"].grad, gz.sum(axis=0))
+
     def test_feature_shape_and_determinism(self):
         bb = model.Backbone(5, 8, 4)
         params = bb.init_params(np.random.default_rng(0))
