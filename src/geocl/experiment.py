@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import platform
 import time
+import warnings
 from array import array
 from pathlib import Path
 
@@ -102,6 +104,34 @@ def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Features (C-contiguous float64) and int64 labels of a CSV whose header
     is ``label,f1,...,fD``; unreadable, malformed or non-finite input raises
     ConfigurationError.
+
+    One ``np.loadtxt`` call parses a well-formed file: a raw header without
+    ``"`` whose first of two or more fields is ``label``, then one line per
+    row, at least one, of an int64 label and D finite float64 features, with
+    no exception or warning. Any other file (a blank line, which ``loadtxt``
+    skips, or a cell only ``int()`` or ``float()`` takes, such as ``1_0``)
+    goes to ``_read_checked``, which names faults.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = fh.readline()
+            fields = header.rstrip("\r\n").split(",")
+            if '"' not in header and fields[0] == "label" and len(fields) > 1:
+                row = [("label", np.int64), ("x", np.float64, (len(fields) - 1,))]
+                lines = itertools.count()   # one step per line after the header
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    rows = np.loadtxt((line for line, _ in zip(fh, lines)), row, comments=None,
+                                      delimiter=",", ndmin=1)
+                if 0 < len(rows) == next(lines) and np.isfinite(rows["x"]).all():
+                    return np.ascontiguousarray(rows["x"]), rows["label"].copy()
+    except (OSError, ValueError, Warning):
+        pass
+    return _read_checked(path)
+
+
+def _read_checked(path) -> tuple[np.ndarray, np.ndarray]:
+    """``read_dataset_csv``'s reader for any file, naming its first fault.
 
     Rows are parsed as they are read, into compact arrays, so the file is
     never held as Python strings or floats. The whole file is read before a

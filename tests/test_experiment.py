@@ -1,5 +1,5 @@
-"""The streaming dataset CSV reader against the list-based reader it
-replaced, and its memory high-water mark."""
+"""The dataset CSV reader against the list-based reader it replaced, which
+of its two paths reads which file, and its memory high-water mark."""
 
 import csv
 import tempfile
@@ -60,8 +60,8 @@ _HEADERS = st.sampled_from(["label,f1,f2", "label,f1,f2", "label,f1", "label",
 
 @st.composite
 def _csv_bytes(draw) -> bytes:
-    """Rows of a random header's width, some with faults: another width
-    (blank lines among them), an odd label or an odd feature; at times a
+    """Rows of a random header's width, some with faults: a blank line,
+    another width, an odd label or an odd feature; at times a
     line that is not UTF-8, in some files after the first 8 KiB; also empty
     and header-only files."""
     header = draw(_HEADERS)
@@ -70,8 +70,10 @@ def _csv_bytes(draw) -> bytes:
     for _ in range(draw(st.integers(0, 6))):
         row = [str(draw(st.integers(-3, 3)))] + [repr(draw(st.floats(-5.0, 5.0)))
                                                  for _ in range(width - 1)]
-        fault = draw(st.sampled_from(["none"] * 5 + ["width", "label", "feature"]))
-        if fault == "width":
+        fault = draw(st.sampled_from(["none"] * 5 + ["width", "label", "feature", "blank"]))
+        if fault == "blank":
+            row = []
+        elif fault == "width":
             row = [draw(_CELLS) for _ in range(draw(st.integers(0, width + 1)))]
         elif fault == "label":
             row[0] = draw(_CELLS)
@@ -122,9 +124,18 @@ _FILLER = b"1,0.123456789\n" * 1000     # past the 8 KiB decoded at once
     b"label,f1\n",
     b"",
     b"label,f1\n9223372036854775807,0.5\n",
+    b"label,f1\n1,0.5\n\n2,0.25\n",         # loadtxt skips a blank line
+    b"label,f1\n1,0.5\n2,0.25\n\n",
+    b'label,"f,1"\n1,2,3\n',                # two header fields, not three
+    b"label,f1\n1,0.5\n   \n2,0.25\n",
+    b"label,f1\n1_0,0.5\n",                 # int() and float() take 1_0
+    b"label,f1\n1,1_0\n",
+    b"label,f1\r\n1,0.5\r\n2,0.25\r\n",
 ], ids=["bad-feature", "two-bad-features", "ragged-after-bad-feature",
         "bad-label-after-bad-feature", "bad-utf8-after-ragged", "bad-utf8-after-header",
-        "non-finite", "header-only", "empty", "int64-max-label"])
+        "non-finite", "header-only", "empty", "int64-max-label", "blank-line",
+        "blank-last-line", "quoted-header-comma", "spaces-only-line", "underscore-label",
+        "underscore-feature", "crlf"])
 def test_fault_order_is_the_list_readers(tmp_path, data):
     path = tmp_path / "data.csv"
     path.write_bytes(data)
@@ -133,6 +144,41 @@ def test_fault_order_is_the_list_readers(tmp_path, data):
         assert got == want
     else:
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _refuse(path):
+    raise RuntimeError("the checked reader was called")
+
+
+_BENCH_LIKE = b"".join(
+    b"%d,%s\n" % (lab, b",".join(b"%.9g" % v for v in row)) for row, lab in
+    zip(np.random.default_rng(1).normal(size=(300, 8)), range(300)))
+
+
+@pytest.mark.parametrize("data, checked", [
+    (b"label,f1\n1,0.5\n2,0.25", False),
+    (b"label,f1,f2\r\n-3,1e-3,-0\r\n+4, 2 ,.5\r\n", False),
+    (b"label,f1\r1,5e-324\r", False),
+    (b"label," + b",".join(b"f%d" % i for i in range(1, 9)) + b"\n" + _BENCH_LIKE, False),
+    (b"label,f1\n1,0.5\n\n2,0.25\n", True),
+    (b'label,"f,1"\n1,2,3\n', True),
+    (b"label,f1\n1_0,0.5\n", True),
+], ids=["no-final-newline", "crlf-signs-spaces", "cr-subnormal", "bench-like", "blank-line",
+        "quoted-header-comma", "underscore-label"])
+def test_a_well_formed_file_skips_the_checked_reader(tmp_path, monkeypatch, data, checked):
+    """A well-formed file is read without the checked reader, with the list
+    reader's arrays; any other file goes to it."""
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+    want = _outcome(_list_reader, path)
+    monkeypatch.setattr(experiment, "_read_checked", _refuse)
+    if checked:
+        with pytest.raises(RuntimeError, match="checked reader"):
+            experiment.read_dataset_csv(path)
+        return
+    x, y = experiment.read_dataset_csv(path)
+    assert y.dtype == np.int64 and x.dtype == np.float64 and x.flags.c_contiguous
+    assert np.array_equal(x, want[0]) and np.array_equal(y, want[1])
 
 
 def test_label_beyond_int64_rejected(tmp_path):
