@@ -9,6 +9,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import experiment, harness
 from .config import load_config
 from .errors import ConfigurationError, ContractViolation, GeoclError
@@ -100,7 +102,11 @@ def main(argv=None) -> int:
                 "verify": cmd_verify, "report": cmd_report}
     try:
         args = build_parser().parse_args(argv)
-        return handlers[args.command](args)
+        # A diverging run is reported by the engine's own finite-loss checks
+        # as one line; NumPy's floating-point warnings on the way there
+        # would add lines of their own.
+        with np.errstate(all="ignore"):
+            return handlers[args.command](args)
     except (ConfigurationError, ContractViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

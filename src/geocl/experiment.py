@@ -113,7 +113,7 @@ def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
     goes to ``_read_checked``, which names faults.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             header = fh.readline()
             fields = header.rstrip("\r\n").split(",")
             if '"' not in header and fields[0] == "label" and len(fields) > 1:
@@ -146,7 +146,7 @@ def _read_checked(path) -> tuple[np.ndarray, np.ndarray]:
     faults = [None, None, None]
     line = 1
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
             width, labelled = len(header), header[:1] == ["label"]

@@ -4,7 +4,11 @@ thresholded factor choice, space expansion.
 The pool is a ``MixedSpace`` over every candidate factor; its slices and
 curvature signs never change. Its factors hold the live curvatures: the
 search returns a re-curved pool, which the caller keeps. Selection weights
-live only inside each step's search phase."""
+live only inside each step's search phase.
+
+A pool of one flat factor (the ``euclidean`` baseline) is not searched: it
+has no curvature to train, and the first step keeps its only factor
+whatever its weight, so a search could change no run output."""
 
 from __future__ import annotations
 
@@ -72,7 +76,15 @@ def gis_optimize(pool: MixedSpace, feats: np.ndarray, labels: np.ndarray,
     at 1/n (n = total classes); magnitudes start from the pool's factors.
     Returns the weights and the pool with the new curvatures; the input
     pool is left as it was.
+
+    A pool of one zero-curvature factor returns at once, with weight 1 (the
+    uniform 1/P the warm-up trains under) and the pool as given, and draws
+    nothing from ``rng``. Searching it could change no run: a flat factor's
+    magnitude never moves, and ``select`` keeps the only factor at step 1
+    whatever its weight, after which ``selected`` holds it for good.
     """
+    if pool.size == 1 and pool.factors[0].curvature == 0.0:
+        return np.ones(1), pool
     weights = np.full(pool.size, 1.0 / n_classes)
     curvatures = np.array([f.curvature for f in pool.factors])
     signs, mags = np.sign(curvatures), np.abs(curvatures)

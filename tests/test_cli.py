@@ -86,6 +86,19 @@ class TestRun:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+class TestDivergingRun:
+    def test_exit_code_2_with_one_line_and_no_warning(self, tmp_path, capsys, recwarn):
+        cfg = {"stream": {"classes": 4, "steps": 2, "samples_per_class": 10,
+                          "test_per_class": 4},
+               "epochs_main": 1, "lr_main": 1e300, "out_dir": str(tmp_path / "run")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: ") and err.count("\n") == 1
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 class TestUnusableOut:
     @pytest.mark.parametrize("command", ["run", "synth", "report"])
     @pytest.mark.parametrize("where", ["file", "under-file"])

@@ -181,6 +181,27 @@ def test_a_well_formed_file_skips_the_checked_reader(tmp_path, monkeypatch, data
     assert np.array_equal(x, want[0]) and np.array_equal(y, want[1])
 
 
+@pytest.mark.parametrize("data, checked", [
+    (b"label,f1\n1,0.5\n2,0.25\n", False),
+    (b"label,f1\n1,0.5\n\n2,0.25\n", True),
+], ids=["well-formed", "blank-line"])
+def test_a_byte_order_mark_reads_as_the_file_without_it(tmp_path, monkeypatch, data, checked):
+    """A UTF-8 byte-order mark before the header changes nothing: a
+    well-formed file still takes the fast path, and any other file has its
+    own fault named, not a missing 'label' column."""
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+    want = _outcome(experiment.read_dataset_csv, path)
+    path.write_bytes(b"\xef\xbb\xbf" + data)
+    if checked:
+        assert _outcome(experiment.read_dataset_csv, path) == want
+        assert want.endswith("line 3 has 0 fields where the header has 2")
+        return
+    monkeypatch.setattr(experiment, "_read_checked", _refuse)
+    x, y = experiment.read_dataset_csv(path)
+    assert np.array_equal(x, want[0]) and np.array_equal(y, want[1])
+
+
 def test_label_beyond_int64_rejected(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("label,f1\n1,0.5\n9223372036854775808,0.5\n")

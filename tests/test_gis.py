@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from geocl import diffgeo, gis, model
 from geocl.errors import ConfigurationError
-from geocl.product import MixedSpace
+from geocl.product import FactorSpec, MixedSpace
 
 
 class TestBuildPool:
@@ -159,12 +159,32 @@ class TestGisOptimize:
         assert max(magnitudes) > 1.0
 
     def test_euclidean_factor_stays_flat(self):
+        # two flat factors are searched: their weights train, their
+        # curvatures stay exactly 0
+        rng = np.random.default_rng(3)
+        feats, labels, protos = _curved_problem(rng)
+        pool = MixedSpace((FactorSpec(0, 1, 4, 0.0), FactorSpec(1, 5, 8, 0.0)))
+        w, pool = gis.gis_optimize(pool, feats, labels, protos, n_classes=2, epochs=2,
+                                   lr=10.0, batch_size=32, rng=np.random.default_rng(4))
+        assert (w != 0.5).all()
+        assert [f.curvature for f in pool.factors] == [0.0, 0.0]
+
+    def test_one_flat_factor_is_not_searched(self, monkeypatch):
         rng = np.random.default_rng(3)
         feats, labels, protos = _curved_problem(rng)
         pool = gis.build_pool(8, [4], mode="euclidean")
-        _, pool = gis.gis_optimize(pool, feats, labels, protos, n_classes=2, epochs=2,
-                                   lr=10.0, batch_size=32, rng=np.random.default_rng(4))
-        assert pool.factors[0].curvature == 0.0
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the one-factor flat pool was searched")
+
+        monkeypatch.setattr(model, "ce_loss_t", fail)
+        search_rng = np.random.default_rng(4)
+        before = search_rng.bit_generator.state
+        w, searched = gis.gis_optimize(pool, feats, labels, protos, n_classes=2, epochs=2,
+                                       lr=10.0, batch_size=32, rng=search_rng)
+        np.testing.assert_array_equal(w, [1.0])
+        assert searched is pool
+        assert search_rng.bit_generator.state == before
 
     def test_input_pool_untouched(self):
         # the search returns a re-curved pool and leaves the one it was given

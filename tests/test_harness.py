@@ -384,6 +384,13 @@ class TestRunStream:
         assert sizes == sorted(sizes)
         assert sizes[-1] == len(union)
 
+    def test_euclidean_pool_keeps_its_one_factor_unsearched(self):
+        state, _ = harness.run_stream(self.make_tasks(noise=0.3), small_cfg(), seed=0,
+                                      backbone=model.Backbone(6, 16, 8),
+                                      pool=build_pool(8, [4], mode="euclidean"))
+        assert [(rec["weights"], rec["selected"], rec["curvatures"], rec["space_size"])
+                for rec in state.gis_trace] == [([1.0], [0], [0.0], 1)] * 2
+
     def test_step_context_is_previous_step_model(self, monkeypatch):
         # The structure context of step t must be the one computed from the
         # params, space and buffer as they stood after step t-1.
