@@ -155,3 +155,30 @@ def test_run_bench_adds_the_wall_clock_medians(tmp_path):
     lines = bench_pairs.summarize([(result, result)], better)
     assert lines[6].startswith("wall_clock.run_s (s, lower is better): parent median 0.5 ")
     assert lines[8].startswith("wall_clock.setup_s (s, lower is better): parent median 0.15 ")
+
+
+@pytest.mark.parametrize("runs, better, verdict", [
+    # Parent median 1.045 and IQR 0.045: the allowed 0.25 x 1.045 covers a
+    # change median 0.2 worse, but not 0.3.
+    ([(1.0 + i / 100, 1.2 + i / 100) for i in range(10)], "lower", "within bound"),
+    ([(1.0 + i / 100, 1.3 + i / 100) for i in range(10)], "lower", "worse than bound"),
+    ([(1.0 + i / 100, 0.8 - i / 100) for i in range(10)], "higher", "worse than bound"),
+    # Parent IQR 0.45 of a 1.45 median exceeds the bound: unresolved, even
+    # with the change better in every pair ...
+    ([(1.0 + i / 10, 0.99 + i / 10) for i in range(10)], "lower", "unresolved"),
+    # ... unless every change run beats every parent run.
+    ([(1.0 + i / 10, 0.9 - i / 100) for i in range(10)], "lower", "within bound"),
+], ids=["within", "worse", "worse-higher-better", "unresolved", "wide-but-every-run-better"])
+def test_no_regression_verdict(runs, better, verdict):
+    lines = bench_pairs.summarize(pairs_of(runs), {"run_s": better}, {"run_s": 0.25})
+    assert len(lines) == 4
+    assert lines[2].startswith(f"run_s: {verdict} (bound 0.25 x parent median = ")
+
+
+def test_no_verdict_without_a_bound():
+    runs = [(1.0 + i / 100, 1.3 + i / 100) for i in range(10)]
+    lines = bench_pairs.summarize(pairs_of(runs), {"run_s": "lower", "setup_s": "lower"},
+                                  {"setup_s": 0.25})
+    assert [line.split(" ")[0] for line in lines[:5]] == ["run_s", "run_s:", "setup_s",
+                                                          "setup_s:", "setup_s:"]
+    assert lines[4].startswith("setup_s: within bound (bound 0.25 x parent median = 0.05)")

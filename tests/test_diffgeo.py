@@ -105,13 +105,22 @@ class TestForward:
         np.testing.assert_allclose(d, d.T, rtol=0, atol=1e-12)
 
     def test_row_blocks_match_one_pass(self):
-        # Forward-only calls walk tiles; a recorded call is one tile.
+        """Forward-only calls walk tiles; a recorded call is one tile. Both
+        give the same values bit for bit, on a batch against itself and on
+        the evaluation shapes of a run on the default 14-factor pool (test
+        rows x classes), with and without magnitudes and weights."""
         rng = np.random.default_rng(13)
         feats = rng.normal(0.0, 0.4, (500, 6))
-        kmag, weights = rng.uniform(0.3, 2.0, (2, MIXED.size))
-        blocked = diffgeo.sq_dist_matrix(feats, feats, MIXED, kmag, weights)
-        whole = diffgeo.sq_dist_matrix(Tensor(feats), feats, MIXED, kmag, weights).value
-        np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=1e-12)
+        cases = [(MIXED, feats, feats)]
+        for rows, classes in [(1000, 20), (409, 40)]:
+            cases.append((POOL, rng.normal(0.0, 1.0, (rows, 32)),
+                          rng.normal(0.0, 1.0, (classes, 32))))
+        for space, left, right in cases:
+            kmag, weights = rng.uniform(0.3, 2.0, (2, space.size))
+            for kv, wv in [(None, None), (kmag, weights)]:
+                blocked = diffgeo.sq_dist_matrix(left, right, space, kv, wv)
+                whole = diffgeo.sq_dist_matrix(Tensor(left), right, space, kv, wv).value
+                assert np.array_equal(blocked, whole), (space.size, left.shape, kv is None)
 
     def test_feature_width_checked(self):
         with pytest.raises(ConfigurationError):
@@ -143,8 +152,8 @@ class TestTiles:
     def test_forward_only_matrix_peak_memory(self, rows, bound):
         """On the default 14-factor pool a forward-only call holds every
         part's lifts and one block's intermediates for one tile at a time:
-        it peaks within ``bound`` (rows x 20) float matrices (about 55 and
-        18). One that kept every factor group's intermediates peaked near
+        it peaks within ``bound`` (rows x 20) float matrices (about 25 and
+        12). One that kept every factor group's intermediates peaked near
         139 at 200 rows, and one without row tiles near 76 at 1000 rows."""
         space = build_pool(32, [4, 8, 16])
         rng = np.random.default_rng(0)
@@ -160,8 +169,8 @@ class TestTiles:
         assert peak <= bound * rows * 20 * 8
 
     def test_forward_only_matrix_lifts_each_operand_once(self, monkeypatch):
-        """200 rows against 40 prototypes span two row tiles; each part of
-        each block still lifts the rows once and the prototypes once."""
+        """200 rows against 40 prototypes span several row tiles; each part
+        of each block still lifts the rows once and the prototypes once."""
         calls = []
         lifted = diffgeo._lifted
 
@@ -172,7 +181,7 @@ class TestTiles:
         monkeypatch.setattr(diffgeo, "_lifted", counted)
         space = build_pool(32, [4, 8, 16])
         rng = np.random.default_rng(0)
-        assert len(diffgeo._tiles(200, diffgeo._TILE * diffgeo._TILE // 40)) == 2
+        assert len(diffgeo._tiles(200, diffgeo._TILE)) > 1
         diffgeo.sq_dist_matrix(rng.normal(0.0, 1.0, (200, 32)), rng.normal(0.0, 1.0, (40, 32)),
                                space)
         n_parts = sum(len(block.parts) for block in diffgeo._layout(space, 32))
@@ -272,7 +281,8 @@ class TestPlainOperands:
 
 def _masks(b, rng):
     """Upper-triangle, lower-triangle and mixed pair masks of ``b`` rows,
-    and a dense one that lists most of every tile."""
+    and a dense one that lists most of every tile, which is measured on its
+    listed entries like the others."""
     mixed = rng.random((b, b)) < 0.1
     mixed[0, -1] = mixed[-1, 0] = True
     return {"upper": np.triu(mixed, k=1), "lower": np.tril(mixed, k=-1), "mixed": mixed,
@@ -281,9 +291,9 @@ def _masks(b, rng):
 
 class TestForwardPairs:
     """Forward-only pairs, measured on their listed entries in the tiles
-    that hold one (on every entry of a tile that is mostly listed), are the
-    entries of the forward-only matrix, measured on every entry of every
-    tile, and of the recorded pair op, measured in one tile."""
+    that hold one, are the entries of the forward-only matrix, measured on
+    every entry of every tile, and of the recorded pair op, measured in one
+    tile."""
 
     @pytest.mark.parametrize("space", [MIXED, EUCLID], ids=["mixed", "euclidean"])
     @pytest.mark.parametrize("b", [2, 40, 63, 64, 65, 129, 400])
@@ -326,7 +336,7 @@ class TestForwardPairs:
         """On the default 14-factor pool with B = 400 rows and a share of
         the upper triangle listed, the op holds the lifts, the output and one
         block's intermediates for one _TILE x _TILE tile at a time: it peaks
-        within ``bound`` B x B float matrices (about 2.2 and 2.9). A walk
+        within ``bound`` B x B float matrices (about 2.2 and 3.4). A walk
         over whole-row blocks without column tiles peaked near 5.8 and
         16.5."""
         space = build_pool(32, [4, 8, 16])
@@ -426,8 +436,8 @@ class TestSignBlocks:
         rng = np.random.default_rng(0)
         diffgeo.sq_dist_matrix(rng.normal(0.0, 1.0, (200, 32)), rng.normal(0.0, 1.0, (40, 32)),
                                POOL)
-        # Two row tiles of 102 and 98 rows, one column tile.
-        assert sorted(core_calls) == [(7, 98, 40)] * 2 + [(7, 102, 40)] * 2
+        # Row tiles of 64, 64, 64 and 8 rows, one column tile.
+        assert sorted(core_calls) == [(7, 8, 40)] * 2 + [(7, 64, 40)] * 6
 
     def test_forward_only_pairs(self, core_calls):
         feats = np.random.default_rng(0).normal(0.0, 1.0, (129, 32))
@@ -435,10 +445,10 @@ class TestSignBlocks:
         pairs[:64, 64:] = True
         pairs[3, 5] = True
         diffgeo.sq_dist_matrix(feats, feats, POOL, pairs=pairs)
-        # Tiles are rows and columns [0, 64) and [64, 129): the one listed
-        # pair of the first runs on its own, the fully listed second on
-        # every entry, and the other two hold no pair.
-        assert core_calls == [(7, 1), (7, 1), (7, 64, 65), (7, 64, 65)]
+        # Tiles are rows and columns [0, 64) and [64, 129): the first runs
+        # on its one listed pair, the second, fully listed, on its 64 x 65
+        # listed pairs, and the other two hold no pair.
+        assert core_calls == [(7, 1), (7, 1), (7, 64 * 65), (7, 64 * 65)]
 
 
 class TestSharedLift:

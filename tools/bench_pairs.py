@@ -18,7 +18,12 @@ direction CHANGE's ``BENCHMARK.json`` declares. A second line per metric
 says whether the change meets the gain rule: at least ten pairs, the
 change better in at least nine tenths of them (a tie counts as not
 better), and its median better than the parent's by more than the parent's
-interquartile range.
+interquartile range. A metric with a ``bound`` in CHANGE's
+``BENCHMARK.json`` gets a third line, the no-regression verdict: "within
+bound" when the change's median is worse than the parent's by at most
+``bound`` times the parent's median, "worse than bound" when it is worse by
+more, and "unresolved" when the parent's interquartile range exceeds
+``bound`` times its median, unless every change run beats every parent run.
 
 Beside the runner's ``run_s`` and ``setup_s``, which are scaled by each
 child's calibration samples, it prints the raw wall-clock medians
@@ -122,11 +127,14 @@ def pair_line(index: int, seed: int, pair: tuple[dict, dict], names) -> str:
             f"runs {_counts(pair[0])} / {_counts(pair[1])}")
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[str]:
-    """Summary lines over the (parent, change) results of all pairs, two per
-    metric (its summary, then the gain rule's verdict) and one of failed
-    runs; ``better`` maps each end-to-end metric to ``"lower"`` or
-    ``"higher"``."""
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> list[str]:
+    """Summary lines over the (parent, change) results of all pairs: per
+    metric its summary, the gain rule's verdict and, for a metric in
+    ``bounds``, the no-regression verdict; then one line of failed runs.
+    ``better`` maps each end-to-end metric to ``"lower"`` or ``"higher"``,
+    ``bounds`` to its bound relative to the parent's median."""
+    bounds = bounds or {}
     lines = []
     for name, direction in better.items():
         both = [(_value(p, name), _value(c, name)) for p, c in pairs]
@@ -151,6 +159,16 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[st
             f"{name}: gain rule {'met' if met else 'not met'} (>= 10 pairs, better in "
             f">= 9/10, median gain > parent IQR): {len(both)} pairs, better in {wins}, "
             f"median gain {gain:+.6g} against parent IQR {pq3 - pq1:.6g}")
+        if name in bounds:
+            allowed = bounds[name] * abs(pmed)
+            parent, change = zip(*both)
+            beats_all = (max(change) < min(parent) if direction == "lower"
+                         else min(change) > max(parent))
+            verdict = ("unresolved" if pq3 - pq1 > allowed and not beats_all
+                       else "worse than bound" if -gain > allowed else "within bound")
+            lines.append(
+                f"{name}: {verdict} (bound {bounds[name]:g} x parent median = {allowed:.6g}): "
+                f"change median worse by {-gain:+.6g}, parent IQR {pq3 - pq1:.6g}")
     failed = [sum(r["failed"] or 0 for r in column) for column in zip(*pairs)]
     attempted = [sum(r["attempted"] or 0 for r in column) for column in zip(*pairs)]
     lines.append(f"failed runs: parent {failed[0]} of {attempted[0]}, "
@@ -175,6 +193,7 @@ def main(argv=None) -> int:
             parser.error(f"{tree} has no bench/run.py")
     bench = json.loads((trees[1] / "BENCHMARK.json").read_text())
     better = {entry["name"]: entry["better"] for entry in bench["end_to_end"]}
+    bounds = {entry["name"]: entry["bound"] for entry in bench["end_to_end"]}
     better.update(dict.fromkeys(WALL_CLOCK, "lower"))
     seconds = bench["run_seconds"]
     pairs = []
@@ -184,7 +203,7 @@ def main(argv=None) -> int:
             results[which] = run_bench(trees[which], args.workload, seed, seconds)
         pairs.append((results[0], results[1]))
         print(pair_line(index, seed, pairs[-1], better), flush=True)
-    print("\n".join(summarize(pairs, better)))
+    print("\n".join(summarize(pairs, better, bounds)))
     return 0
 
 
