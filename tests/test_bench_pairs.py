@@ -182,3 +182,29 @@ def test_no_verdict_without_a_bound():
     assert [line.split(" ")[0] for line in lines[:5]] == ["run_s", "run_s:", "setup_s",
                                                           "setup_s:", "setup_s:"]
     assert lines[4].startswith("setup_s: within bound (bound 0.25 x parent median = 0.05)")
+
+
+def test_wall_clock_times_get_the_bound_of_the_scaled_ones(tmp_path, capsys):
+    """Scaled ``run_s`` equal in both trees and the change's raw wall clock
+    half again the parent's: only the wall-clock lines read worse."""
+    for tree, wall_s in (("parent", 1.0), ("change", 1.5)):
+        (tmp_path / tree / "bench").mkdir(parents=True)
+        (tmp_path / tree / "BENCHMARK.json").write_text(json.dumps({
+            "run_seconds": 1, "end_to_end": [
+                {"name": "run_s", "better": "lower", "bound": 0.25},
+                {"name": "setup_s", "better": "lower", "bound": 0.25}]}))
+        (tmp_path / tree / "bench" / "run.py").write_text(
+            "import json, pathlib, sys\n"
+            "seed = sys.argv[sys.argv.index('--seed') + 1]\n"
+            "work = pathlib.Path(f'.bench_out/ref-full-seed{seed}-trace0')\n"
+            "work.mkdir(parents=True)\n"
+            f"(work / 'run-0.json').write_text(json.dumps({{'setup_s': {wall_s / 5}, "
+            f"'run_s': {wall_s}}}))\n"
+            f"print({printout(1.0)!r})\n")
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "ref-full", "--seeds", "1-2"]) == 0
+    verdicts = [line.split(" (bound")[0] for line in capsys.readouterr().out.splitlines()
+                if " bound (bound " in line]
+    assert verdicts == ["run_s: within bound", "setup_s: within bound",
+                        "wall_clock.run_s: worse than bound",
+                        "wall_clock.setup_s: worse than bound"]

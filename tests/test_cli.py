@@ -155,6 +155,17 @@ class TestMalformedCsv:
         err = capsys.readouterr().err
         assert err.startswith("error: class 3 has no train row") and err.count("\n") == 1
 
+    def test_class_count_other_than_stream_classes_exit_code_1(self, tmp_path, capsys):
+        # a 4-class CSV under stream.classes 2 would train 4 classes and echo 2
+        data = tmp_path / "data.csv"
+        rows = [f"{lab},{lab + i / 100:.2f},0,0,0,0,0" for lab in range(4) for i in range(20)]
+        data.write_text("label,f1,f2,f3,f4,f5,f6\n" + "\n".join(rows) + "\n")
+        cfg_path = write_tiny_config(tmp_path, stream={"csv_path": str(data), "classes": 2})
+        assert cli.main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: CSV class count 4 != stream.classes 2\n"
+        assert not (tmp_path / "run").exists()
+
 
 class TestSynth:
     def test_writes_dataset_and_manifest(self, tmp_path, capsys):

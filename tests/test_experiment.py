@@ -2,6 +2,7 @@
 of its two paths reads which file, and its memory high-water mark."""
 
 import csv
+import io
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geocl import experiment
+from geocl.config import load_config
 from geocl.errors import ConfigurationError
 
 
@@ -150,21 +152,37 @@ def _refuse(path):
     raise RuntimeError("the checked reader was called")
 
 
-_BENCH_LIKE = b"".join(
+_BENCH_LIKE = b"label," + b",".join(b"f%d" % i for i in range(1, 9)) + b"\n" + b"".join(
     b"%d,%s\n" % (lab, b",".join(b"%.9g" % v for v in row)) for row, lab in
     zip(np.random.default_rng(1).normal(size=(300, 8)), range(300)))
+
+
+def _quote_all(data: bytes) -> bytes:
+    """The same rows as ``csv.writer(quoting=csv.QUOTE_ALL)`` writes them."""
+    out = io.StringIO()
+    csv.writer(out, quoting=csv.QUOTE_ALL).writerows(csv.reader(io.StringIO(data.decode())))
+    return out.getvalue().encode()
+
+
+with tempfile.TemporaryDirectory() as _tmp:
+    experiment.write_dataset_csv(load_config(overrides={"stream": {
+        "classes": 4, "steps": 2, "samples_per_class": 15, "test_per_class": 5,
+        "ambient_dim": 6}}), _tmp)
+    _SYNTH = (Path(_tmp) / "dataset.csv").read_bytes()     # the bench's CRLF file
 
 
 @pytest.mark.parametrize("data, checked", [
     (b"label,f1\n1,0.5\n2,0.25", False),
     (b"label,f1,f2\r\n-3,1e-3,-0\r\n+4, 2 ,.5\r\n", False),
     (b"label,f1\r1,5e-324\r", False),
-    (b"label," + b",".join(b"f%d" % i for i in range(1, 9)) + b"\n" + _BENCH_LIKE, False),
+    (_BENCH_LIKE, False),
+    (_quote_all(_BENCH_LIKE), False),
+    (_SYNTH, False),
     (b"label,f1\n1,0.5\n\n2,0.25\n", True),
     (b'label,"f,1"\n1,2,3\n', True),
     (b"label,f1\n1_0,0.5\n", True),
-], ids=["no-final-newline", "crlf-signs-spaces", "cr-subnormal", "bench-like", "blank-line",
-        "quoted-header-comma", "underscore-label"])
+], ids=["no-final-newline", "crlf-signs-spaces", "cr-subnormal", "bench-like", "quote-all",
+        "write-dataset-csv", "blank-line", "quoted-header-comma", "underscore-label"])
 def test_a_well_formed_file_skips_the_checked_reader(tmp_path, monkeypatch, data, checked):
     """A well-formed file is read without the checked reader, with the list
     reader's arrays; any other file goes to it."""
@@ -210,23 +228,24 @@ def test_label_beyond_int64_rejected(tmp_path):
 
 
 def test_peak_memory_is_a_few_arrays(tmp_path):
-    """Reading a 2,000 x 32 CSV peaks at no more than four times the bytes
-    of its feature array (a reader that holds every cell as a Python string
-    or float peaks at over ten times)."""
+    """Reading a 2,000 x 32 CSV, with every cell quoted or not, peaks at no
+    more than four times the bytes of its feature array (a reader that
+    holds every cell as a Python string or float peaks at over ten times)."""
     rng = np.random.default_rng(0)
     x, y = rng.normal(size=(2000, 32)), rng.integers(0, 40, 2000)
-    path = tmp_path / "data.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"f{i + 1}" for i in range(32)])
-        writer.writerows([int(lab)] + [f"{v:.9g}" for v in row] for row, lab in zip(x, y))
-    experiment.read_dataset_csv(path)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        got, labels = experiment.read_dataset_csv(path)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(labels, y) and np.abs(got - x).max() < 1e-8
-    assert peak <= 4 * got.nbytes
+    for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
+        path = tmp_path / f"data-{quoting}.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, quoting=quoting)
+            writer.writerow(["label"] + [f"f{i + 1}" for i in range(32)])
+            writer.writerows([int(lab)] + [f"{v:.9g}" for v in row] for row, lab in zip(x, y))
+        experiment.read_dataset_csv(path)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            got, labels = experiment.read_dataset_csv(path)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(labels, y) and np.abs(got - x).max() < 1e-8
+        assert peak <= 4 * got.nbytes, quoting

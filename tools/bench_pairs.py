@@ -28,10 +28,13 @@ more, and "unresolved" when the parent's interquartile range exceeds
 Beside the runner's ``run_s`` and ``setup_s``, which are scaled by each
 child's calibration samples, it prints the raw wall-clock medians
 ``wall_clock.run_s`` (the full runs) and ``wall_clock.setup_s`` (all
-children, set-up-only ones included) with the same summary. It reads them
-from the child result files each invocation leaves in
-``TREE/.bench_out/W-seedS-trace0/run-*.json``, since the calibration
-kernel's speed follows a child's memory layout as well as the host's.
+children, set-up-only ones included) with the same summary, and the
+no-regression verdict against the ``bound`` of ``run_s`` and ``setup_s``:
+the scaled and the raw times can disagree in sign, and either one may be
+the truer. It reads them from the child result files each invocation
+leaves in ``TREE/.bench_out/W-seedS-trace0/run-*.json``, since the
+calibration kernel's speed follows a child's memory layout as well as the
+host's.
 """
 
 from __future__ import annotations
@@ -195,6 +198,7 @@ def main(argv=None) -> int:
     better = {entry["name"]: entry["better"] for entry in bench["end_to_end"]}
     bounds = {entry["name"]: entry["bound"] for entry in bench["end_to_end"]}
     better.update(dict.fromkeys(WALL_CLOCK, "lower"))
+    bounds.update({name: bounds[key] for name, key in WALL_CLOCK.items() if key in bounds})
     seconds = bench["run_seconds"]
     pairs = []
     for index, seed in enumerate(seeds):
