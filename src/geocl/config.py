@@ -109,8 +109,9 @@ def validate_config(cfg: dict):
             raise ConfigurationError(f"'{key}' must lie in [0, 1], got {v!r}")
     if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool) or cfg["seed"] < 0:
         raise ConfigurationError("'seed' must be a non-negative integer")
-    if cfg["stream"]["csv_path"] is not None and not isinstance(cfg["stream"]["csv_path"], str):
-        raise ConfigurationError("'stream.csv_path' must be null or a string")
+    csv_path = cfg["stream"]["csv_path"]
+    if csv_path is not None and (not isinstance(csv_path, str) or not csv_path):
+        raise ConfigurationError("'stream.csv_path' must be null or a non-empty string")
     if not isinstance(cfg["out_dir"], str):
         raise ConfigurationError("'out_dir' must be a string")
     if cfg["pool"]["mode"] not in ("mixed", "euclidean"):

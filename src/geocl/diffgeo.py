@@ -74,8 +74,11 @@ weights are Tensors:
   and lift backward;
 - a trainable k with both operands frozen (the search) runs both sides up
   to the lifts' dL/dk, but assembles no dL/du or dL/dv;
-- a Euclidean block has no curvature, so it runs as if k were frozen: in
-  the search on the one-factor Euclidean pool it runs no backward at all.
+- a Euclidean block has no curvature, so it runs as if k were frozen. The
+  one-factor Euclidean pool is not searched, so this serves a searched
+  pool that holds flat factors: one mixed with curved factors (the tests'
+  ``MIXED``, ``verify._GRADCHECK_SPACE``), or a pool of flat slices as a
+  control, whose search then runs no block backward at all.
 
 The pieces that run are the same operations in the same order, so every
 gradient that is read is bit for bit the one of a call where every input

@@ -82,8 +82,6 @@ def generate_synthetic_stream(classes: int, steps: int, samples_per_class: int,
                               seed: int) -> list[StreamTask]:
     """Tree- plus cycle-structured Gaussian class clusters, split into
     disjoint label groups per step. Deterministic under the seed."""
-    if classes % steps != 0:
-        raise ConfigurationError(f"{classes} classes do not divide into {steps} steps")
     rng = np.random.default_rng([seed, 0, _PHASES["data"]])
     n_tree = int(round(tree_fraction * classes))
     parts = []
@@ -94,24 +92,13 @@ def generate_synthetic_stream(classes: int, steps: int, samples_per_class: int,
     means = np.concatenate(parts)
     # Interleave structure types across steps.
     order = rng.permutation(classes)
-    per_step = classes // steps
-    tasks = []
-    for t in range(steps):
-        labels = order[t * per_step:(t + 1) * per_step]
-        xs_tr, ys_tr, xs_te, ys_te = [], [], [], []
-        for lab in labels:
-            total = samples_per_class + test_per_class
-            pts = means[lab] + noise * rng.normal(size=(total, ambient_dim))
-            xs_tr.append(pts[:samples_per_class])
-            ys_tr.append(np.full(samples_per_class, lab))
-            xs_te.append(pts[samples_per_class:])
-            ys_te.append(np.full(test_per_class, lab))
-        tasks.append(StreamTask(
-            step=t + 1,
-            x_train=np.concatenate(xs_tr), y_train=np.concatenate(ys_tr).astype(int),
-            x_test=np.concatenate(xs_te), y_test=np.concatenate(ys_te).astype(int),
-        ))
-    return tasks
+    # One block of rows per class, in ``order``: its train rows, then its
+    # test rows.
+    total = samples_per_class + test_per_class
+    y = np.repeat(order, total)
+    x = means[y] + noise * rng.normal(size=(len(y), ambient_dim))
+    is_train = np.tile(np.arange(total) < samples_per_class, classes)
+    return _partition(x, y, is_train, order, steps)
 
 
 def stream_from_arrays(x: np.ndarray, y: np.ndarray, steps: int, train_ratio: float,
@@ -124,22 +111,31 @@ def stream_from_arrays(x: np.ndarray, y: np.ndarray, steps: int, train_ratio: fl
     test labels to classifier rows) and every step a test row.
     """
     labels = np.asarray(sorted(set(int(v) for v in y)))
-    if len(labels) % steps != 0:
-        raise ConfigurationError(f"{len(labels)} classes do not divide into {steps} steps")
-    per_step = len(labels) // steps
     is_train = _hash_split(x, y, seed, train_ratio)
     for lab in labels:
         if not is_train[y == lab].any():
             raise ConfigurationError(f"class {lab} has no train row at train_ratio {train_ratio}")
+    tasks = _partition(x, y, is_train, labels, steps)
+    for task in tasks:
+        if not len(task.y_test):
+            raise ConfigurationError(f"step {task.step} (classes {list(task.labels)}) has no "
+                                     f"test row at train_ratio {train_ratio}")
+    return tasks
+
+
+def _partition(x: np.ndarray, y: np.ndarray, is_train: np.ndarray, classes: np.ndarray,
+               steps: int) -> list[StreamTask]:
+    """The stream of rows ``x`` (labels ``y``): step t holds the t-th of
+    ``steps`` equal groups of ``classes``, and its task holds those classes'
+    rows in row order, split into train and test rows by ``is_train``."""
+    if len(classes) % steps != 0:
+        raise ConfigurationError(f"{len(classes)} classes do not divide into {steps} steps")
+    per_step = len(classes) // steps
     tasks = []
     for t in range(steps):
-        group = labels[t * per_step:(t + 1) * per_step]
-        mask = np.isin(y, group)
+        mask = np.isin(y, classes[t * per_step:(t + 1) * per_step])
         tr = mask & is_train
         te = mask & ~is_train
-        if not te.any():
-            raise ConfigurationError(f"step {t + 1} (classes {group.tolist()}) has no test row "
-                                     f"at train_ratio {train_ratio}")
         tasks.append(StreamTask(step=t + 1, x_train=x[tr], y_train=y[tr].astype(int),
                                 x_test=x[te], y_test=y[te].astype(int)))
     return tasks
@@ -162,17 +158,16 @@ def _hash_split(x: np.ndarray, y: np.ndarray, seed: int, train_ratio: float) -> 
 
 @dataclass
 class MemoryBuffer:
-    x: np.ndarray | None = None
-    y: np.ndarray | None = None
+    x: np.ndarray
+    y: np.ndarray
 
     def __len__(self):
-        return 0 if self.y is None else len(self.y)
+        return len(self.y)
 
     def update(self, x_new: np.ndarray, y_new: np.ndarray, policy: str,
                per_class: int, budget: int, rng: np.random.Generator):
         """Append exemplars of the step's classes, then enforce capacity."""
-        xs = [] if self.x is None else [self.x]
-        ys = [] if self.y is None else [self.y]
+        xs, ys = [self.x], [self.y]
         for lab in sorted(set(int(v) for v in y_new)):
             idx = np.nonzero(y_new == lab)[0]
             take = min(per_class if policy == "per_class" else len(idx), len(idx))
@@ -207,16 +202,17 @@ class EngineState:
     params: dict[str, np.ndarray]
     classifier: np.ndarray                  # (n_seen, feature_dim)
     pool: MixedSpace                        # every candidate; each search re-curves it
+    buffer: MemoryBuffer
     selected: frozenset = frozenset()       # union of every step's chosen factors
     space: MixedSpace | None = None
-    buffer: MemoryBuffer = field(default_factory=MemoryBuffer)
     label_to_index: dict[int, int] = field(default_factory=dict)
     gis_trace: list[dict] = field(default_factory=list)
 
 
 def init_state(backbone: mdl.Backbone, pool: MixedSpace, seed: int) -> EngineState:
     params = backbone.init_params(phase_rng(seed, 0, "init"))
-    return EngineState(params=params, classifier=np.zeros((0, backbone.feature_dim)), pool=pool)
+    return EngineState(params=params, classifier=np.zeros((0, backbone.feature_dim)), pool=pool,
+                       buffer=MemoryBuffer(np.zeros((0, backbone.in_dim)), np.zeros(0, dtype=int)))
 
 
 def run_step(state: EngineState, task: StreamTask, cfg: dict, seed: int) -> EngineState:
@@ -330,12 +326,8 @@ def _main_training(state: EngineState, task: StreamTask, y_train: np.ndarray,
     """Train backbone and classifier on ``batches`` (index sets into the step
     data followed by the buffer), each with its row set of ``structure``."""
     t = task.step
-    if len(state.buffer):
-        x_all = np.concatenate([task.x_train, state.buffer.x])
-        y_all = np.concatenate([y_train, state.buffer.y])
-    else:
-        x_all = task.x_train
-        y_all = y_train
+    x_all = np.concatenate([task.x_train, state.buffer.x])
+    y_all = np.concatenate([y_train, state.buffer.y])
     rows = [None] * len(batches) if structure is None else structure["rows"]
     lr = cfg["lr_main"]
     cap = cfg["repulsion_cap"]

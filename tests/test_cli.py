@@ -75,9 +75,10 @@ class TestRun:
 
     @pytest.mark.parametrize("text", ['{"seed": 5, "stream": {"noi', "[1, 2]",
                                       '{"lambda1": NaN}', '{"lr_main": Infinity}',
-                                      '{"stream": {"csv_path": 5}}'],
+                                      '{"stream": {"csv_path": 5}}',
+                                      '{"stream": {"csv_path": ""}}'],
                              ids=["truncated", "top-level-list", "nan", "infinity",
-                                  "csv-path-int"])
+                                  "csv-path-int", "csv-path-empty"])
     def test_malformed_config_exit_code_1_with_one_line(self, tmp_path, capsys, text):
         p = tmp_path / "bad.json"
         p.write_text(text)

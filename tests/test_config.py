@@ -51,8 +51,9 @@ class TestLoadConfig:
         '{"lambda2": true}',
         '{"stream": [1, 2]}',
         '{"out_dir": 3}',
+        '{"stream": {"csv_path": ""}}',
     ], ids=["truncated", "top-level-list", "nan", "infinity", "csv-path-int", "bool",
-            "section-not-object", "out-dir-int"])
+            "section-not-object", "out-dir-int", "csv-path-empty"])
     def test_malformed_file_rejected(self, tmp_path, text):
         p = tmp_path / "cfg.json"
         p.write_text(text)

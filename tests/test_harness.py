@@ -30,6 +30,38 @@ class TestPhaseRng:
         np.testing.assert_array_equal(a, b)
 
 
+def _per_class_stream(classes, steps, samples_per_class, test_per_class, ambient_dim,
+                      tree_fraction, noise, seed):
+    """The stream drawn class by class, step by step, one ``rng.normal`` call
+    per class: the definition that ``generate_synthetic_stream`` must match
+    bit for bit."""
+    rng = np.random.default_rng([seed, 0, harness._PHASES["data"]])
+    n_tree = int(round(tree_fraction * classes))
+    parts = []
+    if n_tree > 0:
+        parts.append(harness._tree_means(n_tree, ambient_dim, rng))
+    if classes - n_tree > 0:
+        parts.append(harness._cycle_means(classes - n_tree, ambient_dim, rng))
+    means = np.concatenate(parts)
+    order = rng.permutation(classes)
+    per_step = classes // steps
+    tasks = []
+    for t in range(steps):
+        xs_tr, ys_tr, xs_te, ys_te = [], [], [], []
+        for lab in order[t * per_step:(t + 1) * per_step]:
+            pts = means[lab] + noise * rng.normal(size=(samples_per_class + test_per_class,
+                                                        ambient_dim))
+            xs_tr.append(pts[:samples_per_class])
+            ys_tr.append(np.full(samples_per_class, lab))
+            xs_te.append(pts[samples_per_class:])
+            ys_te.append(np.full(test_per_class, lab))
+        tasks.append(harness.StreamTask(
+            step=t + 1,
+            x_train=np.concatenate(xs_tr), y_train=np.concatenate(ys_tr).astype(int),
+            x_test=np.concatenate(xs_te), y_test=np.concatenate(ys_te).astype(int)))
+    return tasks
+
+
 class TestSyntheticStream:
     def make(self, seed=0, **kw):
         args = dict(classes=8, steps=4, samples_per_class=10, test_per_class=5,
@@ -64,6 +96,24 @@ class TestSyntheticStream:
     def test_nondividing_classes_rejected(self):
         with pytest.raises(ConfigurationError):
             self.make(classes=7)
+
+    @pytest.mark.parametrize("kw", [{}, {"tree_fraction": 0.0}, {"tree_fraction": 1.0},
+                                    {"test_per_class": 1}, {"steps": 1},
+                                    {"classes": 4, "steps": 4}, {"classes": 20, "steps": 5}],
+                             ids=["default", "cycles-only", "tree-only", "one-test-row",
+                                  "one-step", "class-per-step", "reference-shape"])
+    def test_equals_the_per_class_stream(self, kw):
+        """Same rows in the same order, of the same dtypes and layout."""
+        args = dict(classes=8, steps=4, samples_per_class=10, test_per_class=5,
+                    ambient_dim=6, tree_fraction=0.5, noise=0.2, seed=3)
+        args.update(kw)
+        got, want = harness.generate_synthetic_stream(**args), _per_class_stream(**args)
+        assert [task.step for task in got] == [task.step for task in want]
+        for a, b in zip(got, want):
+            for name in ("x_train", "y_train", "x_test", "y_test"):
+                u, v = getattr(a, name), getattr(b, name)
+                assert u.dtype == v.dtype and u.flags.c_contiguous and v.flags.c_contiguous
+                assert np.array_equal(u, v), name
 
 
 class TestStreamFromArrays:
@@ -160,8 +210,13 @@ def test_random_csv_streams_or_is_rejected(header, counts, bad_rows, steps, trai
 
 
 class TestMemoryBuffer:
+    @staticmethod
+    def empty():
+        """A buffer of three-feature rows, as ``init_state`` starts one."""
+        return harness.MemoryBuffer(np.zeros((0, 3)), np.zeros(0, dtype=int))
+
     def test_per_class_cap(self):
-        buf = harness.MemoryBuffer()
+        buf = self.empty()
         rng = np.random.default_rng(0)
         x = rng.normal(size=(100, 3))
         y = np.repeat([0, 1], 50)
@@ -170,7 +225,7 @@ class TestMemoryBuffer:
         assert dict(zip(labs.tolist(), counts.tolist())) == {0: 20, 1: 20}
 
     def test_fewer_available_than_cap(self):
-        buf = harness.MemoryBuffer()
+        buf = self.empty()
         rng = np.random.default_rng(1)
         x = rng.normal(size=(5, 3))
         y = np.zeros(5, dtype=int)
@@ -178,7 +233,7 @@ class TestMemoryBuffer:
         assert len(buf) == 5
 
     def test_global_budget_rebalances_largest_class(self):
-        buf = harness.MemoryBuffer()
+        buf = self.empty()
         rng = np.random.default_rng(2)
         buf.update(rng.normal(size=(30, 3)), np.zeros(30, dtype=int),
                    policy="global", per_class=0, budget=40, rng=rng)
@@ -190,7 +245,7 @@ class TestMemoryBuffer:
         assert counts.max() - counts.min() <= 1  # evictions target the largest class
 
     def test_buffer_rows_come_from_stream(self):
-        buf = harness.MemoryBuffer()
+        buf = self.empty()
         rng = np.random.default_rng(3)
         x = rng.normal(size=(50, 3))
         y = np.repeat([0, 1], 25)
